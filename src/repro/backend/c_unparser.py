@@ -28,11 +28,30 @@ _HEADER_SCALAR = """\
 #include <stddef.h>
 """
 
-_HEADER_AVX = """\
+# GCC's <immintrin.h> preprocesses to ~60k lines (every AVX-512, AMX and
+# VNNI header), and parsing them would dominate each kernel's compile.
+# Under GCC the kernel includes only what its intrinsics use: <smmintrin.h>
+# (SSE2 through SSE4.1) and <avxintrin.h>, plus <fmaintrin.h> when it fuses
+# multiply-adds.  Those headers refuse direct inclusion unless
+# <immintrin.h>'s guard is defined, so the guard is set around them.  Other
+# compilers keep <immintrin.h>: clang's already skips headers of features
+# that are not enabled.
+_INCLUDES_VECTOR = """\
 #include <math.h>
 #include <stddef.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#include <smmintrin.h>
+#define _IMMINTRIN_H_INCLUDED
+#include <avxintrin.h>
+{fma}#undef _IMMINTRIN_H_INCLUDED
+#else
 #include <immintrin.h>
+#endif
+"""
 
+_INCLUDE_FMA = "#include <fmaintrin.h>\n"
+
+_HELPERS_AVX = """
 static inline double repro_reduce_add_pd(__m256d v) {
     __m128d lo = _mm256_castpd256_pd128(v);
     __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -48,11 +67,7 @@ static inline double repro_extract_pd(__m256d v, int lane) {
 }
 """
 
-_HEADER_SSE = """\
-#include <math.h>
-#include <stddef.h>
-#include <immintrin.h>
-
+_HELPERS_SSE = """
 static inline double repro_reduce_add_pd(__m128d v) {
     __m128d swapped = _mm_unpackhi_pd(v, v);
     return _mm_cvtsd_f64(_mm_add_sd(v, swapped));
@@ -86,17 +101,23 @@ class CUnparser:
         self.mask_type = "__m256i" if function.vector_width == 4 \
             else "__m128i"
         self._mask_constants: Dict[Tuple[bool, ...], str] = {}
+        # set while unparsing the body, which precedes the header
+        self._uses_fma = False
 
     def _header(self) -> str:
         if not self.vectorized:
             return _HEADER_SCALAR
-        return _HEADER_AVX if self.function.vector_width == 4 \
-            else _HEADER_SSE
+        includes = _INCLUDES_VECTOR.format(
+            fma=_INCLUDE_FMA if self._uses_fma else "")
+        return includes + (_HELPERS_AVX if self.function.vector_width == 4
+                           else _HELPERS_SSE)
 
     # -- public API -------------------------------------------------------------
 
     def unparse(self) -> str:
         """Return the complete single-source C translation unit."""
+        # The body goes first: it discovers the mask constants and the FMA
+        # use that the prologue declares and includes.
         body_lines = self._unparse_body()
         lines: List[str] = []
         lines.append("/* Generated by SLinGen (reproduction of Spampinato et "
@@ -264,6 +285,7 @@ class CUnparser:
             return (f"{self.prefix}_{name}_pd({self._expr(expr.left)}, "
                     f"{self._expr(expr.right)})")
         if isinstance(expr, VFma):
+            self._uses_fma = True
             return (f"{self.prefix}_fmadd_pd({self._expr(expr.a)}, "
                     f"{self._expr(expr.b)}, {self._expr(expr.c)})")
         if isinstance(expr, VReduceAdd):
@@ -290,24 +312,5 @@ class CUnparser:
 
 
 def unparse_function(function: Function) -> str:
-    """Unparse a C-IR function to C source (scalar or AVX depending on width).
-
-    Note: mask constants are discovered while unparsing the body, so the body
-    is rendered before the prologue is assembled.
-    """
-    unparser = CUnparser(function)
-    body = unparser._unparse_body()
-    lines: List[str] = []
-    lines.append("/* Generated by SLinGen (reproduction of Spampinato et al., "
-                 "CGO 2018). */")
-    lines.append(unparser._header())
-    lines.append(unparser._signature() + " {")
-    for decl in unparser._mask_declarations():
-        lines.append(unparser.indent + decl)
-    for decl in unparser._temp_declarations():
-        lines.append(unparser.indent + decl)
-    for decl in unparser._register_declarations():
-        lines.append(unparser.indent + decl)
-    lines.extend(body)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Unparse a C-IR function to C source (scalar or AVX depending on width)."""
+    return CUnparser(function).unparse()

@@ -131,7 +131,7 @@ def compile_kernel(c_code: str, function: Function,
 
     When ``cache_key`` is given (the kernel service's content hash), the
     shared object is kept under ``cache_dir`` and reused by later calls with
-    the same key and flags, skipping the compiler entirely.
+    the same key, C source and flags, skipping the compiler entirely.
 
     Raises :class:`~repro.errors.BackendError` when no compiler is available
     or compilation fails (the compiler diagnostics are included).
@@ -139,14 +139,21 @@ def compile_kernel(c_code: str, function: Function,
     flags = ["-O2", "-std=c99", "-shared", "-fPIC", "-lm"]
     if function.vector_width > 1:
         flags.append("-mavx")
+    if "_fmadd_pd(" in c_code:
+        # the C-IR's fused multiply-adds (VFma) need FMA on top of AVX
+        flags.append("-mfma")
     if extra_flags:
         flags.extend(extra_flags)
 
     cached_path: Optional[str] = None
     if cache_key is not None:
         import hashlib
+        # The C source is part of the key: a changed unparser must not be
+        # served an object compiled from older C under the same service key.
+        source_digest = hashlib.sha256(c_code.encode("utf-8")).hexdigest()
         digest = hashlib.sha256(
-            "\x00".join([cache_key, function.name] + flags).encode()
+            "\x00".join([cache_key, function.name, source_digest]
+                         + flags).encode()
         ).hexdigest()[:32]
         cache_root = cache_dir or default_object_cache_dir()
         cached_path = os.path.join(cache_root, f"{digest}.so")

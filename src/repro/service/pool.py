@@ -111,6 +111,12 @@ class WorkerPool:
         try:
             self._sock.bind((host, port))
             self._sock.listen(backlog)
+            # Every worker's select() wakes on a new connection but only
+            # one accept() wins it; a blocking accept() would park the
+            # losers until the next connection, deaf to shutdown.
+            # Non-blocking, the losers' accept() fails and they go back
+            # to select() (socketserver ignores the OSError).
+            self._sock.setblocking(False)
         except OSError as exc:
             self._sock.close()
             raise ServiceError(f"cannot listen on {host}:{port}: {exc}")

@@ -377,9 +377,11 @@ class DiskKernelStore(KernelStore):
         # With many writer *processes* sharing the store, a concurrent
         # LRU eviction (or purge) in another process can rmtree this
         # entry directory between our makedirs and a staged write,
-        # surfacing as FileNotFoundError mid-commit.  Re-create and
-        # retry: the commit protocol itself (meta.json last, every file
-        # atomically replaced) keeps readers safe throughout.
+        # surfacing as FileNotFoundError mid-commit (or as FileExistsError
+        # from makedirs, when the rmtree lands between its mkdir and its
+        # isdir check).  Re-create and retry: the commit protocol itself
+        # (meta.json last, every file atomically replaced) keeps readers
+        # safe throughout.
         for attempt in range(3):
             try:
                 os.makedirs(entry, exist_ok=True)
@@ -393,7 +395,7 @@ class DiskKernelStore(KernelStore):
                     json.dumps(doc, indent=2,
                                sort_keys=True).encode("utf-8"))
                 break
-            except FileNotFoundError:
+            except (FileNotFoundError, FileExistsError):
                 if attempt == 2:
                     raise
         self._journal_append(key, doc)

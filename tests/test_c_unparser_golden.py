@@ -12,7 +12,7 @@ import pytest
 from repro.backend import compiler_available, unparse_function
 from repro.backend.c_unparser import CUnparser
 from repro.cir.nodes import (Affine, Assign, Buffer, Function, ScalarVar,
-                             Store, VecVar, VExtract, VLoad, VReduceAdd,
+                             Store, VecVar, VExtract, VFma, VLoad, VReduceAdd,
                              VStore)
 from repro.errors import BackendError
 
@@ -145,6 +145,82 @@ class TestReductionEmission:
         ], params=[y], vector_width=1)
         with pytest.raises(BackendError):
             CUnparser(fn).unparse()
+
+
+GOLDEN_INCLUDES = """\
+#include <math.h>
+#include <stddef.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#include <smmintrin.h>
+#define _IMMINTRIN_H_INCLUDED
+#include <avxintrin.h>
+#undef _IMMINTRIN_H_INCLUDED
+#else
+#include <immintrin.h>
+#endif
+"""
+
+GOLDEN_HEADER_AVX = GOLDEN_INCLUDES + """
+static inline double repro_reduce_add_pd(__m256d v) {
+    __m128d lo = _mm256_castpd256_pd128(v);
+    __m128d hi = _mm256_extractf128_pd(v, 1);
+    __m128d sum2 = _mm_add_pd(lo, hi);
+    __m128d swapped = _mm_unpackhi_pd(sum2, sum2);
+    return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
+}
+
+static inline double repro_extract_pd(__m256d v, int lane) {
+    double tmp[4];
+    _mm256_storeu_pd(tmp, v);
+    return tmp[lane];
+}
+"""
+
+GOLDEN_HEADER_SSE = GOLDEN_INCLUDES + """
+static inline double repro_reduce_add_pd(__m128d v) {
+    __m128d swapped = _mm_unpackhi_pd(v, v);
+    return _mm_cvtsd_f64(_mm_add_sd(v, swapped));
+}
+
+static inline double repro_extract_pd(__m128d v, int lane) {
+    double tmp[2];
+    _mm_storeu_pd(tmp, v);
+    return tmp[lane];
+}
+"""
+
+
+class TestHeaderEmission:
+    """The intrinsic includes are pinned as text: under GCC only the SSE4.1
+    and AVX headers, anything else falls back to ``<immintrin.h>``."""
+
+    def _copy(self, vector_width, value):
+        x = Buffer("x", 1, 4, "in")
+        y = Buffer("y", 1, 4, "out")
+        return make_function([
+            Assign(VecVar("v"), VLoad(x, Affine.constant(0))),
+            Assign(VecVar("r"), value),
+            VStore(y, Affine.constant(0), VecVar("r")),
+        ], params=[x, y], vector_width=vector_width)
+
+    def _header(self, code):
+        return code[code.index("\n") + 1:code.index("\nvoid golden_kernel(")]
+
+    @pytest.mark.parametrize("width,golden", [(4, GOLDEN_HEADER_AVX),
+                                              (2, GOLDEN_HEADER_SSE)],
+                             ids=["avx", "sse"])
+    def test_header_block_is_golden(self, width, golden):
+        code = unparse_function(self._copy(width, VecVar("v")))
+        assert self._header(code) == golden
+
+    @pytest.mark.parametrize("width", [4, 2])
+    def test_fma_adds_its_header_inside_the_guard(self, width):
+        fma = VFma(VecVar("v"), VecVar("v"), VecVar("v"), width)
+        code = unparse_function(self._copy(width, fma))
+        assert ("#include <avxintrin.h>\n#include <fmaintrin.h>\n"
+                "#undef _IMMINTRIN_H_INCLUDED\n") in code
+        prefix = "_mm256" if width == 4 else "_mm"
+        assert f"r = {prefix}_fmadd_pd(v, v, v);" in code
 
 
 @pytest.mark.skipif(not compiler_available(),
