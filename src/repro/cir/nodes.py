@@ -104,14 +104,20 @@ class Affine:
         return [name for name, _ in self.terms]
 
     def substitute(self, bindings: Dict[str, int]) -> "Affine":
-        """Substitute integer values for (some) variables."""
-        result = Affine.constant(self.const)
+        """Substitute integer values for (some) variables.
+
+        Returns ``self`` when none of its variables is bound.
+        """
+        if not any(name in bindings for name, _ in self.terms):
+            return self
+        const = self.const
+        terms = []
         for name, coef in self.terms:
             if name in bindings:
-                result = result + coef * bindings[name]
+                const += coef * bindings[name]
             else:
-                result = result + Affine.var(name, coef)
-        return result
+                terms.append((name, coef))
+        return Affine(tuple(terms), const)
 
     def evaluate(self, bindings: Dict[str, int]) -> int:
         value = self.const
@@ -475,10 +481,15 @@ class VUnpack(CExpr):
 
 
 class CStmt:
-    """Base class of C-IR statements."""
+    """Base class of C-IR statements.
+
+    Statements are frozen, like expressions: passes build new statements
+    and new statement lists instead of editing old ones, which is what
+    lets cached C-IR be shared between pipeline phases and candidates.
+    """
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign(CStmt):
     """Assign a value to a register variable (declaring it on first use)."""
     dest: Union[ScalarVar, VecVar]
@@ -488,7 +499,7 @@ class Assign(CStmt):
         return f"{self.dest!r} = {self.value!r};"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store(CStmt):
     """Scalar store ``buffer[index] = value``."""
     buffer: Buffer
@@ -499,7 +510,7 @@ class Store(CStmt):
         return f"{self.buffer.name}[{self.index}] = {self.value!r};"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VStore(CStmt):
     """Vector store of ``width`` contiguous doubles (optionally masked)."""
     buffer: Buffer
@@ -513,7 +524,7 @@ class VStore(CStmt):
         return f"vstore({self.buffer.name}[{self.index}], {self.value!r}{m});"
 
 
-@dataclass
+@dataclass(frozen=True)
 class For(CStmt):
     """Counted loop with constant bounds: ``for (var = start; var < stop; var += step)``."""
     var: str
@@ -540,7 +551,7 @@ class For(CStmt):
                 f"{self.var} += {self.step}) {{ {len(self.body)} stmts }}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class If(CStmt):
     """Conditional with an affine condition ``lhs <op> rhs``."""
     lhs: Affine
@@ -562,7 +573,7 @@ class If(CStmt):
                 ">=": lhs >= rhs, ">": lhs > rhs}[self.op]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comment(CStmt):
     """A comment carried through to the emitted C code."""
     text: str

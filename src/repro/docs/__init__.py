@@ -10,7 +10,10 @@ the committed copy is current -- a tier-1 test and a CI job both do).
 :func:`check_links` walks the repository's Markdown for relative links and
 reports any whose target file does not exist; external URLs and links that
 resolve outside the repository (e.g. the CI badge's ``../../actions/...``,
-which is a GitHub-site path, not a file) are ignored.
+which is a GitHub-site path, not a file) are ignored.  It also holds
+claims to their evidence: every backticked ``results/...`` path (a
+benchmark artifact a document cites) must exist under the repository
+root.
 
 Rendering is deterministic: argparse wraps help text to the terminal
 width and interpolates cache-directory defaults from the environment, so
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import os
 import re
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -136,14 +140,20 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: Targets that are not repository files.
 _EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 
+#: A cited benchmark artifact: a backticked path under ``results/``
+#: (``*`` globs allowed), resolved against the repository root.
+_RESULTS_RE = re.compile(r"`(results/[^`\s]*)`")
+
 
 def default_doc_paths(repo_root: str) -> List[str]:
     """The Markdown files the link checker covers by default:
-    ``README.md`` plus everything directly under ``docs/``."""
+    ``README.md``, ``CHANGES.md`` and everything directly under
+    ``docs/``."""
     paths = []
-    readme = os.path.join(repo_root, "README.md")
-    if os.path.exists(readme):
-        paths.append(readme)
+    for name in ("README.md", "CHANGES.md"):
+        path = os.path.join(repo_root, name)
+        if os.path.exists(path):
+            paths.append(path)
     docs_dir = os.path.join(repo_root, "docs")
     if os.path.isdir(docs_dir):
         for name in sorted(os.listdir(docs_dir)):
@@ -154,11 +164,14 @@ def default_doc_paths(repo_root: str) -> List[str]:
 
 def check_links(paths: Sequence[str],
                 repo_root: str) -> "List[Tuple[str, str]]":
-    """Broken relative links as ``(markdown file, target)`` pairs.
+    """Broken relative links and missing cited results, as
+    ``(markdown file, target)`` pairs.
 
     A link is checked when it is relative and resolves to a path inside
     ``repo_root``; anything with a URL scheme, a bare ``#anchor``, or a
-    target escaping the repository is out of scope.
+    target escaping the repository is out of scope.  A backticked
+    ``results/...`` path is checked against ``repo_root`` whatever file
+    cites it.
     """
     repo_root = os.path.abspath(repo_root)
     broken: List[Tuple[str, str]] = []
@@ -179,4 +192,8 @@ def check_links(paths: Sequence[str],
                 continue        # GitHub-site path (e.g. the CI badge)
             if not os.path.exists(resolved):
                 broken.append((os.path.relpath(path, repo_root), target))
+        for match in _RESULTS_RE.finditer(text):
+            cited = match.group(1)
+            if not glob.glob(os.path.join(repo_root, cited)):
+                broken.append((os.path.relpath(path, repo_root), cited))
     return broken

@@ -10,8 +10,9 @@ Usage (``PYTHONPATH=src python -m repro.docs <command>``)::
 
     linkcheck [FILE ...]
         Verify every relative Markdown link in the given files (default:
-        README.md and docs/*.md) points at an existing file.  Exits 1
-        listing each broken link.
+        README.md, CHANGES.md and docs/*.md) points at an existing file,
+        and that every backticked ``results/...`` path they cite exists.
+        Exits 1 listing each broken link or missing result.
 
 Both commands are pure stdlib and run anywhere the package imports.
 """
@@ -47,10 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(ref)
 
     links = sub.add_parser("linkcheck",
-                           help="verify relative links in Markdown files")
+                           help="verify relative links and cited results/ "
+                                "files in Markdown files")
     links.add_argument("paths", nargs="*", metavar="FILE",
-                       help="Markdown files to check (default: README.md "
-                            "and docs/*.md under the current directory)")
+                       help="Markdown files to check (default: README.md, "
+                            "CHANGES.md and docs/*.md under the current "
+                            "directory)")
     links.add_argument("--root", default=".", metavar="DIR",
                        help="repository root links must stay inside "
                             "(default: current directory)")
@@ -103,7 +106,7 @@ def _cmd_linkcheck(args: argparse.Namespace) -> int:
                                for path, target in broken]})
         return EXIT_FAILURE if broken else EXIT_OK
     for path, target in broken:
-        print(f"linkcheck: {path}: broken relative link -> {target}",
+        print(f"linkcheck: {path}: missing target -> {target}",
               file=sys.stderr)
     if broken:
         return EXIT_FAILURE

@@ -12,9 +12,11 @@ recomputed per request rather than cached.
 Artifacts are plain picklable dataclasses (the persistent
 ``REPRO_PHASE_CACHE`` layer stores them as pickles).  They are
 immutable by contract: the :class:`~repro.pipeline.cache.PhaseCache`
-hands out the canonical shared object, and phase drivers deep-copy
-before running any mutating stage (`apply_rewrite_rules` and
-`run_pipeline` both mutate in place).
+hands out the canonical shared object, and later phases share its IR
+rather than copy it.  The two in-place stages only rebind containers
+(``apply_rewrite_rules`` rebinds ``program.statements``,
+``run_pipeline`` rebinds ``function.body``), so the drivers hand them a
+fresh program/function shell around the shared statements.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ copying* -- copying a large unrolled C-IR function costs more than the
 lowering it saves.  That makes immutability a hard contract: artifacts
 (and the functions/programs inside results derived from them) are
 read-only everywhere downstream, exactly like results shared out of the
-``MemoryKernelStore``; the only two mutating stages in the pipeline
-(``apply_rewrite_rules``, ``run_pipeline``) run inside phase drivers
-that deep-copy their input first.  All map access is serialized by one
+``MemoryKernelStore``; the only two in-place stages in the pipeline
+(``apply_rewrite_rules``, ``run_pipeline``) merely rebind containers,
+and run inside phase drivers that give them a fresh program/function
+shell around the shared, never-mutated statements.  All map access is
+serialized by one
 lock -- the cache is shared across the threaded service's
 coalesced-miss path, the tuner, the fuzz oracle, and the CEGIS verifier.
 
@@ -264,8 +266,8 @@ class PhaseCache:
         """The canonical artifact at ``(phase, key)``, or ``None``.
 
         The returned object is shared: treat it (and everything
-        reachable from it) as immutable.  Phase drivers copy before
-        running any mutating stage.
+        reachable from it) as immutable.  Phase drivers share its IR
+        and give in-place stages a fresh shell to rebind.
         """
         with self._lock:
             artifact = self._maps[phase].get(key)

@@ -12,9 +12,14 @@ details make that true:
   first (the old shared-database builder numbered temps across
   candidates in build order -- order-dependent output that a
   content-addressed cache cannot tolerate).
-* Mutating stages run on private copies: ``apply_rewrite_rules`` and
-  ``run_pipeline`` both mutate in place, so the rewrite and optimize
-  drivers deep-copy their input artifact's program/function first.
+* Later phases share their input's IR instead of copying it.  The only
+  in-place steps rebind containers -- ``apply_rewrite_rules`` rebinds
+  ``program.statements`` and declares new operands, ``run_pipeline``
+  rebinds ``function.body`` -- so the rewrite and optimize drivers hand
+  them a fresh shell (new containers around the cached statements,
+  operands and buffers).  Everything inside is shared and never mutated:
+  LA statements are rebuilt rather than edited, C-IR expressions and
+  statements are frozen, and every C-IR pass returns new statement lists.
 
 Every driver takes an ``analysis`` gate mode (``Options.analysis``):
 on a cache miss the freshly built artifact is handed to
@@ -32,10 +37,10 @@ tests and the ``python -m repro.pipeline profile`` CLI.
 
 from __future__ import annotations
 
-import copy
 import time
 from typing import Dict, Mapping, Optional, Sequence
 
+from ..cir.nodes import Function
 from ..cir.passes import PassOptions, run_pipeline
 from ..cl1ck.database import AlgorithmDatabase
 from ..ir.program import Program
@@ -98,7 +103,9 @@ def rewrite(stage1_artifact: Stage1Artifact, rewrite_rules: bool,
     if artifact is not None:
         _finish(timings, "rewrite", started, hit=True)
         return artifact
-    program = copy.deepcopy(stage1_artifact.result.program)
+    basic = stage1_artifact.result.program
+    program = Program(basic.name, dict(basic.operands),
+                      list(basic.statements), dict(basic.constants))
     report = RewriteReport()
     if rewrite_rules:
         report = apply_rewrite_rules(program)
@@ -147,7 +154,12 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
              cache: Optional[PhaseCache] = None,
              timings: Optional[PhaseTimings] = None,
              analysis: str = "off") -> OptimizedFunction:
-    """Run the Stage-3 pass pipeline on a private copy of the function."""
+    """Run the Stage-3 pass pipeline on a fresh shell of the function.
+
+    The shell has its own parameter and temporary lists and shares the
+    lowered body, which the passes read but never mutate; the pipeline
+    then binds the optimized body to the shell.
+    """
     started = time.perf_counter()
     key = optimize_key(lowered.key, pass_options.unroll,
                        pass_options.max_unroll_trip_count,
@@ -158,7 +170,10 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
     if artifact is not None:
         _finish(timings, "optimize", started, hit=True)
         return artifact
-    function = copy.deepcopy(lowered.function)
+    source = lowered.function
+    function = Function(source.name, list(source.params),
+                        list(source.temps), source.body,
+                        source.vector_width)
     report = run_pipeline(function, pass_options)
     artifact = OptimizedFunction(key=key, lower_key=lowered.key,
                                  function=function, pass_report=report)

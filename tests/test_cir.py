@@ -1,17 +1,20 @@
 """Tests for the C-IR: affine expressions, interpreter semantics, passes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.cir import (Affine, Assign, BinOp, Buffer, FloatConst, For,
-                       Function, Interpreter, Load, ScalarVar, Store, UnOp,
-                       VBinOp, VBlend, VBroadcast, VecVar, VLoad,
-                       VPermute2f128, VShufflePd, VStore, VUnpack, VZero,
-                       run_function)
+from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
+                       For, Function, If, Interpreter, Load, ScalarVar, Store,
+                       UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
+                       VFma, VLoad, VPermute2f128, VReduceAdd, VSet,
+                       VShufflePd, VStore, VUnpack, VZero, run_function)
 from repro.cir.passes import (PassOptions, eliminate_dead_code,
                               eliminate_redundant_loads,
                               forward_stores_to_loads, run_pipeline, simplify,
                               unroll_loops)
+from repro.cir.transform import map_expression, transform_block
 from repro.errors import CIRError, InterpreterError
 
 
@@ -262,3 +265,51 @@ class TestPasses:
         after = run_function(func, {"a": data})
         np.testing.assert_allclose(before["out"], after["out"])
         assert report.statements_before > 0
+
+
+class TestImmutableSharing:
+    """C-IR is shared between pipeline phases instead of copied, so no
+    statement may be rebound and transforms keep unchanged nodes."""
+
+    @staticmethod
+    def _statements():
+        buf = Buffer("A", 4, 4, "inout")
+        return [
+            Assign(ScalarVar("s"), FloatConst(1.0)),
+            Store(buf, Affine.constant(0), ScalarVar("s")),
+            VStore(buf, Affine.constant(0), VecVar("v"),
+                   mask=(True, False, False, False)),
+            For("i", 0, 4, 1, [Assign(ScalarVar("t"), FloatConst(0.0))]),
+            If(Affine.var("i"), "<", Affine.constant(2),
+               [Comment("then")], [Comment("else")]),
+            Comment("note"),
+        ]
+
+    def test_rebinding_any_statement_field_raises(self):
+        statements = self._statements()
+        assert {type(s).__name__ for s in statements} == {
+            "Assign", "Store", "VStore", "For", "If", "Comment"}
+        for stmt in statements:
+            for field in dataclasses.fields(stmt):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(stmt, field.name, getattr(stmt, field.name))
+
+    def test_identity_map_returns_the_same_tree(self):
+        buf = Buffer("A", 4, 4, "in")
+        v = VLoad(buf, Affine.constant(0))
+        expr = VFma(
+            VBlend(v, VBroadcast(Load(buf, Affine.var("i"))), 0b0101),
+            VShufflePd(v, VUnpack(v, VZero(), True), 0b0110),
+            VBinOp("add", VPermute2f128(v, v, 0x21),
+                   VSet((VExtract(v, 1), VReduceAdd(v), FloatConst(2.0),
+                         UnOp("sqrt", BinOp("mul", ScalarVar("x"),
+                                            FloatConst(3.0)))))))
+        assert map_expression(expr, lambda node: node) is expr
+
+    def test_transform_shares_unchanged_statements(self):
+        buf = Buffer("A", 4, 4, "inout")
+        fixed = Store(buf, Affine.constant(1), FloatConst(1.0))
+        moving = Store(buf, Affine.var("i"), FloatConst(2.0))
+        out = transform_block([fixed, moving], index_subst={"i": 3})
+        assert out[0] is fixed
+        assert out[1] == Store(buf, Affine.constant(3), FloatConst(2.0))

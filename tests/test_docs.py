@@ -87,6 +87,22 @@ class TestLinkCheck:
         broken = check_links([str(md)], repo_root=str(tmp_path))
         assert broken == [("doc.md", "gone.md#x")]
 
+    def test_cited_results_must_exist(self, tmp_path):
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "fig14_potrf.txt").write_text("table\n")
+        (tmp_path / "docs").mkdir()
+        md = tmp_path / "docs" / "claims.md"
+        md.write_text("Measured in `results/fig14_potrf.txt`, "
+                      "`results/fig14_*.txt` and `results/`; the speedup "
+                      "is in `results/verified_opt.txt`.\n")
+        broken = check_links([str(md)], repo_root=str(tmp_path))
+        assert broken == [(os.path.join("docs", "claims.md"),
+                           "results/verified_opt.txt")]
+
+    def test_changes_log_is_checked_by_default(self):
+        paths = default_doc_paths(REPO_ROOT)
+        assert os.path.join(REPO_ROOT, "CHANGES.md") in paths
+
     def test_linkcheck_cli(self, tmp_path, capsys):
         md = tmp_path / "doc.md"
         md.write_text("[gone](missing.md)\n")

@@ -275,6 +275,67 @@ class TestCachedGenerationIsIdentical:
         assert store.disk_hits > 0
 
 
+class _SnapshotCache(PhaseCache):
+    """A phase cache that renders each artifact's IR as it is adopted."""
+
+    def __init__(self):
+        super().__init__()
+        self.snapshots = []
+
+    def put(self, phase, key, artifact):
+        self.snapshots.append((phase, artifact, _render(phase, artifact)))
+        super().put(phase, key, artifact)
+
+
+def _render(phase, artifact):
+    from repro.backend.c_unparser import CUnparser
+    from repro.service.keys import canonical_program
+    if phase == "stage1":
+        return canonical_program(artifact.result.program)
+    if phase == "rewrite":
+        return canonical_program(artifact.program)
+    return CUnparser(artifact.function).unparse()
+
+
+class TestSharedArtifactsStayUnchanged:
+    """Later phases share cached IR instead of copying it: building every
+    candidate through one cache must leave each cached program and
+    function reading exactly as it did when it was cached."""
+
+    @pytest.mark.parametrize("spec", ("potrf:8", "kf:4"))
+    def test_every_candidate_leaves_cached_ir_intact(self, spec):
+        case = make_case(spec)
+        cache = _SnapshotCache()
+        options = Options(vectorize=True, max_variants=32)
+        result = SLinGen(options, strategy="exhaustive", phase_cache=cache
+                         ).generate_result(case.program,
+                                           nominal_flops=case.nominal_flops)
+        assert len(result.candidates) > 8
+        phases = {phase for phase, _, _ in cache.snapshots}
+        assert phases == set(PHASES)
+        for phase, artifact, before in cache.snapshots:
+            assert _render(phase, artifact) == before, phase
+
+
+    def test_rewrite_rules_leave_the_stage1_program_intact(self):
+        from repro.la import parse_program
+        from repro.pipeline import phases
+        from repro.service.keys import canonical_program
+        program = parse_program("""
+        Vec b(6) <In>;
+        Sca lam <In>;
+        Vec x(6) <Out>;
+        x = b / lam;
+        """, {})
+        stage1 = phases.stage1(program, 4, {})
+        basic = stage1.result.program
+        before = canonical_program(basic)
+        rewritten = phases.rewrite(stage1, True, ())
+        assert rewritten.report.r1_applications == 1
+        assert len(rewritten.program.statements) == 2
+        assert canonical_program(basic) == before
+
+
 class TestApiFacade:
     def test_every_public_name_resolves(self):
         import repro.api as api
