@@ -30,8 +30,8 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, confirm, fail,
-                   print_json)
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json,
+                   purge_records)
 from ..errors import ReproError
 from ..slingen.options import Options
 from .fixbank import FixBank, default_fixbank_dir, fixbank_key
@@ -261,19 +261,6 @@ def _cmd_replay(bank: FixBank, args: argparse.Namespace) -> int:
     return EXIT_FAILURE if stale else EXIT_OK
 
 
-def _cmd_purge(bank: FixBank, args: argparse.Namespace) -> int:
-    if not confirm(f"purge every fix record under {bank.root}?",
-                   assume_yes=args.yes):
-        print("aborted")
-        return EXIT_FAILURE
-    removed = bank.purge()
-    if args.as_json:
-        print_json({"purged": removed})
-    else:
-        print(f"purged {removed} record(s)")
-    return EXIT_OK
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -285,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "replay":
             return _cmd_replay(bank, args)
         if args.command == "purge":
-            return _cmd_purge(bank, args)
+            return purge_records(bank, "fix record", args)
     except ReproError as exc:
         return fail(exc)
     return EXIT_OK  # pragma: no cover - argparse enforces a command

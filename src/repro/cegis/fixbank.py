@@ -19,8 +19,10 @@ Stage-2 tier.  :meth:`FixRecord.apply` therefore only ever sets
 fields, so a fix record composes cleanly before or after a tuning
 record.
 
-The on-disk layout mirrors the tuning database: one JSON document per
-record under ``<root>/<key[:2]>/<key>.json``, written atomically, read
+:class:`FixBank` is the tuning database's JSON
+:class:`~repro.tuning.db.RecordStore` over
+:class:`repro.ioutil.ShardedStore`: one document per record under
+``<root>/<key[:2]>/<key>.json``, written atomically, read
 corruption-tolerantly (an undecodable record is quarantined and reported
 as a miss, so verification degrades to re-verifying, never to an
 exception).  The root honours ``REPRO_FIXBANK``.
@@ -29,18 +31,16 @@ exception).  The root honours ``REPRO_FIXBANK``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import CegisError
-from ..ioutil import LruMap, atomic_write_bytes, cache_root
+from ..ioutil import cache_root
 from ..ir.program import Program
 from ..machine.microarch import MicroArchitecture
 from ..slingen.options import Options
-from ..tuning.db import tuning_key
+from ..tuning.db import RecordStore, tuning_key
 
 #: Bump whenever record contents change incompatibly; old records are
 #: then quarantined on read and the programs simply re-verify.
@@ -123,127 +123,14 @@ class FixRecord:
         return cls(**kwargs)
 
 
-class FixBank:
+class FixBank(RecordStore[FixRecord]):
     """Persistent key -> :class:`FixRecord` store (see module docs)."""
 
-    def __init__(self, root: Optional[str] = None, hot_capacity: int = 128):
-        """``hot_capacity`` bounds the in-memory record cache; only
-        positive lookups are cached, so records verified by another
-        process are picked up on the next miss."""
-        self.root = os.path.abspath(root or default_fixbank_dir())
-        try:
-            os.makedirs(self.root, exist_ok=True)
-        except OSError as exc:
-            raise CegisError(
-                f"cannot create fix-bank root {self.root!r}: {exc}")
-        self._hot: LruMap[FixRecord] = LruMap(hot_capacity)
-        self.hits = 0
-        self.misses = 0
-        self.hot_hits = 0
-        self.corrupt_dropped = 0
+    backend = "fixbank"
 
-    # -- paths ---------------------------------------------------------------
+    def __init__(self, root: Optional[str] = None):
+        super().__init__(os.path.abspath(root or default_fixbank_dir()),
+                         FixRecord, CegisError, "fix-bank")
 
-    def _record_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
-
-    # -- store API -----------------------------------------------------------
-
-    def get(self, key: str) -> Optional[FixRecord]:
-        """The stored record, or None (missing or quarantined-corrupt)."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            self.hits += 1
-            self.hot_hits += 1
-            return hot
-        path = self._record_path(key)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = FixRecord.from_json(json.load(handle))
-        except Exception:
-            # Torn write, schema drift, hand-edited garbage: drop the
-            # record and let the caller re-verify.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.corrupt_dropped += 1
-            self.misses += 1
-            return None
-        self._hot.insert(key, record)
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: FixRecord) -> None:
-        record.key = key
-        if not record.created_at:
-            record.created_at = time.time()
-        path = self._record_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, json.dumps(
-            record.to_json(), indent=2, sort_keys=True).encode("utf-8"))
-        self._hot.insert(key, record)
-
-    def delete(self, key: str) -> bool:
-        self._hot.pop(key)
-        path = self._record_path(key)
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def keys(self) -> List[str]:
-        found: List[str] = []
-        if not os.path.isdir(self.root):
-            return found
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    found.append(name[:-len(".json")])
-        return found
-
-    def records(self) -> Iterator[FixRecord]:
-        """Every decodable record (corrupt ones are quarantined as usual)."""
-        for key in self.keys():
-            record = self.get(key)
-            if record is not None:
-                yield record
-
-    def purge(self) -> int:
-        self._hot.clear()
-        removed = 0
-        for key in self.keys():
-            if self.delete(key):
-                removed += 1
-        return removed
-
-    def verified_options(self, key: str, base: Options) -> Optional[Options]:
-        """The banked rewrites for ``key`` applied over ``base``, or None."""
-        record = self.get(key)
-        if record is None:
-            return None
-        return record.apply(base)
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "backend": "fixbank",
-            "root": self.root,
-            "entries": len(self.keys()),
-            "hits": self.hits,
-            "hot_hits": self.hot_hits,
-            "misses": self.misses,
-            "corrupt_dropped": self.corrupt_dropped,
-        }
-
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._record_path(key))
-
-    def __len__(self) -> int:
-        return len(self.keys())
+    #: The banked rewrites for a key applied over ``base``, or None.
+    verified_options = RecordStore.applied

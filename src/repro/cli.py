@@ -42,6 +42,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Any
+
+from .ioutil import ShardedStore
 
 #: The command ran and its check holds.
 EXIT_OK = 0
@@ -81,3 +84,18 @@ def confirm(prompt: str, assume_yes: bool = False) -> bool:
         return True
     reply = input(f"{prompt} [y/N] ")
     return reply.strip().lower() in ("y", "yes")
+
+
+def purge_records(store: ShardedStore[Any], noun: str,
+                  args: argparse.Namespace) -> int:
+    """The ``purge [--yes] [--json]`` command of a record database."""
+    if not confirm(f"purge every {noun} under {store.root}?",
+                   assume_yes=args.yes):
+        print("aborted")
+        return EXIT_FAILURE
+    removed = store.purge()
+    if args.as_json:
+        print_json({"purged": removed})
+    else:
+        print(f"purged {removed} record(s)")
+    return EXIT_OK

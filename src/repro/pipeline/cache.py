@@ -14,11 +14,12 @@ serialized by one
 lock -- the cache is shared across the threaded service's
 coalesced-miss path, the tuner, the fuzz oracle, and the CEGIS verifier.
 
-The persistent layer (:class:`PersistentPhaseStore`) follows the
-TuningDB idiom: one pickle per artifact under
-``<root>/<phase>/<key[:2]>/<key>.pkl``, atomic writes, and corruption
-tolerance (an unreadable entry is quarantined -- unlinked and counted --
-and treated as a miss, never raised through).  It is opt-in: the shared
+The persistent layer (:class:`PersistentPhaseStore`) is a pickle codec
+over :class:`repro.ioutil.ShardedStore`, with one namespace per phase:
+one pickle per artifact under ``<root>/<phase>/<key[:2]>/<key>.pkl``,
+atomic writes, and corruption tolerance (an unreadable entry is
+quarantined -- unlinked and counted -- and treated as a miss, never
+raised through).  It is opt-in: the shared
 process-wide cache only persists when ``$REPRO_PHASE_CACHE`` names a
 directory.  The layer is size-bounded: when the tree exceeds
 ``max_bytes`` (default :data:`DEFAULT_MAX_BYTES`;
@@ -39,7 +40,7 @@ import pickle
 import threading
 from typing import Dict, Optional
 
-from ..ioutil import LruMap, atomic_write_bytes
+from ..ioutil import LruMap, ShardedStore
 from .keys import PHASES
 
 #: Hot-layer capacity per phase (artifacts, not bytes).  Generous enough
@@ -58,11 +59,6 @@ ENV_PHASE_CACHE_LIMIT = "REPRO_PHASE_CACHE_LIMIT"
 #: magnitude above a full registry sweep, small enough never to fill a
 #: developer disk).
 DEFAULT_MAX_BYTES = 1 << 30
-
-#: GC evicts below this fraction of the bound so back-to-back puts near
-#: the limit do not each pay a collection.
-GC_LOW_WATER = 0.9
-
 
 def parse_size(text: str) -> Optional[int]:
     """``"512M"`` -> bytes; ``"0"``/empty -> ``None`` (unbounded)."""
@@ -106,146 +102,45 @@ class PhaseTimings:
 
 
 class PersistentPhaseStore:
-    """Pickled artifacts on disk, sharded TuningDB-style, size-bounded.
-
-    Thread-safe: one internal lock guards the counters and the size
-    accounting (``PhaseCache.put`` deliberately calls :meth:`put`
-    outside its own lock so disk writes do not serialize the hot layer).
-    """
+    """Pickled artifacts in one :class:`ShardedStore` namespace per phase,
+    with one byte bound over the whole tree.  The store's own hot layer is
+    off: :class:`PhaseCache` is that layer (and calls :meth:`put` outside
+    its lock, so disk writes do not serialize it)."""
 
     def __init__(self, root: str, max_bytes: Optional[int] = DEFAULT_MAX_BYTES):
-        self.root = os.path.expanduser(root)
-        self.max_bytes = max_bytes
-        self.reads = 0
-        self.writes = 0
-        self.disk_hits = 0
-        self.corrupt_dropped = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-        self._total_bytes: Optional[int] = None  # scanned lazily
+        self._store: ShardedStore[object] = ShardedStore(
+            os.path.expanduser(root), ".pkl", encode=pickle.dumps,
+            decode=pickle.loads, hot_capacity=0, max_bytes=max_bytes,
+            namespaces=PHASES)
+        self.root = self._store.root
+        self.gc = self._store.gc
+        self.purge = self._store.purge
+        self.total_bytes = self._store.total_bytes
+
+    max_bytes = property(lambda self: self._store.max_bytes)
+    disk_hits = property(lambda self: self._store.hits)
+    reads = property(lambda self: self._store.hits + self._store.misses)
+    corrupt_dropped = property(lambda self: self._store.corrupt_dropped)
 
     def _path(self, phase: str, key: str) -> str:
-        return os.path.join(self.root, phase, key[:2], f"{key}.pkl")
-
-    def _entries(self) -> "list[tuple[float, int, str]]":
-        """Every entry as ``(mtime, size, path)`` (unsorted)."""
-        found = []
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if not name.endswith(".pkl"):
-                    continue
-                path = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(path)
-                except OSError:
-                    continue
-                found.append((info.st_mtime, info.st_size, path))
-        return found
-
-    def _scan_locked(self) -> int:
-        if self._total_bytes is None:
-            self._total_bytes = sum(size for _, size, _ in self._entries())
-        return self._total_bytes
+        return self._store.path(key, phase)
 
     def get(self, phase: str, key: str) -> Optional[object]:
-        path = self._path(phase, key)
-        with self._lock:
-            self.reads += 1
-        try:
-            with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Torn write, foreign pickle, schema drift: quarantine the
-            # entry and miss -- the cache must never take generation down.
-            try:
-                size = os.path.getsize(path)
-                os.unlink(path)
-            except OSError:
-                size = 0
-            with self._lock:
-                self.corrupt_dropped += 1
-                if self._total_bytes is not None:
-                    self._total_bytes = max(0, self._total_bytes - size)
-            return None
-        with self._lock:
-            self.disk_hits += 1
-        return artifact
+        return self._store.get(key, phase)
 
     def put(self, phase: str, key: str, artifact: object) -> None:
-        path = self._path(phase, key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        blob = pickle.dumps(artifact)
-        try:
-            replaced = os.path.getsize(path)
-        except OSError:
-            replaced = 0
-        atomic_write_bytes(path, blob)
-        with self._lock:
-            self.writes += 1
-            total = self._scan_locked() + len(blob) - replaced
-            self._total_bytes = max(0, total)
-            over = (self.max_bytes is not None
-                    and self._total_bytes > self.max_bytes)
-        if over:
-            self.gc()
-
-    def gc(self, target_bytes: Optional[int] = None) -> int:
-        """Evict oldest-modified entries until the tree fits.
-
-        ``target_bytes`` defaults to :data:`GC_LOW_WATER` of
-        ``max_bytes`` (or no-op when unbounded).  Returns the number of
-        entries removed.  Safe against concurrent writers: a file that
-        disappears mid-collection is simply skipped.
-        """
-        if target_bytes is None:
-            if self.max_bytes is None:
-                return 0
-            target_bytes = int(self.max_bytes * GC_LOW_WATER)
-        with self._lock:
-            entries = sorted(self._entries())
-            total = sum(size for _, size, _ in entries)
-            removed = 0
-            while entries and total > target_bytes:
-                _mtime, size, path = entries.pop(0)
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                total -= size
-                removed += 1
-            self._total_bytes = total
-            self.evictions += removed
-        return removed
-
-    def purge(self) -> int:
-        """Remove every entry; returns how many were removed."""
-        with self._lock:
-            removed = 0
-            for _mtime, _size, path in self._entries():
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
-            self._total_bytes = 0
-            self.evictions += removed
-        return removed
-
-    def total_bytes(self) -> int:
-        """Current on-disk size of the layer (scans once, then tracks)."""
-        with self._lock:
-            return self._scan_locked()
+        self._store.put(key, artifact, phase)
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {"root": self.root, "reads": self.reads,
-                    "writes": self.writes, "disk_hits": self.disk_hits,
-                    "corrupt_dropped": self.corrupt_dropped,
-                    "evictions": self.evictions,
-                    "max_bytes": self.max_bytes,
-                    "total_bytes": self._scan_locked()}
+        counts = self._store.counters("hits", "misses", "writes",
+                                      "corrupt_dropped", "evictions")
+        return {"root": self.root,
+                "reads": counts["hits"] + counts["misses"],
+                "writes": counts["writes"], "disk_hits": counts["hits"],
+                "corrupt_dropped": counts["corrupt_dropped"],
+                "evictions": counts["evictions"],
+                "max_bytes": self.max_bytes,
+                "total_bytes": self.total_bytes()}
 
 
 class PhaseCache:

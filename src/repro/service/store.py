@@ -57,14 +57,14 @@ import json
 import os
 import pickle
 import shutil
-import string
 import threading
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import StoreError
-from ..ioutil import LruMap, atomic_write_bytes, cache_root
+from ..ioutil import (_HEX_CHARS, LruMap, _is_shard_name, atomic_write_bytes,
+                      cache_root)
 from ..slingen.generator import GenerationResult
 
 
@@ -196,15 +196,6 @@ class MemoryKernelStore(KernelStore):
             return {"backend": "memory", "entries": len(self._entries),
                     "hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions}
-
-
-#: Shard directories are exactly two lowercase-hex characters; anything
-#: else directly under the store root is a legacy flat entry or junk.
-_HEX_CHARS = frozenset(string.hexdigits.lower())
-
-
-def _is_shard_name(name: str) -> bool:
-    return len(name) == 2 and set(name) <= _HEX_CHARS
 
 
 def _is_key_name(name: str) -> bool:

@@ -25,8 +25,8 @@ import json
 import sys
 from typing import List, Optional
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, confirm, fail,
-                   print_json)
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json,
+                   purge_records)
 from ..errors import ReproError
 from ..slingen.options import Options
 from .db import TuningDB, default_tuning_dir, tuning_key
@@ -197,19 +197,6 @@ def _cmd_export(db: TuningDB, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_purge(db: TuningDB, args: argparse.Namespace) -> int:
-    if not confirm(f"purge every tuning record under {db.root}?",
-                   assume_yes=args.yes):
-        print("aborted")
-        return EXIT_FAILURE
-    removed = db.purge()
-    if args.as_json:
-        print_json({"purged": removed})
-    else:
-        print(f"purged {removed} record(s)")
-    return EXIT_OK
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -221,7 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "export":
             return _cmd_export(db, args)
         if args.command == "purge":
-            return _cmd_purge(db, args)
+            return purge_records(db, "tuning record", args)
     except ReproError as exc:
         return fail(exc)
     return EXIT_OK  # pragma: no cover - argparse enforces a command

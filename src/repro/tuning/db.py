@@ -29,10 +29,11 @@ request's base options under three rules:
    second-guess them (and generation stays a pure function of the
    effective options, which is what the kernel cache keys on).
 
-The on-disk layout mirrors the kernel store: one JSON document per record
-under ``<root>/<key[:2]>/<key>.json``, written atomically, read
-corruption-tolerantly (an undecodable record is quarantined and reported
-as a miss, so tuning degrades to re-tuning, never to an exception).
+:class:`TuningDB` is a JSON codec over :class:`repro.ioutil.ShardedStore`:
+one document per record under ``<root>/<key[:2]>/<key>.json``, written
+atomically, read corruption-tolerantly (an undecodable record is
+quarantined and reported as a miss, so tuning degrades to re-tuning,
+never to an exception).
 """
 
 from __future__ import annotations
@@ -43,14 +44,17 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Type, TypeVar, Union
 
 from ..errors import TuningDBError
-from ..ioutil import LruMap, atomic_write_bytes, cache_root
+from ..ioutil import ShardedStore, cache_root
 from ..ir.program import Program
 from ..machine.microarch import MicroArchitecture
 from ..service.keys import canonical_program, machine_fingerprint
 from ..slingen.options import Options
+
+#: A record type of :class:`RecordStore` (see there for what it needs).
+_R = TypeVar("_R")
 
 #: Bump whenever record contents change incompatibly; old records are then
 #: quarantined on read and the kernels simply re-tune.
@@ -182,129 +186,55 @@ class TuningRecord:
         return cls(**kwargs)
 
 
-class TuningDB:
-    """Persistent key -> :class:`TuningRecord` store (see module docs)."""
+class RecordStore(ShardedStore[_R]):
+    """The JSON codec shared by :class:`TuningDB` and
+    :class:`repro.cegis.fixbank.FixBank`: dataclass records with
+    ``key``/``created_at``, ``to_json``/``from_json`` and ``apply``.  The
+    hot layer keeps the last 128 records, so a service consulting the
+    store on every request pays no disk read + JSON parse per hit."""
 
-    def __init__(self, root: Optional[str] = None, hot_capacity: int = 128):
-        """``hot_capacity`` bounds the in-memory record cache: a service
-        consulting the database on every request (including cache hits)
-        must not pay a disk read + JSON parse per hit.  Only positive
-        lookups are cached -- a miss always re-probes the filesystem, so
-        records tuned by another process are picked up."""
-        self.root = os.path.abspath(root or default_tuning_dir())
+    backend = ""
+
+    def __init__(self, root: str, record_cls: Type[_R],
+                 error: Type[Exception], what: str):
         try:
-            os.makedirs(self.root, exist_ok=True)
+            os.makedirs(root, exist_ok=True)
         except OSError as exc:
-            raise TuningDBError(
-                f"cannot create tuning database root {self.root!r}: {exc}")
-        self._hot: LruMap[TuningRecord] = LruMap(hot_capacity)
-        self.hits = 0
-        self.misses = 0
-        self.hot_hits = 0
-        self.corrupt_dropped = 0
+            raise error(f"cannot create {what} root {root!r}: {exc}")
+        super().__init__(
+            root, ".json",
+            encode=lambda record: json.dumps(
+                record.to_json(), indent=2, sort_keys=True).encode("utf-8"),
+            decode=lambda data: record_cls.from_json(json.loads(data)))
 
-    # -- paths ---------------------------------------------------------------
+    _record_path = ShardedStore.path
 
-    def _record_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
-
-    # -- store API -----------------------------------------------------------
-
-    def get(self, key: str) -> Optional[TuningRecord]:
-        """The stored record, or None (missing or quarantined-corrupt)."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            self.hits += 1
-            self.hot_hits += 1
-            return hot
-        path = self._record_path(key)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = TuningRecord.from_json(json.load(handle))
-        except Exception:
-            # Torn write, schema drift, hand-edited garbage: drop the
-            # record and let the caller re-tune.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.corrupt_dropped += 1
-            self.misses += 1
-            return None
-        self._hot.insert(key, record)
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: TuningRecord) -> None:
+    def put(self, key: str, record: _R, ns: str = "") -> None:
         record.key = key
         if not record.created_at:
             record.created_at = time.time()
-        path = self._record_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, json.dumps(
-            record.to_json(), indent=2, sort_keys=True).encode("utf-8"))
-        self._hot.insert(key, record)
+        super().put(key, record, ns)
 
-    def delete(self, key: str) -> bool:
-        self._hot.pop(key)
-        path = self._record_path(key)
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def keys(self) -> List[str]:
-        found: List[str] = []
-        if not os.path.isdir(self.root):
-            return found
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    found.append(name[:-len(".json")])
-        return found
-
-    def records(self) -> Iterator[TuningRecord]:
-        """Every decodable record (corrupt ones are quarantined as usual)."""
-        for key in self.keys():
-            record = self.get(key)
-            if record is not None:
-                yield record
-
-    def purge(self) -> int:
-        self._hot.clear()
-        removed = 0
-        for key in self.keys():
-            if self.delete(key):
-                removed += 1
-        return removed
-
-    def best_options(self, key: str, base: Options) -> Optional[Options]:
-        """The tuned options for ``key`` applied over ``base``, or None."""
+    def applied(self, key: str, base: Options) -> Optional[Options]:
+        """The record for ``key`` applied over ``base``, or None."""
         record = self.get(key)
-        if record is None:
-            return None
-        return record.apply(base)
+        return None if record is None else record.apply(base)
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "backend": "tuning-db",
-            "root": self.root,
-            "entries": len(self.keys()),
-            "hits": self.hits,
-            "hot_hits": self.hot_hits,
-            "misses": self.misses,
-            "corrupt_dropped": self.corrupt_dropped,
-        }
+        return {"backend": self.backend, "root": self.root,
+                "entries": len(self),
+                **self.counters("hits", "hot_hits", "misses",
+                                "corrupt_dropped")}
 
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._record_path(key))
 
-    def __len__(self) -> int:
-        return len(self.keys())
+class TuningDB(RecordStore[TuningRecord]):
+    """Persistent key -> :class:`TuningRecord` store (see module docs)."""
+
+    backend = "tuning-db"
+
+    def __init__(self, root: Optional[str] = None):
+        super().__init__(os.path.abspath(root or default_tuning_dir()),
+                         TuningRecord, TuningDBError, "tuning database")
+
+    #: The tuned options for a key applied over ``base``, or None.
+    best_options = RecordStore.applied

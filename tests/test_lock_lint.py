@@ -1,6 +1,7 @@
 """AST lint: shared-counter mutations must hold the owning lock.
 
-``ServiceStats``, ``PhaseCache`` and ``PersistentPhaseStore`` are
+``ServiceStats``, ``PhaseCache`` and ``ShardedStore`` (the record store
+behind the tuning DB, the fix bank and the persistent phase cache) are
 mutated concurrently by the threaded service, and the analysis gate's
 process-wide ``_STATS`` dict by every verifying thread.  Each owns a
 lock; this lint parses the source and asserts every attribute (or
@@ -22,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOCKED_CLASSES = [
     ("service/service.py", "ServiceStats"),
     ("pipeline/cache.py", "PhaseCache"),
-    ("pipeline/cache.py", "PersistentPhaseStore"),
+    ("ioutil.py", "ShardedStore"),
 ]
 
 
