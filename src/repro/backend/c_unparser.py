@@ -9,47 +9,190 @@ subset (``__m128d``/``_mm_*``, masked accesses via the AVX
 lane extraction use small ``static inline`` helpers emitted into the same
 translation unit.  Other vector widths have no C mapping and are refused
 up front (:meth:`Options.validate` rejects them before generation).
+
+Under GCC the translation unit includes no header at all: a prelude
+defines the vector types, exactly the intrinsics the function calls (the
+definitions GCC's own intrinsic headers give them) and the libm
+prototypes it needs.  Other compilers get ``<math.h>`` and
+``<immintrin.h>`` in the prelude's ``#else`` branch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import re
+from typing import Dict, List, Set, Tuple
 
 from ..cir.nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
                          FloatConst, For, Function, If, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
                          VExtract, VFma, VLoad, VPermute2f128, VReduceAdd,
-                         VSet, VShufflePd, VStore, VUnpack, VZero,
-                         walk_expressions)
+                         VSet, VShufflePd, VStore, VUnpack, VZero)
 from ..errors import BackendError
 
-_HEADER_SCALAR = """\
-#include <math.h>
-#include <stddef.h>
+# GCC parses the system headers anew for every kernel: <immintrin.h>
+# preprocesses to ~60k lines, and even <smmintrin.h> + <avxintrin.h> pull
+# in <mm_malloc.h> -> <stdlib.h>, which costs about a third of a kernel's
+# compile.  Under GCC the kernel therefore includes nothing.  A prelude
+# declares what the code uses: the vector types, one definition per
+# intrinsic the function calls -- copied from GCC's own avxintrin.h,
+# emmintrin.h, smmintrin.h and fmaintrin.h, each a vector-extension
+# expression or a __builtin_ia32_* call, so the machine code is the one the
+# headers give -- and the libm prototypes that replace <math.h>.  Other
+# compilers (clang's builtins differ) take the #else branch and the
+# standard headers.
+_GCC_ONLY = "#if defined(__GNUC__) && !defined(__clang__)\n"
+
+_TYPES_128 = """\
+typedef double __v2df __attribute__ ((__vector_size__ (16)));
+typedef long long __v2di __attribute__ ((__vector_size__ (16)));
+typedef double __m128d __attribute__ ((__vector_size__ (16), __may_alias__));
+typedef long long __m128i __attribute__ ((__vector_size__ (16), __may_alias__));
+typedef double __m128d_u __attribute__ ((__vector_size__ (16), __may_alias__, __aligned__ (1)));
 """
 
-# GCC's <immintrin.h> preprocesses to ~60k lines (every AVX-512, AMX and
-# VNNI header), and parsing them would dominate each kernel's compile.
-# Under GCC the kernel includes only what its intrinsics use: <smmintrin.h>
-# (SSE2 through SSE4.1) and <avxintrin.h>, plus <fmaintrin.h> when it fuses
-# multiply-adds.  Those headers refuse direct inclusion unless
-# <immintrin.h>'s guard is defined, so the guard is set around them.  Other
-# compilers keep <immintrin.h>: clang's already skips headers of features
-# that are not enabled.
-_INCLUDES_VECTOR = """\
-#include <math.h>
-#include <stddef.h>
-#if defined(__GNUC__) && !defined(__clang__)
-#include <smmintrin.h>
-#define _IMMINTRIN_H_INCLUDED
-#include <avxintrin.h>
-{fma}#undef _IMMINTRIN_H_INCLUDED
-#else
-#include <immintrin.h>
-#endif
+_TYPES_256 = """\
+typedef double __v4df __attribute__ ((__vector_size__ (32)));
+typedef long long __v4di __attribute__ ((__vector_size__ (32)));
+typedef double __m256d __attribute__ ((__vector_size__ (32), __may_alias__));
+typedef long long __m256i __attribute__ ((__vector_size__ (32), __may_alias__));
+typedef double __m256d_u __attribute__ ((__vector_size__ (32), __may_alias__, __aligned__ (1)));
 """
 
-_INCLUDE_FMA = "#include <fmaintrin.h>\n"
+
+def _inline(ret: str, name: str, params: str, body: str) -> Tuple[str, str]:
+    return name, (f"extern __inline {ret} __attribute__((__gnu_inline__, "
+                  f"__always_inline__, __artificial__))\n"
+                  f"{name} ({params}) {{ {body} }}\n")
+
+
+def _macro(name: str, params: str, body: str) -> Tuple[str, str]:
+    # immediate-operand intrinsics, as in GCC's non-__OPTIMIZE__ branch
+    return name, f"#define {name}({params}) {body}\n"
+
+
+def _binary(ret: str, name: str, body: str) -> Tuple[str, str]:
+    return _inline(ret, name, f"{ret} __A, {ret} __B", body)
+
+
+#: Every name the unparser can emit, in prelude order, with its definition
+#: (GCC 12 spelling).  The prelude defines the ones a kernel uses.
+_DEFINITIONS: Dict[str, str] = dict([
+    # SSE2 (emmintrin.h), SSE4.1 (smmintrin.h), AVX and FMA, 128-bit
+    _inline("__m128d", "_mm_loadu_pd", "double const *__P",
+            "return *(__m128d_u *)__P;"),
+    _inline("void", "_mm_storeu_pd", "double *__P, __m128d __A",
+            "*(__m128d_u *)__P = __A;"),
+    _inline("__m128d", "_mm_maskload_pd", "double const *__P, __m128i __M",
+            "return (__m128d) __builtin_ia32_maskloadpd "
+            "((const __v2df *)__P, (__v2di)__M);"),
+    _inline("void", "_mm_maskstore_pd",
+            "double *__P, __m128i __M, __m128d __A",
+            "__builtin_ia32_maskstorepd "
+            "((__v2df *)__P, (__v2di)__M, (__v2df)__A);"),
+    _inline("__m128d", "_mm_set1_pd", "double __F",
+            "return __extension__ (__m128d){ __F, __F };"),
+    _inline("__m128d", "_mm_set_pd", "double __W, double __X",
+            "return __extension__ (__m128d){ __X, __W };"),
+    _inline("__m128d", "_mm_setzero_pd", "void",
+            "return __extension__ (__m128d){ 0.0, 0.0 };"),
+    _inline("__m128i", "_mm_set_epi64x", "long long __q1, long long __q0",
+            "return __extension__ (__m128i)(__v2di){ __q0, __q1 };"),
+    _binary("__m128d", "_mm_add_pd",
+            "return (__m128d) ((__v2df)__A + (__v2df)__B);"),
+    _binary("__m128d", "_mm_sub_pd",
+            "return (__m128d) ((__v2df)__A - (__v2df)__B);"),
+    _binary("__m128d", "_mm_mul_pd",
+            "return (__m128d) ((__v2df)__A * (__v2df)__B);"),
+    _binary("__m128d", "_mm_div_pd",
+            "return (__m128d) ((__v2df)__A / (__v2df)__B);"),
+    _binary("__m128d", "_mm_max_pd",
+            "return (__m128d)__builtin_ia32_maxpd ((__v2df)__A, (__v2df)__B);"),
+    _binary("__m128d", "_mm_min_pd",
+            "return (__m128d)__builtin_ia32_minpd ((__v2df)__A, (__v2df)__B);"),
+    _binary("__m128d", "_mm_add_sd",
+            "return (__m128d)__builtin_ia32_addsd ((__v2df)__A, (__v2df)__B);"),
+    _binary("__m128d", "_mm_unpackhi_pd",
+            "return (__m128d)__builtin_ia32_unpckhpd "
+            "((__v2df)__A, (__v2df)__B);"),
+    _binary("__m128d", "_mm_unpacklo_pd",
+            "return (__m128d)__builtin_ia32_unpcklpd "
+            "((__v2df)__A, (__v2df)__B);"),
+    _inline("double", "_mm_cvtsd_f64", "__m128d __A",
+            "return ((__v2df)__A)[0];"),
+    _inline("__m128d", "_mm_fmadd_pd", "__m128d __A, __m128d __B, __m128d __C",
+            "return (__m128d)__builtin_ia32_vfmaddpd "
+            "((__v2df)__A, (__v2df)__B, (__v2df)__C);"),
+    _macro("_mm_blend_pd", "X, Y, M",
+           "((__m128d) __builtin_ia32_blendpd ((__v2df)(__m128d)(X), "
+           "(__v2df)(__m128d)(Y), (int)(M)))"),
+    _macro("_mm_shuffle_pd", "A, B, N",
+           "((__m128d)__builtin_ia32_shufpd ((__v2df)(__m128d)(A), "
+           "(__v2df)(__m128d)(B), (int)(N)))"),
+    # AVX (avxintrin.h) and FMA, 256-bit
+    _inline("__m256d", "_mm256_loadu_pd", "double const *__P",
+            "return *(__m256d_u *)__P;"),
+    _inline("void", "_mm256_storeu_pd", "double *__P, __m256d __A",
+            "*(__m256d_u *)__P = __A;"),
+    _inline("__m256d", "_mm256_maskload_pd", "double const *__P, __m256i __M",
+            "return (__m256d) __builtin_ia32_maskloadpd256 "
+            "((const __v4df *)__P, (__v4di)__M);"),
+    _inline("void", "_mm256_maskstore_pd",
+            "double *__P, __m256i __M, __m256d __A",
+            "__builtin_ia32_maskstorepd256 "
+            "((__v4df *)__P, (__v4di)__M, (__v4df)__A);"),
+    _inline("__m256d", "_mm256_set1_pd", "double __A",
+            "return __extension__ (__m256d){ __A, __A, __A, __A };"),
+    _inline("__m256d", "_mm256_set_pd",
+            "double __A, double __B, double __C, double __D",
+            "return __extension__ (__m256d){ __D, __C, __B, __A };"),
+    _inline("__m256d", "_mm256_setzero_pd", "void",
+            "return __extension__ (__m256d){ 0.0, 0.0, 0.0, 0.0 };"),
+    _inline("__m256i", "_mm256_set_epi64x",
+            "long long __A, long long __B, long long __C, long long __D",
+            "return __extension__ (__m256i)(__v4di){ __D, __C, __B, __A };"),
+    _binary("__m256d", "_mm256_add_pd",
+            "return (__m256d) ((__v4df)__A + (__v4df)__B);"),
+    _binary("__m256d", "_mm256_sub_pd",
+            "return (__m256d) ((__v4df)__A - (__v4df)__B);"),
+    _binary("__m256d", "_mm256_mul_pd",
+            "return (__m256d) ((__v4df)__A * (__v4df)__B);"),
+    _binary("__m256d", "_mm256_div_pd",
+            "return (__m256d) ((__v4df)__A / (__v4df)__B);"),
+    _binary("__m256d", "_mm256_max_pd",
+            "return (__m256d) __builtin_ia32_maxpd256 "
+            "((__v4df)__A, (__v4df)__B);"),
+    _binary("__m256d", "_mm256_min_pd",
+            "return (__m256d) __builtin_ia32_minpd256 "
+            "((__v4df)__A, (__v4df)__B);"),
+    _binary("__m256d", "_mm256_unpackhi_pd",
+            "return (__m256d) __builtin_ia32_unpckhpd256 "
+            "((__v4df)__A, (__v4df)__B);"),
+    _binary("__m256d", "_mm256_unpacklo_pd",
+            "return (__m256d) __builtin_ia32_unpcklpd256 "
+            "((__v4df)__A, (__v4df)__B);"),
+    _inline("__m128d", "_mm256_castpd256_pd128", "__m256d __A",
+            "return (__m128d) __builtin_ia32_pd_pd256 ((__v4df)__A);"),
+    _inline("__m256d", "_mm256_fmadd_pd",
+            "__m256d __A, __m256d __B, __m256d __C",
+            "return (__m256d)__builtin_ia32_vfmaddpd256 "
+            "((__v4df)__A, (__v4df)__B, (__v4df)__C);"),
+    _macro("_mm256_blend_pd", "X, Y, M",
+           "((__m256d) __builtin_ia32_blendpd256 ((__v4df)(__m256d)(X), "
+           "(__v4df)(__m256d)(Y), (int)(M)))"),
+    _macro("_mm256_shuffle_pd", "A, B, N",
+           "((__m256d)__builtin_ia32_shufpd256 ((__v4df)(__m256d)(A), "
+           "(__v4df)(__m256d)(B), (int)(N)))"),
+    _macro("_mm256_permute2f128_pd", "X, Y, C",
+           "((__m256d) __builtin_ia32_vperm2f128_pd256 ((__v4df)(__m256d)(X), "
+           "(__v4df)(__m256d)(Y), (int)(C)))"),
+    _macro("_mm256_extractf128_pd", "X, N",
+           "((__m128d) __builtin_ia32_vextractf128_pd256 "
+           "((__v4df)(__m256d)(X), (int)(N)))"),
+    # libm, instead of <math.h>
+    ("sqrt", "double sqrt(double);\n"),
+    ("fmax", "double fmax(double, double);\n"),
+    ("fmin", "double fmin(double, double);\n"),
+])
 
 _HELPERS_AVX = """
 static inline double repro_reduce_add_pd(__m256d v) {
@@ -81,6 +224,13 @@ static inline double repro_extract_pd(__m128d v, int lane) {
 """
 
 
+#: The intrinsics the helpers call; every vector kernel emits the helpers.
+_HELPER_INTRINSICS = {
+    4: frozenset(re.findall(r"\b(_mm\w+)\(", _HELPERS_AVX)),
+    2: frozenset(re.findall(r"\b(_mm\w+)\(", _HELPERS_SSE)),
+}
+
+
 class CUnparser:
     """Turns a C-IR :class:`~repro.cir.nodes.Function` into C source text."""
 
@@ -101,35 +251,49 @@ class CUnparser:
         self.mask_type = "__m256i" if function.vector_width == 4 \
             else "__m128i"
         self._mask_constants: Dict[Tuple[bool, ...], str] = {}
-        # set while unparsing the body, which precedes the header
-        self._uses_fma = False
+        # the intrinsics and libm functions the code calls, collected while
+        # unparsing the body, which precedes the header
+        self._used: Set[str] = set(
+            _HELPER_INTRINSICS.get(function.vector_width, ()))
+
+    def _call(self, name: str, *args: str) -> str:
+        self._used.add(name)
+        return f"{name}({', '.join(args)})"
+
+    def _vcall(self, op: str, *args: str) -> str:
+        return self._call(f"{self.prefix}_{op}", *args)
 
     def _header(self) -> str:
-        if not self.vectorized:
-            return _HEADER_SCALAR
-        includes = _INCLUDES_VECTOR.format(
-            fma=_INCLUDE_FMA if self._uses_fma else "")
-        return includes + (_HELPERS_AVX if self.function.vector_width == 4
-                           else _HELPERS_SSE)
+        prelude = [text for name, text in _DEFINITIONS.items()
+                   if name in self._used]
+        fallback = "#include <math.h>\n"
+        helpers = ""
+        if self.vectorized:
+            types = _TYPES_128
+            if self.function.vector_width == 4:
+                types += _TYPES_256
+            prelude.insert(0, types)
+            fallback += "#include <immintrin.h>\n"
+            helpers = (_HELPERS_AVX if self.function.vector_width == 4
+                       else _HELPERS_SSE)
+        return (_GCC_ONLY + "".join(prelude) + "#else\n" + fallback
+                + "#endif\n" + helpers)
 
     # -- public API -------------------------------------------------------------
 
     def unparse(self) -> str:
         """Return the complete single-source C translation unit."""
-        # The body goes first: it discovers the mask constants and the FMA
-        # use that the prologue declares and includes.
+        # The body and declarations go first: they discover the mask
+        # constants and the intrinsics that the prelude defines.
         body_lines = self._unparse_body()
+        decls = (self._mask_declarations() + self._temp_declarations()
+                 + self._register_declarations())
         lines: List[str] = []
         lines.append("/* Generated by SLinGen (reproduction of Spampinato et "
                      "al., CGO 2018). */")
         lines.append(self._header())
         lines.append(self._signature() + " {")
-        for decl in self._mask_declarations():
-            lines.append(self.indent + decl)
-        for decl in self._temp_declarations():
-            lines.append(self.indent + decl)
-        for decl in self._register_declarations():
-            lines.append(self.indent + decl)
+        lines.extend(self.indent + decl for decl in decls)
         lines.extend(body_lines)
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -192,7 +356,7 @@ class CUnparser:
         for mask, name in self._mask_constants.items():
             words = ", ".join("-1" if keep else "0" for keep in reversed(mask))
             decls.append(f"const {self.mask_type} {name} = "
-                         f"{self.prefix}_set_epi64x({words});")
+                         f"{self._vcall('set_epi64x', words)};")
         return decls
 
     # -- statements ----------------------------------------------------------------
@@ -236,9 +400,9 @@ class CUnparser:
         address = f"&{stmt.buffer.name}[{self._affine(stmt.index)}]"
         value = self._expr(stmt.value)
         if stmt.mask is None:
-            return f"{self.prefix}_storeu_pd({address}, {value});"
+            return self._vcall("storeu_pd", address, value) + ";"
         mask = self._mask_name(stmt.mask)
-        return f"{self.prefix}_maskstore_pd({address}, {mask}, {value});"
+        return self._vcall("maskstore_pd", address, mask, value) + ";"
 
     # -- expressions --------------------------------------------------------------
 
@@ -257,57 +421,56 @@ class CUnparser:
         if isinstance(expr, VLoad):
             address = f"&{expr.buffer.name}[{self._affine(expr.index)}]"
             if expr.mask is None:
-                return f"{self.prefix}_loadu_pd({address})"
-            return (f"{self.prefix}_maskload_pd({address}, "
-                    f"{self._mask_name(expr.mask)})")
+                return self._vcall("loadu_pd", address)
+            return self._vcall("maskload_pd", address,
+                               self._mask_name(expr.mask))
         if isinstance(expr, VBroadcast):
-            return f"{self.prefix}_set1_pd({self._expr(expr.value)})"
+            return self._vcall("set1_pd", self._expr(expr.value))
         if isinstance(expr, VSet):
-            elements = ", ".join(self._expr(e)
-                                 for e in reversed(expr.elements))
-            return f"{self.prefix}_set_pd({elements})"
+            return self._vcall("set_pd", *(self._expr(e)
+                                           for e in reversed(expr.elements)))
         if isinstance(expr, VZero):
-            return f"{self.prefix}_setzero_pd()"
+            return self._vcall("setzero_pd")
         if isinstance(expr, BinOp):
             symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
             if expr.op in symbol:
                 return (f"({self._expr(expr.left)} {symbol[expr.op]} "
                         f"{self._expr(expr.right)})")
             func = {"max": "fmax", "min": "fmin"}[expr.op]
-            return f"{func}({self._expr(expr.left)}, {self._expr(expr.right)})"
+            return self._call(func, self._expr(expr.left),
+                              self._expr(expr.right))
         if isinstance(expr, UnOp):
             if expr.op == "neg":
                 return f"(-{self._expr(expr.operand)})"
-            return f"sqrt({self._expr(expr.operand)})"
+            return self._call("sqrt", self._expr(expr.operand))
         if isinstance(expr, VBinOp):
             name = {"add": "add", "sub": "sub", "mul": "mul", "div": "div",
                     "max": "max", "min": "min"}[expr.op]
-            return (f"{self.prefix}_{name}_pd({self._expr(expr.left)}, "
-                    f"{self._expr(expr.right)})")
+            return self._vcall(f"{name}_pd", self._expr(expr.left),
+                               self._expr(expr.right))
         if isinstance(expr, VFma):
-            self._uses_fma = True
-            return (f"{self.prefix}_fmadd_pd({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)}, {self._expr(expr.c)})")
+            return self._vcall("fmadd_pd", self._expr(expr.a),
+                               self._expr(expr.b), self._expr(expr.c))
         if isinstance(expr, VReduceAdd):
             return f"repro_reduce_add_pd({self._expr(expr.vec)})"
         if isinstance(expr, VExtract):
             return f"repro_extract_pd({self._expr(expr.vec)}, {expr.lane})"
         if isinstance(expr, VBlend):
-            return (f"{self.prefix}_blend_pd({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)}, {expr.imm})")
+            return self._vcall("blend_pd", self._expr(expr.a),
+                               self._expr(expr.b), str(expr.imm))
         if isinstance(expr, VShufflePd):
-            return (f"{self.prefix}_shuffle_pd({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)}, {expr.imm})")
+            return self._vcall("shuffle_pd", self._expr(expr.a),
+                               self._expr(expr.b), str(expr.imm))
         if isinstance(expr, VPermute2f128):
             if self.function.vector_width != 4:
                 raise BackendError(
                     "permute2f128 requires 256-bit vectors (width 4)")
-            return (f"_mm256_permute2f128_pd({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)}, {expr.imm})")
+            return self._call("_mm256_permute2f128_pd", self._expr(expr.a),
+                              self._expr(expr.b), str(expr.imm))
         if isinstance(expr, VUnpack):
             which = "unpackhi" if expr.high else "unpacklo"
-            return (f"{self.prefix}_{which}_pd({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)})")
+            return self._vcall(f"{which}_pd", self._expr(expr.a),
+                               self._expr(expr.b))
         raise BackendError(f"cannot unparse expression {expr!r}")
 
 

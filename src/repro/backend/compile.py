@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cir.nodes import Buffer, Function
+from ..cir.nodes import Buffer, Function, VFma, walk_expressions
 from ..errors import BackendError
 
 
@@ -122,6 +122,25 @@ def default_object_cache_dir() -> str:
     return cache_root("REPRO_OBJECT_CACHE", "objects")
 
 
+def isa_flags(function: Function, c_code: Optional[str] = None) -> List[str]:
+    """The instruction-set flags ``function`` needs: AVX for any vector
+    width, and FMA on top when its body fuses multiply-adds (``VFma``).
+
+    The C-IR decides, so nothing the C text happens to contain (a prelude
+    definition, a comment) can switch FMA on.  ``c_code``, the function's
+    C, only spares the walk over the body -- which costs up to a few
+    milliseconds, against microseconds for a cached object -- when it
+    names no FMA intrinsic at all: the unparser spells every ``VFma`` as
+    one.
+    """
+    if function.vector_width == 1:
+        return []
+    uses_fma = (c_code is None or "_fmadd_pd" in c_code) and any(
+        isinstance(expr, VFma) for stmt in function.walk_statements()
+        for expr in walk_expressions(stmt))
+    return ["-mavx", "-mfma"] if uses_fma else ["-mavx"]
+
+
 def compile_kernel(c_code: str, function: Function,
                    extra_flags: Optional[List[str]] = None,
                    keep_dir: Optional[str] = None,
@@ -137,11 +156,7 @@ def compile_kernel(c_code: str, function: Function,
     or compilation fails (the compiler diagnostics are included).
     """
     flags = ["-O2", "-std=c99", "-shared", "-fPIC", "-lm"]
-    if function.vector_width > 1:
-        flags.append("-mavx")
-    if "_fmadd_pd(" in c_code:
-        # the C-IR's fused multiply-adds (VFma) need FMA on top of AVX
-        flags.append("-mfma")
+    flags.extend(isa_flags(function, c_code))
     if extra_flags:
         flags.extend(extra_flags)
 
@@ -183,6 +198,8 @@ def compile_kernel(c_code: str, function: Function,
     command = [compiler, source_path, "-o", library_path] + flags
     result = subprocess.run(command, capture_output=True, text=True)
     if result.returncode != 0:
+        if keep_dir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
         raise BackendError(
             f"compilation of generated code failed:\n{result.stderr}")
 

@@ -40,6 +40,9 @@ from ..slingen.options import Options
 #: algorithm database (purity of cached phase artifacts), which renumbers
 #: temporaries in non-default variants, and ``GenerationResult`` grew the
 #: ``phase_stats`` field; old pickled store entries must not be recalled.
+#: Not bumped for the header-free C prelude under GCC: C stored before it
+#: still compiles to the same machine code, and compiled objects are keyed
+#: by the C source as well.
 KEY_SCHEMA_VERSION = 4
 
 

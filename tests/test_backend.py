@@ -3,18 +3,23 @@
 import os
 import re
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.applications import make_case
-from repro.backend import (compile_kernel, compiler_available,
+from repro.api import make_request
+from repro.backend import (CUnparser, compile_kernel, compiler_available,
                            find_c_compiler, unparse_function)
+from repro.backend.compile import isa_flags
 from repro.cir import (Affine, Assign, Buffer, FloatConst, For, Function,
                        ScalarVar, Store, Load, BinOp, VBlend, VecVar, VFma,
                        VLoad, VStore)
 from repro.cir.interpreter import Interpreter
+from repro.errors import BackendError
 from repro.slingen import Options, SLinGen
+from test_generated_c_golden import PAPER_SUITE
 
 
 def _simple_scalar_function():
@@ -130,54 +135,140 @@ def _cc_is_gcc(compiler):
     return "__GNUC__" in macros and "__clang__" not in macros
 
 
-_GCC_INCLUDES = re.compile(r"#if defined\(__GNUC__\).*?#endif\n", re.S)
+_GCC_PRELUDE = re.compile(r"#if defined\(__GNUC__\).*?#endif\n", re.S)
 
 
 def _with_immintrin(code):
-    """The same C with the full ``<immintrin.h>`` the unparser emitted
-    before it trimmed the include to the headers the kernel uses."""
-    replaced, count = _GCC_INCLUDES.subn("#include <immintrin.h>\n", code)
+    """The same C with the standard headers in place of the prelude that
+    defines its intrinsics under GCC."""
+    replaced, count = _GCC_PRELUDE.subn(
+        "#include <math.h>\n#include <immintrin.h>\n", code)
     assert count == 1
     return replaced
 
 
-def _compiler_output(tmp_path, name, code, mode):
+def _assembly(tmp_path, name, code, flags):
+    """``gcc -S`` of ``code``, without the lines that name the source file
+    or number the function among every declaration the headers made."""
     source = tmp_path / f"{name}.c"
     source.write_text(code)
-    output = tmp_path / f"{name}.{mode}"
-    subprocess.run([find_c_compiler(), f"-{mode}", "-O2", "-std=c99",
-                    "-fPIC", "-mavx", str(source), "-o", str(output)],
+    output = tmp_path / f"{name}.s"
+    subprocess.run([find_c_compiler(), "-S", "-O2", "-std=c99", "-fPIC",
+                    *flags, str(source), "-o", str(output)],
                    check=True, capture_output=True)
-    return output.read_text()
+    return [re.sub(r"\.LF([BE])\d+", r".LF\1", line)
+            for line in output.read_text().splitlines()
+            if not line.lstrip().startswith(".file")]
+
+
+def _every_intrinsic_function(width):
+    """A function whose C calls every intrinsic (and libm function) the
+    unparser emits at ``width``."""
+    from repro.cir import (UnOp, VBroadcast, VBinOp, VExtract, VPermute2f128,
+                           VReduceAdd, VSet, VShufflePd, VUnpack, VZero)
+    a = Buffer("a", 1, 8, "in")
+    out = Buffer("out", 1, 8, "out")
+    v, w = VecVar("v", width), VecVar("w", width)
+    lanes = (True,) * (width - 1) + (False,)
+    s = ScalarVar("s")
+    body = [Assign(s, UnOp("sqrt", BinOp("max", Load(a, Affine.constant(0)),
+                                           Load(a, Affine.constant(1))))),
+            Assign(s, BinOp("min", s, Load(a, Affine.constant(2))))]
+    if width > 1:
+        body += [
+            Assign(v, VLoad(a, Affine.constant(0), width, lanes)),
+            Assign(w, VBinOp("add", VLoad(a, Affine.constant(0), width),
+                             VBroadcast(s, width), width)),
+            Assign(w, VBinOp("sub", w, VSet(tuple(
+                Load(a, Affine.constant(i)) for i in range(width))), width)),
+            Assign(w, VBinOp("mul", w, VZero(width), width)),
+            Assign(w, VBinOp("div", w, v, width)),
+            Assign(w, VBinOp("max", w, v, width)),
+            Assign(w, VBinOp("min", w, v, width)),
+            Assign(w, VBlend(w, v, 1, width)),
+            Assign(w, VShufflePd(w, v, 1, width)),
+            Assign(w, VUnpack(w, v, True, width)),
+            Assign(w, VUnpack(w, v, False, width)),
+            Assign(s, VReduceAdd(w)),
+            Assign(s, BinOp("add", s, VExtract(v, 1))),
+        ]
+        if width == 4:
+            body.append(Assign(w, VPermute2f128(w, v, 0x21)))
+        body += [VStore(out, Affine.constant(0), w, width),
+                 VStore(out, Affine.constant(4), v, width, lanes)]
+    body.append(Store(out, Affine.constant(7), s))
+    return Function(f"every{width}", [a, out], [], body, vector_width=width)
+
+
+def _identity_cases():
+    cases = [pytest.param(spec, 4, id=spec) for spec in PAPER_SUITE]
+    return cases + [pytest.param("trsyl:4", 2, id="trsyl:4-width2"),
+                    pytest.param("potrf:8", 1, id="potrf:8-scalar")]
 
 
 @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
-class TestTrimmedIntrinsicHeaders:
-    @pytest.mark.parametrize("name,width", [("potrf", 4), ("trsyl", 2)])
-    def test_assembly_identical_to_immintrin(self, tmp_path, name, width):
-        case = make_case(name, 8 if name == "potrf" else 4)
-        generated = SLinGen(Options(autotune=False, vector_width=width)
-                            ).generate(case.program)
+class TestHeaderFreePrelude:
+    """Under GCC the emitted C includes no header; the prelude's
+    definitions must compile to the code the standard headers give."""
+
+    def _assert_same_assembly(self, tmp_path, function, code):
+        flags = isa_flags(function)
+        assert _assembly(tmp_path, "prelude", code, flags) == \
+            _assembly(tmp_path, "headers", _with_immintrin(code), flags)
+
+    @pytest.mark.parametrize("spec,width", _identity_cases())
+    def test_assembly_identical_to_immintrin(self, tmp_path, spec, width):
+        request = make_request(spec)
+        options = Options(autotune=False, vectorize=width > 1,
+                          vector_width=width)
+        generated = SLinGen(options).generate(request.program)
         assert generated.function.vector_width == width
+        self._assert_same_assembly(tmp_path, generated.function,
+                                   generated.c_code)
 
-        def assembly(tag, code):
-            # .LFB/.LFE number the function among every declaration the
-            # headers made, so only their digits may differ
-            text = _compiler_output(tmp_path, tag, code, "S")
-            return [re.sub(r"\.LF([BE])\d+", r".LF\1", line)
-                    for line in text.splitlines()
-                    if not line.lstrip().startswith(".file")]
+    @pytest.mark.parametrize("width", [4, 2, 1])
+    def test_every_intrinsic_identical_to_immintrin(self, tmp_path, width):
+        function = _every_intrinsic_function(width)
+        self._assert_same_assembly(tmp_path, function,
+                                   unparse_function(function))
 
-        assert assembly("trimmed", generated.c_code) == \
-            assembly("full", _with_immintrin(generated.c_code))
+    def test_fma_identical_to_immintrin(self, tmp_path):
+        function = _fma_function()
+        self._assert_same_assembly(tmp_path, function,
+                                   unparse_function(function))
 
-    def test_preprocessed_header_is_a_fraction_of_immintrin(self, tmp_path):
-        if not _cc_is_gcc(find_c_compiler()):
-            pytest.skip("the trimmed includes apply under GCC only")
-        code = unparse_function(_fma_function())
-        trimmed = _compiler_output(tmp_path, "trimmed", code, "E")
-        full = _compiler_output(tmp_path, "full", _with_immintrin(code), "E")
-        assert len(trimmed.splitlines()) * 4 < len(full.splitlines())
+    def test_every_definition_is_reachable(self):
+        from repro.backend.c_unparser import _DEFINITIONS
+        used = set()
+        for function in [_every_intrinsic_function(w) for w in (4, 2, 1)] + [
+                _fma_function(),
+                Function("fma2", [], [], [Assign(VecVar("v", 2), VFma(
+                    VecVar("v", 2), VecVar("v", 2), VecVar("v", 2), 2))],
+                         vector_width=2)]:
+            unparser = CUnparser(function)
+            unparser.unparse()
+            used |= unparser._used
+        assert used == set(_DEFINITIONS)
+
+    @pytest.mark.parametrize("width", [4, 2, 1])
+    def test_gcc_includes_no_header(self, tmp_path, width):
+        compiler = find_c_compiler()
+        if not _cc_is_gcc(compiler):
+            pytest.skip("the header-free prelude applies under GCC only")
+        functions = [_every_intrinsic_function(width)]
+        if width == 4:
+            functions.append(_fma_function())
+        for function in functions:
+            source = tmp_path / f"{function.name}.c"
+            source.write_text(unparse_function(function))
+            result = subprocess.run(
+                [compiler, "-H", "-fsyntax-only", "-std=c99", "-O2", "-Wall",
+                 "-Wextra", "-Werror", *isa_flags(function), str(source)],
+                capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            # -H prints one dotted line per header it opens
+            assert [line for line in result.stderr.splitlines()
+                    if line.startswith(".")] == []
 
 
 class TestFindCompiler:
@@ -233,3 +324,48 @@ class TestObjectCache:
         assert len(list(tmp_path.glob("*.so"))) == 2
         result = second.run({"a": np.array([[1.0, 2.0, 3.0, 4.0]])})
         np.testing.assert_allclose(result["out"], [[3.0, 6.0, 9.0, 12.0]])
+
+
+def _fake_compiler(tmp_path):
+    """A ``$CC`` that records its arguments and fails."""
+    log = tmp_path / "cc-args"
+    fake = tmp_path / "fake-cc"
+    fake.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexit 1\n')
+    fake.chmod(0o755)
+    return str(fake), log
+
+
+class TestCompileFlags:
+    def test_isa_flags_follow_the_cir(self):
+        assert isa_flags(_simple_scalar_function()) == []
+        assert isa_flags(_every_intrinsic_function(2)) == ["-mavx"]
+        assert isa_flags(_fma_function()) == ["-mavx", "-mfma"]
+        # the emitted C, given as a shortcut, does not change the answer
+        for function in (_every_intrinsic_function(4), _fma_function()):
+            assert isa_flags(function, unparse_function(function)) == \
+                isa_flags(function)
+
+    def test_fma_text_without_vfma_does_not_enable_fma(self, tmp_path,
+                                                        monkeypatch):
+        compiler, log = _fake_compiler(tmp_path)
+        monkeypatch.setenv("CC", compiler)
+        func = _every_intrinsic_function(4)
+        code = unparse_function(func) + "/* _mm256_fmadd_pd(a, b, c) */\n"
+        with pytest.raises(BackendError):
+            compile_kernel(code, func)
+        arguments = log.read_text().split()
+        assert "-mavx" in arguments and "-mfma" not in arguments
+
+    def test_failed_compiles_leave_no_scratch_directory(self, tmp_path,
+                                                        monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        compiler, _ = _fake_compiler(tmp_path)
+        monkeypatch.setenv("CC", compiler)
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        func = _simple_scalar_function()
+        for _ in range(3):
+            with pytest.raises(BackendError):
+                compile_kernel(unparse_function(func), func)
+        assert list(scratch.glob("repro_cc_*")) == []

@@ -24,6 +24,12 @@ def make_function(body, params=None, vector_width=4):
                     vector_width=vector_width)
 
 
+def function_body(code):
+    """The kernel function of ``code``, without the prelude and helpers
+    (the prelude defines each intrinsic the body calls)."""
+    return code[code.index("\nvoid golden_kernel("):]
+
+
 class TestMaskedAccessEmission:
     def test_maskload_uses_named_mask_constant(self):
         x = Buffer("x", 1, 8, "in")
@@ -74,7 +80,7 @@ class TestMaskedAccessEmission:
             VStore(y, Affine.constant(4), VecVar("b"),
                    mask=(True, True, True, False)),
         ], params=[x, y])
-        code = unparse_function(fn)
+        code = function_body(unparse_function(fn))
         assert "_mm256_set_epi64x(0, 0, 0, -1);" in code
         assert "_mm256_set_epi64x(0, -1, -1, -1);" in code
         # each mask declared once, reused by load and store
@@ -88,7 +94,7 @@ class TestMaskedAccessEmission:
             Assign(VecVar("r"), VLoad(x, Affine.constant(0))),
             VStore(y, Affine.constant(0), VecVar("r")),
         ], params=[x, y])
-        code = unparse_function(fn)
+        code = function_body(unparse_function(fn))
         assert "_mm256_loadu_pd(&x[0])" in code
         assert "_mm256_storeu_pd(&y[0], r);" in code
         assert "maskload" not in code and "maskstore" not in code
@@ -147,20 +153,58 @@ class TestReductionEmission:
             CUnparser(fn).unparse()
 
 
-GOLDEN_INCLUDES = """\
-#include <math.h>
-#include <stddef.h>
-#if defined(__GNUC__) && !defined(__clang__)
-#include <smmintrin.h>
-#define _IMMINTRIN_H_INCLUDED
-#include <avxintrin.h>
-#undef _IMMINTRIN_H_INCLUDED
+INLINE = ("extern __inline {} __attribute__((__gnu_inline__, "
+          "__always_inline__, __artificial__))\n")
+
+GOLDEN_GUARD = "#if defined(__GNUC__) && !defined(__clang__)\n"
+
+GOLDEN_TYPES_128 = """\
+typedef double __v2df __attribute__ ((__vector_size__ (16)));
+typedef long long __v2di __attribute__ ((__vector_size__ (16)));
+typedef double __m128d __attribute__ ((__vector_size__ (16), __may_alias__));
+typedef long long __m128i __attribute__ ((__vector_size__ (16), __may_alias__));
+typedef double __m128d_u __attribute__ ((__vector_size__ (16), __may_alias__, __aligned__ (1)));
+"""
+
+GOLDEN_TYPES_256 = """\
+typedef double __v4df __attribute__ ((__vector_size__ (32)));
+typedef long long __v4di __attribute__ ((__vector_size__ (32)));
+typedef double __m256d __attribute__ ((__vector_size__ (32), __may_alias__));
+typedef long long __m256i __attribute__ ((__vector_size__ (32), __may_alias__));
+typedef double __m256d_u __attribute__ ((__vector_size__ (32), __may_alias__, __aligned__ (1)));
+"""
+
+GOLDEN_FALLBACK = """\
 #else
+#include <math.h>
 #include <immintrin.h>
 #endif
 """
 
-GOLDEN_HEADER_AVX = GOLDEN_INCLUDES + """
+GOLDEN_HEADER_AVX = (
+    GOLDEN_GUARD + GOLDEN_TYPES_128 + GOLDEN_TYPES_256
+    + INLINE.format("__m128d")
+    + "_mm_add_pd (__m128d __A, __m128d __B) "
+      "{ return (__m128d) ((__v2df)__A + (__v2df)__B); }\n"
+    + INLINE.format("__m128d")
+    + "_mm_add_sd (__m128d __A, __m128d __B) "
+      "{ return (__m128d)__builtin_ia32_addsd ((__v2df)__A, (__v2df)__B); }\n"
+    + INLINE.format("__m128d")
+    + "_mm_unpackhi_pd (__m128d __A, __m128d __B) "
+      "{ return (__m128d)__builtin_ia32_unpckhpd ((__v2df)__A, (__v2df)__B); }\n"
+    + INLINE.format("double")
+    + "_mm_cvtsd_f64 (__m128d __A) { return ((__v2df)__A)[0]; }\n"
+    + INLINE.format("__m256d")
+    + "_mm256_loadu_pd (double const *__P) { return *(__m256d_u *)__P; }\n"
+    + INLINE.format("void")
+    + "_mm256_storeu_pd (double *__P, __m256d __A) "
+      "{ *(__m256d_u *)__P = __A; }\n"
+    + INLINE.format("__m128d")
+    + "_mm256_castpd256_pd128 (__m256d __A) "
+      "{ return (__m128d) __builtin_ia32_pd_pd256 ((__v4df)__A); }\n"
+    + "#define _mm256_extractf128_pd(X, N) ((__m128d) "
+      "__builtin_ia32_vextractf128_pd256 ((__v4df)(__m256d)(X), (int)(N)))\n"
+    + GOLDEN_FALLBACK + """
 static inline double repro_reduce_add_pd(__m256d v) {
     __m128d lo = _mm256_castpd256_pd128(v);
     __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -174,9 +218,24 @@ static inline double repro_extract_pd(__m256d v, int lane) {
     _mm256_storeu_pd(tmp, v);
     return tmp[lane];
 }
-"""
+""")
 
-GOLDEN_HEADER_SSE = GOLDEN_INCLUDES + """
+GOLDEN_HEADER_SSE = (
+    GOLDEN_GUARD + GOLDEN_TYPES_128
+    + INLINE.format("__m128d")
+    + "_mm_loadu_pd (double const *__P) { return *(__m128d_u *)__P; }\n"
+    + INLINE.format("void")
+    + "_mm_storeu_pd (double *__P, __m128d __A) "
+      "{ *(__m128d_u *)__P = __A; }\n"
+    + INLINE.format("__m128d")
+    + "_mm_add_sd (__m128d __A, __m128d __B) "
+      "{ return (__m128d)__builtin_ia32_addsd ((__v2df)__A, (__v2df)__B); }\n"
+    + INLINE.format("__m128d")
+    + "_mm_unpackhi_pd (__m128d __A, __m128d __B) "
+      "{ return (__m128d)__builtin_ia32_unpckhpd ((__v2df)__A, (__v2df)__B); }\n"
+    + INLINE.format("double")
+    + "_mm_cvtsd_f64 (__m128d __A) { return ((__v2df)__A)[0]; }\n"
+    + GOLDEN_FALLBACK + """
 static inline double repro_reduce_add_pd(__m128d v) {
     __m128d swapped = _mm_unpackhi_pd(v, v);
     return _mm_cvtsd_f64(_mm_add_sd(v, swapped));
@@ -187,12 +246,16 @@ static inline double repro_extract_pd(__m128d v, int lane) {
     _mm_storeu_pd(tmp, v);
     return tmp[lane];
 }
-"""
+""")
+
+GOLDEN_HEADER_SCALAR = (GOLDEN_GUARD + "double sqrt(double);\n"
+                        "#else\n#include <math.h>\n#endif\n")
 
 
 class TestHeaderEmission:
-    """The intrinsic includes are pinned as text: under GCC only the SSE4.1
-    and AVX headers, anything else falls back to ``<immintrin.h>``."""
+    """The prelude is pinned as text: under GCC the types and exactly the
+    intrinsics the code calls, anything else falls back to ``<math.h>``
+    and ``<immintrin.h>``."""
 
     def _copy(self, vector_width, value):
         x = Buffer("x", 1, 4, "in")
@@ -213,13 +276,29 @@ class TestHeaderEmission:
         code = unparse_function(self._copy(width, VecVar("v")))
         assert self._header(code) == golden
 
+    def test_scalar_header_declares_only_what_it_calls(self):
+        from repro.cir.nodes import Load, UnOp
+
+        x = Buffer("x", 1, 2, "in")
+        y = Buffer("y", 1, 1, "out")
+        fn = make_function([
+            Store(y, Affine.constant(0), UnOp("sqrt", Load(x, Affine.constant(1)))),
+        ], params=[x, y], vector_width=1)
+        assert self._header(unparse_function(fn)) == GOLDEN_HEADER_SCALAR
+
     @pytest.mark.parametrize("width", [4, 2])
     def test_fma_adds_its_header_inside_the_guard(self, width):
+        prefix = "_mm256" if width == 4 else "_mm"
+        vector = "__m256d" if width == 4 else "__m128d"
+        definition = (INLINE.format(vector) + f"{prefix}_fmadd_pd (")
+        plain = unparse_function(self._copy(width, VecVar("v")))
+        assert "fmadd" not in plain
         fma = VFma(VecVar("v"), VecVar("v"), VecVar("v"), width)
         code = unparse_function(self._copy(width, fma))
-        assert ("#include <avxintrin.h>\n#include <fmaintrin.h>\n"
-                "#undef _IMMINTRIN_H_INCLUDED\n") in code
-        prefix = "_mm256" if width == 4 else "_mm"
+        assert code.count(definition) == 1
+        # defined in the GCC branch, before the fallback
+        assert code.index(GOLDEN_GUARD) < code.index(definition) \
+            < code.index(GOLDEN_FALLBACK)
         assert f"r = {prefix}_fmadd_pd(v, v, v);" in code
 
 
