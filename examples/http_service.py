@@ -7,7 +7,7 @@ exercises the JSON API exactly as a remote client would:
 2. ``POST /run`` -- real execution on the NumPy backend, no compiler,
 3. a 12-client duplicate-request stampede showing single-flight
    coalescing (one generation, eleven coalesced followers),
-4. ``GET /stats`` -- service, store, and per-shard counters.
+4. ``GET /stats`` -- service and store counters.
 
 Run with::
 
@@ -71,8 +71,8 @@ def main() -> None:
         print(f"stats: {svc['requests']} requests, {svc['hits']} hits, "
               f"{svc['generations']} generations, "
               f"{svc['coalesced']} coalesced, "
-              f"{stats['store']['entries']} entries in "
-              f"{stats['store']['shards']} shards")
+              f"{stats['store']['entries']} entries, "
+              f"{stats['store']['bytes']} bytes")
     print("daemon shut down")
 
 

@@ -1,16 +1,17 @@
 """Small filesystem helpers shared by the caches.
 
-Kept in a leaf module so every persistent layer -- the kernel store, the
-object and NumPy-source caches, and the :class:`ShardedStore` record
-stores behind the tuning database, the fix bank and the persistent
+Kept in a leaf module so every persistent layer -- the object and
+NumPy-source caches, and the :class:`ShardedStore` record stores behind
+the kernel store, the tuning database, the fix bank and the persistent
 phase cache -- uses one implementation of the atomic-write protocol, the
-shard layout and the cache-directory convention without layering
-inversions.
+shard layout, the eviction policy and the cache-directory convention
+without layering inversions.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import string
 import threading
 from collections import OrderedDict
@@ -20,7 +21,7 @@ from typing import (Callable, Dict, Generic, Iterator, List, Optional,
 _V = TypeVar("_V")
 
 #: Shard directories are exactly two lowercase-hex characters; anything
-#: else under a store root is a legacy flat entry or someone else's file.
+#: else under a store root is someone else's file.
 _HEX_CHARS = frozenset(string.hexdigits.lower())
 
 #: :meth:`ShardedStore.gc` evicts below this fraction of the bound so
@@ -35,10 +36,10 @@ def _is_shard_name(name: str) -> bool:
 class LruMap(Generic[_V]):
     """A small bounded mapping with least-recently-used eviction.
 
-    The in-memory hot layer of the persistent caches
-    (:class:`repro.service.store.DiskKernelStore`,
-    :class:`ShardedStore`): capacity 0 disables it entirely.  Not
-    thread-safe on its own -- its owners guard it with their lock.
+    The in-memory hot layer of :class:`ShardedStore` and of
+    :class:`repro.pipeline.cache.PhaseCache`: capacity 0 disables it
+    entirely.  Not thread-safe on its own -- its owners guard it with
+    their lock.
     """
 
     def __init__(self, capacity: int):
@@ -70,6 +71,23 @@ class LruMap(Generic[_V]):
         return len(self._entries)
 
 
+def _commit(path: str, stage: Callable[[str], object]) -> None:
+    """Let ``stage`` write a private temp file, then ``os.replace`` it to
+    ``path``.  A failed write or replace (ENOSPC, a vanished directory)
+    unlinks the temp file before re-raising: scans and purges never see
+    staging files, so nothing else would ever remove it."""
+    staged = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        stage(staged)
+        os.replace(staged, path)
+    except BaseException:
+        try:
+            os.unlink(staged)
+        except OSError:
+            pass
+        raise
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` so readers never observe a torn file.
 
@@ -77,19 +95,16 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     concurrent writers of the same path each stage separately) and commits
     with ``os.replace``, which is atomic on POSIX within one filesystem.
     """
-    staged = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
-    with open(staged, "wb") as handle:
-        handle.write(data)
-    os.replace(staged, path)
+    def stage(staged: str) -> None:
+        with open(staged, "wb") as handle:
+            handle.write(data)
+    _commit(path, stage)
 
 
 def atomic_publish(source_path: str, path: str) -> None:
     """Atomically publish an existing file (e.g. a compiled ``.so``) at
     ``path`` by staging a copy next to it and ``os.replace``-ing."""
-    import shutil
-    staged = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
-    shutil.copyfile(source_path, staged)
-    os.replace(staged, path)
+    _commit(path, lambda staged: shutil.copyfile(source_path, staged))
 
 
 def cache_root(env_var: str, subdir: str) -> str:
@@ -117,20 +132,24 @@ class ShardedStore(Generic[_V]):
     to read or decode is quarantined: unlinked, counted in
     ``corrupt_dropped`` and returned as a miss.  The hot :class:`LruMap`
     keeps positive lookups only, so a miss sees other processes' writes.
-    A put past ``max_bytes`` runs :meth:`gc`.  Scans see only two-hex
-    shard directories and files with the suffix, so foreign files under
-    a shared root survive.  One lock guards the hot layer, the counters
-    and the byte total."""
+    Every hit, hot or disk, refreshes the entry's mtime, which is the
+    clock of the one eviction policy, least-recently-used :meth:`gc`; a
+    put past ``max_bytes`` or ``max_entries`` runs it.  Scans see only
+    two-hex shard directories and files with the suffix, so foreign files
+    under a shared root survive.  One lock guards the hot layer, the
+    counters and the byte total."""
 
     def __init__(self, root: str, suffix: str,
                  encode: Callable[[_V], bytes],
                  decode: Callable[[bytes], _V],
                  hot_capacity: int = 128,
                  max_bytes: Optional[int] = None,
-                 namespaces: Sequence[str] = ("",)):
+                 namespaces: Sequence[str] = ("",),
+                 max_entries: Optional[int] = None):
         self.root = root
         self.suffix = suffix
         self.max_bytes = max_bytes
+        self.max_entries = max_entries
         self.namespaces = tuple(namespaces)
         self._encode = encode
         self._decode = decode
@@ -151,20 +170,24 @@ class ShardedStore(Generic[_V]):
             if value is not None:
                 self.hits += 1
                 self.hot_hits += 1
-                return value
-        try:
-            with open(path, "rb") as handle:
-                value = self._decode(handle.read())
-        except FileNotFoundError:
+        if value is None:
+            try:
+                with open(path, "rb") as handle:
+                    value = self._decode(handle.read())
+            except FileNotFoundError:
+                with self._lock:
+                    self.misses += 1
+                return None
+            except Exception:
+                self._unlink(path, corrupt=True)
+                return None
             with self._lock:
-                self.misses += 1
-            return None
-        except Exception:
-            self._unlink(path, corrupt=True)
-            return None
-        with self._lock:
-            self._hot.insert(path, value)
-            self.hits += 1
+                self._hot.insert(path, value)
+                self.hits += 1
+        try:
+            os.utime(path)      # the LRU clock of gc()
+        except OSError:
+            pass                # deleted meanwhile: the hit still stands
         return value
 
     def put(self, key: str, value: _V, ns: str = "") -> None:
@@ -182,9 +205,10 @@ class ShardedStore(Generic[_V]):
             if self._total_bytes is not None:
                 self._total_bytes = max(
                     0, self._total_bytes + len(blob) - replaced)
-            over = (self.max_bytes is not None
-                    and self._scan_locked() > self.max_bytes)
-        if over:
+            collect = (self.max_entries is not None
+                       or (self.max_bytes is not None
+                           and self._scan_locked() > self.max_bytes))
+        if collect:
             self.gc()
 
     def delete(self, key: str) -> bool:
@@ -231,20 +255,21 @@ class ShardedStore(Generic[_V]):
         return (value for value in map(self.get, self.keys())
                 if value is not None)
 
-    def _entries(self) -> List[Tuple[float, int, str]]:
-        """Every entry of every namespace as ``(mtime, size, path)``."""
-        found: List[Tuple[float, int, str]] = []
+    def scan(self) -> List[Tuple[float, str, int]]:
+        """Every entry of every namespace as ``(mtime, path, size)``,
+        listed afresh (so other processes' writes count)."""
+        found: List[Tuple[float, str, int]] = []
         for path in self._paths(self.namespaces):
             try:
                 info = os.stat(path)
             except OSError:
                 continue
-            found.append((info.st_mtime, info.st_size, path))
+            found.append((info.st_mtime, path, info.st_size))
         return found
 
     def _scan_locked(self) -> int:
         if self._total_bytes is None:
-            self._total_bytes = sum(size for _, size, _ in self._entries())
+            self._total_bytes = sum(size for _, _, size in self.scan())
         return self._total_bytes
 
     def total_bytes(self) -> int:
@@ -253,19 +278,24 @@ class ShardedStore(Generic[_V]):
             return self._scan_locked()
 
     def gc(self, target_bytes: Optional[int] = None) -> int:
-        """Evict oldest-modified entries until the tree fits
-        ``target_bytes`` (default: :data:`GC_LOW_WATER` of ``max_bytes``;
-        a no-op when unbounded); returns how many were removed."""
-        if target_bytes is None:
-            if self.max_bytes is None:
-                return 0
+        """Evict least-recently-used entries (oldest mtime first, ties
+        broken by path) until at most ``max_entries`` remain and the tree
+        fits ``target_bytes`` (default: :data:`GC_LOW_WATER` of
+        ``max_bytes``); a no-op when unbounded.  Returns how many were
+        removed."""
+        if target_bytes is None and self.max_bytes is not None:
             target_bytes = int(self.max_bytes * GC_LOW_WATER)
+        if target_bytes is None and self.max_entries is None:
+            return 0
         with self._lock:
-            entries = sorted(self._entries())
-            total = sum(size for _, size, _ in entries)
+            entries = sorted(self.scan())
+            total = sum(size for _, _, size in entries)
             removed = 0
-            while entries and total > target_bytes:
-                _mtime, size, path = entries.pop(0)
+            while entries and (
+                    (target_bytes is not None and total > target_bytes)
+                    or (self.max_entries is not None
+                        and len(entries) > self.max_entries)):
+                _mtime, path, size = entries.pop(0)
                 try:
                     os.unlink(path)
                 except OSError:

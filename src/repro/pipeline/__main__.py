@@ -20,7 +20,7 @@ Usage (``PYTHONPATH=src python -m repro.pipeline <command>``)::
 
     purge [--phase-cache DIR] [--gc] [--yes] [--json]
         Empty the persistent phase-cache layer (or, with ``--gc``, only
-        evict oldest-modified entries until it fits its size bound).
+        evict least-recently-used entries until it fits its size bound).
         The target directory comes from ``--phase-cache`` or
         ``$REPRO_PHASE_CACHE``; purging prompts unless ``--yes``.
 

@@ -25,7 +25,7 @@ directory.  The layer is size-bounded: when the tree exceeds
 ``max_bytes`` (default :data:`DEFAULT_MAX_BYTES`;
 ``$REPRO_PHASE_CACHE_LIMIT`` overrides for the shared cache, ``0`` =
 unbounded) a put triggers :meth:`~PersistentPhaseStore.gc`, evicting
-oldest-modified entries first; :meth:`~PersistentPhaseStore.purge`
+least-recently-used entries first; :meth:`~PersistentPhaseStore.purge`
 (also ``python -m repro.pipeline purge``) empties it outright.
 
 Per-phase wall-clock accounting lives in :class:`PhaseTimings`; one

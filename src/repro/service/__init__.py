@@ -7,8 +7,10 @@ practice:
 * :mod:`~repro.service.keys` -- canonical, version-stamped content keys
   over (LA program, generator options, machine model),
 * :mod:`~repro.service.store` -- a persistent, content-addressed kernel
-  store (disk backend with atomic writes, corruption-tolerant reads, LRU
-  bounds, an in-memory hot layer) behind an abstract ``KernelStore``,
+  store behind an abstract ``KernelStore``; the disk backend keeps one
+  file per kernel in the shared :class:`~repro.ioutil.ShardedStore`
+  (atomic writes, corruption-tolerant reads, access-LRU bounds, an
+  in-memory hot layer),
 * :mod:`~repro.service.service` -- ``KernelService``: cache-first
   generation with parallel batch misses and hit/miss/latency stats,
 * :mod:`~repro.service.registry` -- named workloads ("potrf:12",

@@ -10,7 +10,7 @@ Usage (``PYTHONPATH=src python -m repro.service <command>``)::
                                     # --workers > 1 pre-forks a process pool
                                     # with cross-process single-flight
     query SPEC ...                  # key + hit/miss, no generation
-    ls    [--shards]                # list cached entries (or shard usage)
+    ls                              # list cached entries
     stats                           # store statistics
     purge [--yes]                   # drop every cached kernel
 
@@ -148,8 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(query)
 
     ls = sub.add_parser("ls", help="list cached kernels")
-    ls.add_argument("--shards", action="store_true",
-                    help="show per-shard usage instead of entries")
     add_json_flag(ls)
     stats = sub.add_parser("stats", help="print store statistics")
     add_json_flag(stats, help="accepted for consistency (stats is "
@@ -364,23 +362,6 @@ def _cmd_serve(service: KernelService, args: argparse.Namespace,
 
 
 def _cmd_ls(service: KernelService, args: argparse.Namespace) -> int:
-    if args.shards:
-        shard_stats = getattr(service.store, "shard_stats", None)
-        if not callable(shard_stats):
-            print("store has no shard accounting")
-            return EXIT_FAILURE
-        shards = shard_stats()
-        if args.as_json:
-            print_json({"shards": shards})
-            return EXIT_OK
-        for shard in sorted(shards):
-            doc = shards[shard]
-            print(f"{shard}  {doc['entries']:>5} entries  "
-                  f"{doc['bytes']:>10} B  "
-                  f"{doc['evictions']:>4} evicted  "
-                  f"lru age {doc['lru_age_s']:8.1f} s")
-        print(f"{len(shards)} shards")
-        return EXIT_OK
     keys = service.store.keys()
     if args.as_json:
         print_json({"entries": [

@@ -10,7 +10,8 @@ does.  Endpoints:
     when the worker admission limit is saturated.
 ``GET /stats``
     ``{"server": ..., "service": ServiceStats.snapshot(), "store":
-    store.stats(), "shards": per-shard accounting when available}``.
+    store.stats()}``, plus ``"worker"`` in pool mode and ``"leases"``
+    when the service takes cross-process leases.
 ``POST /generate``
     Body addresses a program either by registry spec (``{"spec":
     "potrf:4"}``) or by raw LA source (``{"source": "...", "constants":
@@ -345,16 +346,7 @@ class KernelServer:
         leases = getattr(self.service, "leases", None)
         if leases is not None:
             doc["leases"] = leases.stats()
-        store = self.service.store
-        shard_stats = getattr(store, "shard_stats", None)
-        if callable(shard_stats):
-            # One disk scan serves both the store summary and the
-            # per-shard breakdown.
-            shards = shard_stats()
-            doc["shards"] = shards
-            doc["store"] = store.stats(shard_stats=shards)
-        else:
-            doc["store"] = store.stats()
+        doc["store"] = self.service.store.stats()
         return doc
 
     def handle_generate(self, doc: Dict[str, object]) -> Dict[str, object]:

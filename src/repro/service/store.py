@@ -5,46 +5,33 @@ The store maps a :func:`~repro.service.keys.cache_key` to a
 
 * :class:`MemoryKernelStore` -- a bounded in-process LRU dict, useful for
   tests and for serving from a warm process without touching disk.
-* :class:`DiskKernelStore` -- the persistent backend.
+* :class:`DiskKernelStore` -- the persistent backend, a codec over the
+  shared record store :class:`repro.ioutil.ShardedStore`.
 
-**Sharded on-disk layout.**  Entries fan out over a two-level directory
-tree keyed by hash prefix: the entry for key ``abcdef...`` lives at
-``<root>/ab/abcdef.../``.  Keys are SHA-256 hex, so the first two
-characters spread entries uniformly over at most 256 shard directories
-and no single directory ever holds more than ~1/256th of the store --
-``os.listdir`` on a shard stays cheap no matter how many kernels
-accumulate.  The invariants of the layout:
+**On-disk layout.**  Each kernel is one file,
+``<root>/<key[:2]>/<key>.kernel``: one line of compact sorted-key JSON
+metadata (program, variant, cycles, flops/cycle, sizes, creation time),
+a newline, then the pickled :class:`GenerationResult`.  Keys are SHA-256
+hex, so the two-character shard directories spread entries uniformly
+and ``os.listdir`` on a shard stays cheap however many kernels
+accumulate.  A file is committed by one atomic write (temp file +
+``os.replace``), so readers never see a torn entry; reading
+:meth:`DiskKernelStore.metadata` parses the first line only and
+unpickles nothing.  Any undecodable entry (torn by a crash, bit-flipped,
+not a ``GenerationResult``) is quarantined and reported as a miss, so a
+damaged cache degrades to regeneration, never to an exception.
 
-- a directory directly under ``<root>`` whose name is exactly two hex
-  characters is a shard; a committed entry found directly under the root
-  instead (``<root>/<key>/`` -- a flat layout, e.g. a backup restored by
-  hand or a root written by an external tool) is transparently migrated
-  into its shard on store construction (see ``migrated`` in
-  :meth:`DiskKernelStore.stats`), so flat roots keep working without
-  regeneration;
-- an entry directory holds three files --
+Bounds (``max_entries`` and/or ``max_bytes``) are enforced by the record
+store's least-recently-used eviction: every hit refreshes the entry's
+mtime.  A small in-memory hot layer lets repeated hits in one process
+skip deserialization.  All public methods are thread-safe, so a single
+store can back the concurrent :class:`~repro.service.service.KernelService`
+and the HTTP daemon directly.
 
-  - ``meta.json``   -- human-readable metadata (program, variant, cycles,
-    flops/cycle, sizes, creation time).  Written *last*, so it doubles as
-    the commit marker: an entry without valid metadata never existed.
-    Its mtime is refreshed on every hit and is the LRU clock.
-  - ``kernel.c``    -- the emitted single-source C, greppable on disk.
-  - ``payload.pkl`` -- the pickled :class:`GenerationResult`.
-
-- all writes go through a temp-file + ``os.replace`` dance so concurrent
-  readers never observe a torn file, and reads are corruption-tolerant:
-  any undecodable entry is quarantined (deleted) and reported as a miss,
-  so a crashed writer or a bit-flipped cache degrades to regeneration,
-  never to an exception.
-
-The store is size-bounded (entries and/or bytes) with least-recently-used
-eviction; evictions are accounted per shard
-(:meth:`DiskKernelStore.shard_stats` reports entries, bytes, eviction
-counts, and LRU age shard by shard).  A small in-memory hot layer lets
-repeated hits in one process skip deserialization entirely.  All public
-methods are thread-safe (one lock per store instance), so a single store
-can back the concurrent :class:`~repro.service.service.KernelService` and
-the HTTP daemon directly.
+Entry directories of the earlier directory-per-entry layout
+(``<root>/<key[:2]>/<key>/``) are not read: the scans skip them, so they
+read as misses and regenerate (a result is a pure function of its key),
+and ``purge`` leaves them for the operator to delete.
 
 Subclass :class:`KernelStore` to add further backends (an object store, a
 memcached tier, ...) without touching the service.
@@ -56,15 +43,13 @@ import abc
 import json
 import os
 import pickle
-import shutil
 import threading
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import StoreError
-from ..ioutil import (_HEX_CHARS, LruMap, _is_shard_name, atomic_write_bytes,
-                      cache_root)
+from ..ioutil import ShardedStore, cache_root
 from ..slingen.generator import GenerationResult
 
 
@@ -198,30 +183,39 @@ class MemoryKernelStore(KernelStore):
                     "evictions": self.evictions}
 
 
-def _is_key_name(name: str) -> bool:
-    """Cache keys are SHA-256 hex digests (see :mod:`repro.service.keys`);
-    flat-store migration must only touch directories named exactly that --
-    anything else at the root (a user's backup dir, notes, ...) is left
-    alone where it is visible."""
-    return len(name) == 64 and set(name) <= _HEX_CHARS
+#: A kernel-store record: the metadata line and the result it describes.
+_Entry = Tuple[Dict[str, object], GenerationResult]
+
+
+def _encode(entry: _Entry) -> bytes:
+    meta, result = entry
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    head = json.dumps({**meta, "payload_bytes": len(payload)},
+                      sort_keys=True, separators=(",", ":"))
+    return head.encode("utf-8") + b"\n" + payload
+
+
+def _decode(data: bytes) -> _Entry:
+    head, _, payload = data.partition(b"\n")
+    meta = json.loads(head)
+    result = pickle.loads(payload)
+    if not isinstance(result, GenerationResult):
+        raise TypeError(f"payload is {type(result).__name__}, "
+                        f"expected GenerationResult")
+    return meta, result
 
 
 class DiskKernelStore(KernelStore):
     """The persistent disk backend (see module docstring for the layout).
 
-    Thread-safe, without serializing disk traffic: a short-held lock
-    guards only the in-memory hot layer and the counters, per-entry file
-    I/O relies on the temp-file + ``os.replace`` protocol (concurrent
-    readers and writers of one entry never observe torn state, and a
-    loser's overwrite is bit-identical anyway since results are a pure
-    function of the key), and the LRU eviction scan is serialized by its
-    own lock.  Distinct-key requests from the HTTP daemon's handler
-    threads therefore proceed in parallel.
+    Thread-safe without serializing disk traffic: the record store's
+    short-held lock guards only its hot layer and counters, and a
+    concurrent overwrite of one entry is harmless since results are a
+    pure function of the key.  Distinct-key requests from the HTTP
+    daemon's handler threads therefore proceed in parallel.
     """
 
-    META_NAME = "meta.json"
-    CODE_NAME = "kernel.c"
-    PAYLOAD_NAME = "payload.pkl"
+    SUFFIX = ".kernel"
 
     def __init__(self, root: Optional[str] = None,
                  max_entries: Optional[int] = None,
@@ -237,162 +231,33 @@ class DiskKernelStore(KernelStore):
         ("N processes, one cold key, one generation") is asserted
         against in the benchmarks and the chaos tests."""
         self.root = os.path.abspath(root or default_cache_dir())
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         env_journal = os.environ.get(ENV_STORE_JOURNAL, "").strip()
         self.journal = journal if journal is not None \
             else (env_journal or None)
-        self.journal_writes = 0
         try:
             os.makedirs(self.root, exist_ok=True)
         except OSError as exc:
             raise StoreError(
                 f"cannot create kernel cache root {self.root!r}: {exc}")
-        self._lock = threading.Lock()        # hot layer + counters only
-        self._evict_lock = threading.Lock()  # one eviction scan at a time
-        self._hot: LruMap[GenerationResult] = LruMap(hot_capacity)
-        self.hot_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.evictions_by_shard: Dict[str, int] = {}
-        self.corrupt_dropped = 0
-        self.migrated = self._migrate_flat_entries()
-
-    # -- paths ---------------------------------------------------------------
-
-    def _shard_of(self, key: str) -> str:
-        return key[:2]
-
-    def _entry_dir(self, key: str) -> str:
-        return os.path.join(self.root, self._shard_of(key), key)
-
-    def _migrate_flat_entries(self) -> int:
-        """Move flat entries (``<root>/<key>/``) into their shards.
-
-        The sharded lookups never see an entry sitting directly under the
-        root -- which is where a hand-restored backup, an rsync of
-        individual entries, or an external writer unaware of the fanout
-        puts them.  Any committed entry found there (a directory named by
-        a full 64-hex key and containing ``meta.json``) is renamed into
-        ``<root>/<key[:2]>/``;
-        when the sharded copy already exists, the flat duplicate is simply
-        dropped.  Runs once per store construction; an already-sharded or
-        empty root is a cheap no-op scan.
-        """
-        moved = 0
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0
-        for name in names:
-            flat = os.path.join(self.root, name)
-            if not _is_key_name(name) or not os.path.isdir(flat):
-                continue        # shard dirs, user files: not flat entries
-            if not os.path.exists(os.path.join(flat, self.META_NAME)):
-                continue        # uncommitted debris, not an entry
-            target = os.path.join(self.root, self._shard_of(name), name)
-            if os.path.exists(target):
-                shutil.rmtree(flat, ignore_errors=True)
-                continue
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            try:
-                os.replace(flat, target)
-                moved += 1
-            except OSError:
-                # Cross-device or concurrent rename: leave the flat entry
-                # in place (it is ignored by the sharded lookups).
-                continue
-        return moved
+        self._store: ShardedStore[_Entry] = ShardedStore(
+            self.root, self.SUFFIX, encode=_encode, decode=_decode,
+            hot_capacity=hot_capacity, max_bytes=max_bytes,
+            max_entries=max_entries)
+        self._lock = threading.Lock()        # journal_writes only
+        self.journal_writes = 0
 
     # -- KernelStore API -----------------------------------------------------
 
     def get(self, key: str) -> Optional[GenerationResult]:
-        with self._lock:
-            hot = self._hot.get(key)
-            if hot is not None:
-                self.hot_hits += 1
-        if hot is not None:
-            # Keep the on-disk LRU clock honest: without this, an entry
-            # served only from the hot layer looks idle to _evict() and
-            # the most-used kernels would be evicted first on bounded
-            # stores.
-            try:
-                os.utime(os.path.join(self._entry_dir(key),
-                                      self.META_NAME))
-            except OSError:
-                pass
-            return hot
-
-        entry = self._entry_dir(key)
-        meta_path = os.path.join(entry, self.META_NAME)
-        payload_path = os.path.join(entry, self.PAYLOAD_NAME)
-        if not os.path.exists(meta_path):
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                json.load(handle)
-            with open(payload_path, "rb") as handle:
-                result = pickle.load(handle)
-            if not isinstance(result, GenerationResult):
-                raise TypeError(
-                    f"payload is {type(result).__name__}, "
-                    f"expected GenerationResult")
-        except Exception:
-            # Torn write, truncated pickle, schema drift: quarantine the
-            # entry and treat it as a miss so the caller regenerates.
-            self._drop_entry(key)
-            with self._lock:
-                self.corrupt_dropped += 1
-                self.misses += 1
-            return None
-        # Touch the metadata so LRU eviction sees the access.
-        try:
-            os.utime(meta_path)
-        except OSError:
-            pass
-        with self._lock:
-            self._hot.insert(key, result)
-            self.disk_hits += 1
-        return result
+        entry = self._store.get(key)
+        return None if entry is None else entry[1]
 
     def put(self, key: str, result: GenerationResult,
             meta: Optional[Dict[str, object]] = None) -> None:
-        entry = self._entry_dir(key)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         doc = _describe(key, result, meta)
-        doc["payload_bytes"] = len(payload)
         doc["schema"] = _schema_version()
-        # With many writer *processes* sharing the store, a concurrent
-        # LRU eviction (or purge) in another process can rmtree this
-        # entry directory between our makedirs and a staged write,
-        # surfacing as FileNotFoundError mid-commit (or as FileExistsError
-        # from makedirs, when the rmtree lands between its mkdir and its
-        # isdir check).  Re-create and retry: the commit protocol itself
-        # (meta.json last, every file atomically replaced) keeps readers
-        # safe throughout.
-        for attempt in range(3):
-            try:
-                os.makedirs(entry, exist_ok=True)
-                atomic_write_bytes(os.path.join(entry, self.CODE_NAME),
-                                   result.c_code.encode("utf-8"))
-                atomic_write_bytes(os.path.join(entry, self.PAYLOAD_NAME),
-                                   payload)
-                # meta.json last: it is the commit marker.
-                atomic_write_bytes(
-                    os.path.join(entry, self.META_NAME),
-                    json.dumps(doc, indent=2,
-                               sort_keys=True).encode("utf-8"))
-                break
-            except (FileNotFoundError, FileExistsError):
-                if attempt == 2:
-                    raise
+        self._store.put(key, (doc, result))
         self._journal_append(key, doc)
-        with self._lock:
-            self._hot.insert(key, result)
-        self._evict()
 
     def _journal_append(self, key: str, doc: Dict[str, object]) -> None:
         """One line per commit, append-only, cross-process (O_APPEND: a
@@ -414,186 +279,41 @@ class DiskKernelStore(KernelStore):
             self.journal_writes += 1
 
     def delete(self, key: str) -> bool:
-        existed = os.path.exists(
-            os.path.join(self._entry_dir(key), self.META_NAME))
-        self._drop_entry(key)
-        return existed
-
-    def _drop_entry(self, key: str) -> None:
-        with self._lock:
-            self._hot.pop(key)
-        shutil.rmtree(self._entry_dir(key), ignore_errors=True)
-
-    def _shard_names(self) -> List[str]:
-        try:
-            return sorted(name for name in os.listdir(self.root)
-                          if _is_shard_name(name)
-                          and os.path.isdir(os.path.join(self.root, name)))
-        except OSError:
-            return []
-
-    def _shard_keys(self, shard: str) -> List[str]:
-        shard_dir = os.path.join(self.root, shard)
-        try:
-            names = sorted(os.listdir(shard_dir))
-        except OSError:
-            return []
-        return [key for key in names
-                if os.path.exists(os.path.join(shard_dir, key,
-                                               self.META_NAME))]
+        return self._store.delete(key)
 
     def keys(self) -> List[str]:
-        found: List[str] = []
-        for shard in self._shard_names():
-            found.extend(self._shard_keys(shard))
-        return found
+        return self._store.keys()
 
     def metadata(self, key: str) -> Optional[Dict[str, object]]:
-        meta_path = os.path.join(self._entry_dir(key), self.META_NAME)
         try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+            with open(self._store.path(key), "rb") as handle:
+                return json.loads(handle.readline())
         except (OSError, ValueError):
             return None
 
     def purge(self) -> int:
-        count = len(self.keys())
+        return self._store.purge()
+
+    def stats(self) -> Dict[str, object]:
+        """Store-wide statistics; entries and bytes come from a fresh
+        scan, so they include other processes' writes."""
+        found = self._store.scan()
+        counts = self._store.counters("hits", "hot_hits", "misses",
+                                      "evictions", "corrupt_dropped")
         with self._lock:
-            self._hot.clear()
-            self.evictions_by_shard.clear()
-        # Only the store's own directories: shards and any flat key-named
-        # leftovers.  Foreign directories at the root (the same ones
-        # migration refuses to move) survive a purge too.
-        for name in os.listdir(self.root):
-            if _is_shard_name(name) or _is_key_name(name):
-                shutil.rmtree(os.path.join(self.root, name),
-                              ignore_errors=True)
-        return count
-
-    # -- eviction ------------------------------------------------------------
-
-    def _entry_bytes(self, key: str) -> int:
-        entry = self._entry_dir(key)
-        total = 0
-        try:
-            for name in os.listdir(entry):
-                total += os.path.getsize(os.path.join(entry, name))
-        except OSError:
-            pass
-        return total
-
-    def _evict(self) -> None:
-        if self.max_entries is None and self.max_bytes is None:
-            return
-        with self._evict_lock:
-            keys = self.keys()
-            # Oldest access first (meta.json mtime is refreshed on every
-            # hit).  Ties are broken by key: on filesystems with coarse
-            # (1 s) mtime resolution, entries touched in the same second
-            # would otherwise evict in directory-listing order, which is
-            # not stable across filesystems or runs.
-            def lru_rank(key: str) -> "tuple":
-                try:
-                    stamp = os.path.getmtime(
-                        os.path.join(self._entry_dir(key), self.META_NAME))
-                except OSError:
-                    stamp = 0.0
-                return (stamp, key)
-            keys.sort(key=lru_rank)
-            total_bytes = sum(self._entry_bytes(k) for k in keys) \
-                if self.max_bytes is not None else 0
-            while keys:
-                over_entries = (self.max_entries is not None
-                                and len(keys) > self.max_entries)
-                over_bytes = (self.max_bytes is not None
-                              and total_bytes > self.max_bytes)
-                if not over_entries and not over_bytes:
-                    break
-                victim = keys.pop(0)
-                if self.max_bytes is not None:
-                    total_bytes -= self._entry_bytes(victim)
-                self._drop_entry(victim)
-                shard = self._shard_of(victim)
-                with self._lock:
-                    self.evictions += 1
-                    self.evictions_by_shard[shard] = \
-                        self.evictions_by_shard.get(shard, 0) + 1
-
-    def shard_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-shard accounting: entry/byte counts, LRU age, evictions.
-
-        One dict per populated shard (plus any shard that has seen an
-        eviction), keyed by the two-hex-character shard name:
-        ``entries`` and ``bytes`` size the shard, ``evictions`` counts
-        LRU victims taken from it over this instance's lifetime,
-        ``lru_age_s`` is the age of its least-recently-used entry (how
-        close the shard's coldest kernel is to eviction on a bounded
-        store), and ``lru_key`` names that entry.  LRU order matches
-        :meth:`_evict`: oldest mtime first, same-second ties broken by
-        key, so the reported victim candidate is deterministic even on
-        filesystems with 1 s mtime resolution.
-        """
-        now = time.time()
-        with self._lock:
-            evictions_by_shard = dict(self.evictions_by_shard)
-        shards: Dict[str, Dict[str, object]] = {}
-        for shard in self._shard_names():
-            keys = self._shard_keys(shard)
-            if not keys:
-                continue
-            oldest: Optional[Tuple[float, str]] = None
-            for key in sorted(keys):
-                try:
-                    mtime = os.path.getmtime(os.path.join(
-                        self._entry_dir(key), self.META_NAME))
-                except OSError:
-                    continue
-                if oldest is None or (mtime, key) < oldest:
-                    oldest = (mtime, key)
-            shards[shard] = {
-                "entries": len(keys),
-                "bytes": sum(self._entry_bytes(k) for k in keys),
-                "evictions": evictions_by_shard.get(shard, 0),
-                "lru_age_s": (max(0.0, now - oldest[0])
-                              if oldest is not None else 0.0),
-                "lru_key": oldest[1] if oldest is not None else "",
-            }
-        for shard, count in evictions_by_shard.items():
-            shards.setdefault(shard, {"entries": 0, "bytes": 0,
-                                      "evictions": count,
-                                      "lru_age_s": 0.0,
-                                      "lru_key": ""})
-        return shards
-
-    def stats(self, shard_stats: Optional[Dict[str, Dict[str, object]]]
-              = None) -> Dict[str, object]:
-        """Store-wide statistics.  ``shard_stats`` (a
-        :meth:`shard_stats` result) lets a caller that already paid the
-        disk scan (e.g. ``GET /stats``) reuse it instead of walking the
-        store a second time; entries/bytes/shard counts are derived from
-        it either way, so one scan serves both views.  No disk I/O
-        happens while the hot-layer lock is held."""
-        shards = shard_stats if shard_stats is not None \
-            else self.shard_stats()
-        entries = sum(int(doc["entries"]) for doc in shards.values())
-        total = sum(int(doc["bytes"]) for doc in shards.values())
-        populated = sum(1 for doc in shards.values() if doc["entries"])
-        with self._lock:
-            return {
-                "backend": "disk",
-                "root": self.root,
-                "entries": entries,
-                "bytes": total,
-                "shards": populated,
-                "hot_entries": len(self._hot),
-                "hot_hits": self.hot_hits,
-                "disk_hits": self.disk_hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "migrated": self.migrated,
-                "corrupt_dropped": self.corrupt_dropped,
-                "journal_writes": self.journal_writes,
-            }
+            journal_writes = self.journal_writes
+        return {
+            "backend": "disk",
+            "root": self.root,
+            "entries": len(found),
+            "bytes": sum(size for _, _, size in found),
+            "hot_hits": counts["hot_hits"],
+            "disk_hits": counts["hits"] - counts["hot_hits"],
+            "misses": counts["misses"],
+            "evictions": counts["evictions"],
+            "corrupt_dropped": counts["corrupt_dropped"],
+            "journal_writes": journal_writes,
+        }
 
 
 def _schema_version() -> int:

@@ -1,9 +1,10 @@
 """AST lint: shared-counter mutations must hold the owning lock.
 
-``ServiceStats``, ``PhaseCache`` and ``ShardedStore`` (the record store
-behind the tuning DB, the fix bank and the persistent phase cache) are
-mutated concurrently by the threaded service, and the analysis gate's
-process-wide ``_STATS`` dict by every verifying thread.  Each owns a
+``ServiceStats``, ``PhaseCache``, ``ShardedStore`` (the record store
+behind the kernel store, the tuning DB, the fix bank and the persistent
+phase cache) and the two kernel stores are mutated concurrently by the
+threaded service, and the analysis gate's process-wide ``_STATS`` dict
+by every verifying thread.  Each owns a
 lock; this lint parses the source and asserts every attribute (or
 ``_STATS[...]``) mutation outside ``__init__`` is lexically inside a
 ``with <lock>:`` block, so an unguarded ``self.hits += 1`` cannot slip
@@ -24,6 +25,8 @@ LOCKED_CLASSES = [
     ("service/service.py", "ServiceStats"),
     ("pipeline/cache.py", "PhaseCache"),
     ("ioutil.py", "ShardedStore"),
+    ("service/store.py", "MemoryKernelStore"),
+    ("service/store.py", "DiskKernelStore"),
 ]
 
 

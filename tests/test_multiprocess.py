@@ -12,8 +12,8 @@ shape as ``python -m repro.service serve --workers N``:
   process reaps the dead holder's lease (same-host pid liveness, no ttl
   wait) and completes; a partially committed artifact is never served.
 * **torture** -- concurrent processes put/get/delete the same shards of a
-  bounded store; no torn JSON, every surviving entry loads, shard
-  accounting stays consistent.
+  bounded store; no torn record, every surviving entry loads, and the
+  entry bound still holds afterwards.
 * **pool**    -- a SIGKILLed worker is replaced automatically; the CLI
   ``serve --workers 2`` drains cleanly on SIGTERM.
 """
@@ -229,16 +229,16 @@ class TestChaos:
         assert service.leases.holder("ab" * 32) is not None
 
     def test_partial_artifact_is_never_served(self, tmp_path):
-        """An entry dir without meta.json (writer crashed pre-commit) is
-        a miss, and the next generation commits a complete entry."""
+        """A staged record a writer crashed before committing is a miss,
+        and the next generation commits a complete entry."""
         root = str(tmp_path / "cache")
         service = _make_service(root)
         request = make_request(SPEC)
         key = service.request_key(request)
-        entry = os.path.join(root, key[:2], key)
-        os.makedirs(entry)
-        with open(os.path.join(entry, "kernel.c"), "w") as handle:
-            handle.write("/* torn: committed without meta.json */")
+        record = service.store._store.path(key)
+        os.makedirs(os.path.dirname(record))
+        with open(f"{record}.tmp-1-1", "w") as handle:
+            handle.write('{"key": "torn"}\n/* torn: never committed */')
 
         assert service.store.get(key) is None
         response = service.generate(request)
@@ -295,8 +295,8 @@ class TestMultiWriterTorture:
     def test_concurrent_writers_keep_the_store_consistent(
             self, tmp_path, one_result):
         """4 processes put/get/delete/evict the same two shards; the
-        store must come out scan-clean: every meta.json parses, every
-        entry loads, shard accounting matches the key listing."""
+        store must come out scan-clean: every record's metadata parses,
+        every entry loads, and the entry bound still holds."""
         root = str(tmp_path / "cache")
         # 12 keys packed into two shards, so eviction and commit traffic
         # collide on the same directories constantly.
@@ -319,24 +319,14 @@ class TestMultiWriterTorture:
         survivors = store.keys()
         assert set(survivors) <= set(keys)
         for key in survivors:
-            meta_path = os.path.join(root, key[:2], key, "meta.json")
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)      # no torn JSON
+            with open(store._store.path(key), "rb") as handle:
+                meta = json.loads(handle.readline())   # no torn JSON
             assert meta["key"] == key
+            assert store.metadata(key)["key"] == key
             loaded = store.get(key)
             assert loaded is not None
             assert loaded.c_code == one_result.c_code
-        assert store.corrupt_dropped == 0
-
-        shards = store.shard_stats()
-        assert sum(doc["entries"] for doc in shards.values()) \
-            == len(survivors)
-        for shard, doc in shards.items():
-            listed = [k for k in survivors if k[:2] == shard]
-            assert doc["entries"] == len(listed)
-            if listed:
-                assert doc["bytes"] > 0
-                assert doc["lru_key"] in listed
+        assert store.stats()["corrupt_dropped"] == 0
 
         # LRU accounting still enforces the bound going forward.
         bounded = DiskKernelStore(root=root, max_entries=4)

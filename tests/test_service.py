@@ -35,6 +35,15 @@ def _result_for(spec="potrf:4", options=None):
         request.program, nominal_flops=request.nominal_flops)
 
 
+def _rewrite_record(store, key, meta=None, payload=None):
+    """Replace the metadata line and/or the payload of ``key``'s record."""
+    path = store._store.path(key)
+    with open(path, "rb") as handle:
+        old_meta, _, old_payload = handle.read().partition(b"\n")
+    with open(path, "wb") as handle:
+        handle.write((meta or old_meta) + b"\n" + (payload or old_payload))
+
+
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
@@ -132,25 +141,28 @@ class TestDiskStore:
                            atol=1e-7)
 
     def test_corrupted_payload_recovers_as_miss(self, tmp_path):
-        store = DiskKernelStore(root=str(tmp_path))
+        store = DiskKernelStore(root=str(tmp_path), hot_capacity=0)
         key = "b" * 64
         store.put(key, _result_for("potrf:4"))
-        store._hot.clear()  # force the disk path
-        payload = os.path.join(store._entry_dir(key), "payload.pkl")
-        with open(payload, "wb") as handle:
-            handle.write(b"\x80\x04 this is not a pickle")
+        _rewrite_record(store, key, payload=b"\x80\x04 this is not a pickle")
         assert store.get(key) is None
-        assert store.corrupt_dropped == 1
+        assert store.stats()["corrupt_dropped"] == 1
         assert key not in store.keys()  # quarantined
 
+    def test_foreign_pickle_is_quarantined(self, tmp_path):
+        store = DiskKernelStore(root=str(tmp_path), hot_capacity=0)
+        key = "a" * 64
+        store.put(key, _result_for("potrf:4"))
+        _rewrite_record(store, key, payload=pickle.dumps({"c_code": "x"}))
+        assert store.get(key) is None
+        assert store.stats()["corrupt_dropped"] == 1
+        assert key not in store.keys()
+
     def test_corrupted_meta_recovers_as_miss(self, tmp_path):
-        store = DiskKernelStore(root=str(tmp_path))
+        store = DiskKernelStore(root=str(tmp_path), hot_capacity=0)
         key = "c" * 64
         store.put(key, _result_for("potrf:4"))
-        store._hot.clear()
-        meta = os.path.join(store._entry_dir(key), "meta.json")
-        with open(meta, "w", encoding="utf-8") as handle:
-            handle.write("{truncated")
+        _rewrite_record(store, key, meta=b"{truncated")
         assert store.get(key) is None
         assert key not in store.keys()
 
@@ -164,13 +176,12 @@ class TestDiskStore:
             store.put(key, result)
             # mtime resolution can be coarse; force a distinct access order
             # (in the past, so the entry being written stays newest).
-            meta = os.path.join(store._entry_dir(key), "meta.json")
-            os.utime(meta, (base + i, base + i))
+            os.utime(store._store.path(key), (base + i, base + i))
         remaining = store.keys()
         assert len(remaining) <= 3
         assert keys[-1] in remaining       # newest survives
         assert keys[0] not in remaining    # oldest evicted
-        assert store.evictions >= 2
+        assert store.stats()["evictions"] >= 2
 
     def test_max_bytes_eviction(self, tmp_path):
         store = DiskKernelStore(root=str(tmp_path), max_bytes=1,
@@ -190,9 +201,6 @@ class TestDiskStore:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
-        # kernel.c is greppable on disk
-        code_path = os.path.join(store._entry_dir("f" * 64), "kernel.c")
-        assert "void" in open(code_path).read()
 
     def test_purge(self, tmp_path):
         store = DiskKernelStore(root=str(tmp_path))
@@ -306,7 +314,8 @@ class TestKernelService:
         second = generator.generate(case.program,
                                     nominal_flops=case.nominal_flops)
         assert second.c_code == first.c_code
-        assert store.hot_hits + store.disk_hits >= 1
+        stats = store.stats()
+        assert stats["hot_hits"] + stats["disk_hits"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +629,7 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# Sharded disk store: migration, per-shard accounting
+# Sharded disk store: one record file per kernel
 # ---------------------------------------------------------------------------
 
 
@@ -630,93 +639,64 @@ class TestShardedStore:
         result = _result_for("potrf:4")
         key = "ab" + "0" * 62
         store.put(key, result)
-        assert os.path.isdir(tmp_path / "ab" / key)
+        assert os.path.isfile(tmp_path / "ab" / (key + ".kernel"))
         assert store.get(key) is not None
-
-    def test_flat_store_migrates_transparently(self, tmp_path):
-        # Write entries through a sharded store, then flatten them to the
-        # legacy layout by hand and re-open: the constructor must migrate.
-        store = DiskKernelStore(root=str(tmp_path))
-        result = _result_for("potrf:4")
-        keys = ["aa" + "1" * 62, "bb" + "2" * 62]
-        for key in keys:
-            store.put(key, result)
-        import shutil
-        for key in keys:
-            shutil.move(str(tmp_path / key[:2] / key), str(tmp_path / key))
-            shutil.rmtree(str(tmp_path / key[:2]))
-        assert sorted(os.listdir(tmp_path)) == sorted(keys)
-
-        reopened = DiskKernelStore(root=str(tmp_path))
-        assert reopened.migrated == 2
-        assert sorted(reopened.keys()) == sorted(keys)
-        for key in keys:
-            assert not os.path.exists(tmp_path / key)
-            assert os.path.isdir(tmp_path / key[:2] / key)
-            loaded = reopened.get(key)
-            assert loaded is not None
-            assert loaded.c_code == result.c_code
-        assert reopened.stats()["migrated"] == 2
-
-    def test_migration_leaves_non_key_directories_alone(self, tmp_path):
-        # Only directories named by a full 64-hex key are flat entries;
-        # a user's backup dir must stay visible at the root, not be
-        # relocated somewhere the sharded lookups never list.
-        backup = tmp_path / "OLD_potrf"
-        backup.mkdir()
-        (backup / "meta.json").write_text("{}")
-        store = DiskKernelStore(root=str(tmp_path))
-        assert store.migrated == 0
-        assert backup.is_dir()
-        assert not (tmp_path / "OL").exists()
 
     def test_purge_spares_non_key_directories(self, tmp_path):
         foreign = tmp_path / "OLD_potrf"
         foreign.mkdir()
         (foreign / "meta.json").write_text("{}")
         store = DiskKernelStore(root=str(tmp_path))
-        store.put("ab" + "0" * 62, _result_for("potrf:4"))
+        key = "ab" + "0" * 62
+        store.put(key, _result_for("potrf:4"))
         assert store.purge() == 1
         assert store.keys() == []
-        assert not (tmp_path / "ab").exists()
-        assert foreign.is_dir()         # same contract as migration
+        assert not (tmp_path / "ab" / (key + ".kernel")).exists()
+        assert foreign.is_dir()
 
     def test_migration_ignores_uncommitted_debris(self, tmp_path):
         debris = tmp_path / ("cc" + "3" * 62)
         debris.mkdir()
         (debris / "payload.pkl").write_bytes(b"torn write, no meta")
         store = DiskKernelStore(root=str(tmp_path))
-        assert store.migrated == 0
         assert store.keys() == []
         assert debris.exists()          # left in place, never listed
+
+    def test_old_layout_entries_read_as_misses(self, tmp_path):
+        # A directory-per-entry root from before the one-file records:
+        # the entry is skipped by the scans, misses, regenerates next to
+        # the old directory and survives a purge for the operator to
+        # delete.
+        key = "ab" + "5" * 62
+        old = tmp_path / "ab" / key
+        old.mkdir(parents=True)
+        (old / "meta.json").write_text(json.dumps({"key": key}))
+        (old / "payload.pkl").write_bytes(
+            pickle.dumps(_result_for("potrf:4")))
+        store = DiskKernelStore(root=str(tmp_path))
+        assert store.keys() == []
+        assert store.get(key) is None
+        assert store.metadata(key) is None
+        store.put(key, _result_for("potrf:4"))
+        assert store.keys() == [key]
+        assert store.get(key) is not None
+        assert store.purge() == 1
+        assert old.is_dir()
+        assert store.stats()["corrupt_dropped"] == 0
 
     def test_corrupt_entry_recovers_under_sharded_layout(self, tmp_path):
         store = DiskKernelStore(root=str(tmp_path), hot_capacity=0)
         result = _result_for("potrf:4")
         key = "dd" + "4" * 62
         store.put(key, result)
-        payload = tmp_path / "dd" / key / "payload.pkl"
-        payload.write_bytes(b"\x80corrupt")
+        record = tmp_path / "dd" / (key + ".kernel")
+        record.write_bytes(b"\x80corrupt")
         assert store.get(key) is None
-        assert store.corrupt_dropped == 1
-        assert not (tmp_path / "dd" / key).exists()   # quarantined
+        assert store.stats()["corrupt_dropped"] == 1
+        assert not record.exists()                    # quarantined
         # The shard directory itself survives for its siblings.
         store.put(key, result)
         assert store.get(key) is not None
-
-    def test_shard_stats_accounting(self, tmp_path):
-        store = DiskKernelStore(root=str(tmp_path))
-        result = _result_for("potrf:4")
-        store.put("ee" + "5" * 62, result)
-        store.put("ee" + "6" * 62, result)
-        store.put("ff" + "7" * 62, result)
-        shards = store.shard_stats()
-        assert set(shards) == {"ee", "ff"}
-        assert shards["ee"]["entries"] == 2
-        assert shards["ff"]["entries"] == 1
-        assert shards["ee"]["bytes"] > 0
-        assert shards["ee"]["lru_age_s"] >= 0.0
-        assert store.stats()["shards"] == 2
 
     def test_eviction_order_is_stable_under_frozen_mtimes(self, tmp_path):
         # On coarse-mtime filesystems (1 s resolution) same-second
@@ -730,29 +710,12 @@ class TestShardedStore:
             store.put(key, result)
         frozen = 1_700_000_000
         for key in keys:
-            meta = os.path.join(store._entry_dir(key),
-                                DiskKernelStore.META_NAME)
-            os.utime(meta, (frozen, frozen))
-        store.max_entries = 2
-        store._evict()
-        # the lexicographically smallest key is the deterministic victim
-        assert sorted(store.keys()) == sorted(keys[0:1] + keys[2:3])
-        assert store.evictions_by_shard == {"aa": 1}
-        # shard_stats reports the same deterministic LRU candidate
-        stats = store.shard_stats()
-        assert stats["bb"]["lru_key"] == keys[2]
-        assert stats["cc"]["lru_key"] == keys[0]
-
-    def test_eviction_is_accounted_per_shard(self, tmp_path):
-        store = DiskKernelStore(root=str(tmp_path), max_entries=2,
-                                hot_capacity=0)
-        result = _result_for("potrf:4")
-        old = "aa" + "8" * 62
-        store.put(old, result)
-        time.sleep(0.05)                # age the first entry's LRU clock
-        store.put("bb" + "9" * 62, result)
-        store.put("cc" + "a" * 62, result)
-        assert store.evictions == 1
-        assert store.evictions_by_shard == {"aa": 1}
-        assert old not in store.keys()
-        assert store.shard_stats()["aa"]["evictions"] == 1
+            os.utime(store._store.path(key), (frozen, frozen))
+        bounded = DiskKernelStore(root=str(tmp_path), max_entries=2,
+                                  hot_capacity=0)
+        newest = "ee" + "5" * 62
+        bounded.put(newest, result)
+        # the two lexicographically smallest keys are the deterministic
+        # victims, in key order
+        assert bounded.keys() == [keys[0], newest]
+        assert bounded.stats()["evictions"] == 2
