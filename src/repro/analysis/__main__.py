@@ -34,8 +34,9 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json
-from ..errors import AnalysisError, ReproError
+from .. import cli
+from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, print_json
+from ..errors import AnalysisError
 from ..ir.program import Program
 from ..slingen.options import Options
 from .diagnostics import AnalysisReport
@@ -61,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("check", "verify targets; exit 1 on any error diagnostic"),
             ("lint", "verify targets and also report warnings")):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=_run)
         cmd.add_argument("targets", nargs="*", metavar="TARGET",
                          help="registry spec/name, .la source, fuzz-case "
                               "JSON, or analysis fixture JSON (default: "
@@ -138,27 +140,25 @@ def _target_reports(text: str, consts: Dict[str, int]
         return [(text, "corpus",
                  _verify_generated(case.program.parse(), case.options,
                                    None, text))]
+    return _registry_reports([text])
+
+
+def _registry_reports(specs: Optional[List[str]]
+                      ) -> List[Tuple[str, str, AnalysisReport]]:
+    """Registry rows for ``specs`` (None: every registered workload)."""
     from ..service.registry import sweep_requests
-    rows: List[Tuple[str, str, AnalysisReport]] = []
-    for request in sweep_requests([text], options=_sweep_options()):
-        rows.append((request.label or text, "registry",
-                     _verify_generated(request.program, _sweep_options(),
-                                       request.nominal_flops,
-                                       request.label or text)))
-    return rows
+
+    options = _sweep_options()
+    return [(request.label or "?", "registry",
+             _verify_generated(request.program, options,
+                               request.nominal_flops, request.label or "?"))
+            for request in sweep_requests(specs, options=options)]
 
 
 def _default_sweep() -> List[Tuple[str, str, AnalysisReport]]:
     from ..fuzz.corpus import DEFAULT_CORPUS_DIR, load_corpus
-    from ..service.registry import sweep_requests
 
-    rows: List[Tuple[str, str, AnalysisReport]] = []
-    options = _sweep_options()
-    for request in sweep_requests(options=options):
-        rows.append((request.label or "?", "registry",
-                     _verify_generated(request.program, options,
-                                       request.nominal_flops,
-                                       request.label or "?")))
+    rows = _registry_reports(None)
     if os.path.isdir(DEFAULT_CORPUS_DIR):
         for entry in load_corpus():
             rows.append((entry.entry_id, "corpus",
@@ -219,11 +219,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        return _run(args)
-    except ReproError as exc:
-        return fail(exc)
+    return cli.run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-import numpy as np
-
-from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json
+from .. import cli
+from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, print_json
 from ..errors import ReproError
+from ..fuzz.oracle import max_deviation
 from ..slingen.generator import SLinGen
 from ..slingen.options import Options
 from . import EXECUTORS, make_executor, resolve_backends
@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cross = sub.add_parser(
         "crosscheck",
         help="run workloads on every backend and assert agreement")
+    cross.set_defaults(handler=_cmd_crosscheck)
     cross.add_argument("specs", nargs="+", metavar="SPEC",
                        help="workloads to check, e.g. potrf:4 gemm:8 kf:4x4")
     cross.add_argument("--backends", default="auto",
@@ -71,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(cross)
 
     emit = sub.add_parser("emit", help="print a generated artifact")
+    emit.set_defaults(handler=_cmd_emit)
     emit.add_argument("spec", metavar="SPEC")
     emit.add_argument("--format", default="numpy",
                       choices=("c", "numpy", "numpy-vectorized"))
@@ -100,14 +102,6 @@ def _generate(spec_text: str, scalar: bool):
     return case, result
 
 
-def _max_deviation(a: Dict[str, np.ndarray],
-                   b: Dict[str, np.ndarray]) -> float:
-    worst = 0.0
-    for name in a:
-        worst = max(worst, float(np.max(np.abs(a[name] - b[name]))))
-    return worst
-
-
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
@@ -130,8 +124,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
                        for backend in backends}
             for i, first in enumerate(backends):
                 for second in backends[i + 1:]:
-                    deviation = _max_deviation(outputs[first],
-                                               outputs[second])
+                    deviation = max_deviation(outputs[first],
+                                              outputs[second])
                     if deviation > worst:
                         worst = deviation
                         worst_pair = f"{first} vs {second}"
@@ -181,15 +175,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(args)
-        if args.command == "emit":
-            return _cmd_emit(args)
-    except ReproError as exc:
-        return fail(exc)
-    return EXIT_OK  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json,
+from .. import cli
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, print_json,
                    purge_records)
-from ..errors import ReproError
 from ..slingen.options import Options
 from .fixbank import FixBank, default_fixbank_dir, fixbank_key
 from .loop import optimize_program
@@ -54,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser(
         "optimize", help="run the CEGIS loop on workloads and bank what "
                          "survives")
+    optimize.set_defaults(handler=_cmd_optimize)
     optimize.add_argument("specs", nargs="+", metavar="SPEC",
                           help="workloads to verify, e.g. potrf:8 kf:8x4")
     optimize.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -67,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "schema, see REPORT_SCHEMA_VERSION)")
 
     report = sub.add_parser("report", help="show fix records")
+    report.set_defaults(handler=_cmd_report)
     report.add_argument("specs", nargs="*", metavar="SPEC",
                         help="workloads to report (default: every record)")
     report.add_argument("--scalar", action="store_true",
@@ -76,11 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay", help="re-run every banked counterexample against its "
                        "refuted rewrite")
+    replay.set_defaults(handler=_cmd_replay)
     replay.add_argument("specs", nargs="+", metavar="SPEC")
     replay.add_argument("--scalar", action="store_true")
     add_json_flag(replay)
 
     purge = sub.add_parser("purge", help="drop every fix record")
+    purge.set_defaults(
+        handler=lambda bank, args: purge_records(bank, "fix record", args))
     purge.add_argument("--yes", action="store_true",
                        help="do not ask for confirmation")
     add_json_flag(purge)
@@ -151,43 +156,10 @@ def _cmd_optimize(bank: FixBank, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(bank: FixBank, args: argparse.Namespace) -> int:
-    found: List[tuple] = []          # (spec-or-None, record)
-    missing: List[str] = []
-    if args.specs:
-        from ..service.registry import build_case, parse_spec
-        for text in args.specs:
-            case = build_case(parse_spec(text))
-            record = bank.get(fixbank_key(case.program,
-                                          vectorize=not args.scalar))
-            if record is None:
-                missing.append(text)
-            else:
-                found.append((text, record))
-    else:
-        found = [(None, record)
-                 for record in sorted(bank.records(), key=lambda r: r.label)]
-
-    if args.as_json:
-        print_json({
-            "schema": REPORT_SCHEMA_VERSION,
-            "bank_root": bank.root,
-            "requested": list(args.specs) or None,
-            "missing": missing,
-            "records": [_record_json(record, spec)
-                        for spec, record in found],
-        })
-        return EXIT_FAILURE if missing else EXIT_OK
-
-    for text in missing:
-        print(f"{text}: no fix record")
-    for _, record in found:
-        print(_record_line(record))
-    if not args.specs:
-        if not found:
-            print("fix bank is empty")
-        else:
-            print(f"{len(found)} record(s) in {bank.root}")
-    return EXIT_FAILURE if missing else EXIT_OK
+    return cli.report_records(
+        bank, args, noun="fix record", store_name="fix bank",
+        root_key="bank_root", schema=REPORT_SCHEMA_VERSION, key=fixbank_key,
+        to_json=_record_json, line=_record_line)
 
 
 def _cmd_replay(bank: FixBank, args: argparse.Namespace) -> int:
@@ -262,20 +234,8 @@ def _cmd_replay(bank: FixBank, args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        bank = FixBank(root=args.bank)
-        if args.command == "optimize":
-            return _cmd_optimize(bank, args)
-        if args.command == "report":
-            return _cmd_report(bank, args)
-        if args.command == "replay":
-            return _cmd_replay(bank, args)
-        if args.command == "purge":
-            return purge_records(bank, "fix record", args)
-    except ReproError as exc:
-        return fail(exc)
-    return EXIT_OK  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv,
+                   setup=lambda args: FixBank(root=args.bank))
 
 
 if __name__ == "__main__":

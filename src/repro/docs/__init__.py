@@ -26,9 +26,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import glob
+import importlib
 import os
 import re
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+from ..errors import ReproError
 
 #: Terminal width the reference is rendered at (argparse wraps to it).
 RENDER_COLUMNS = "80"
@@ -63,31 +66,14 @@ HEADER = (
     "unknown workload/backend).  Every subcommand accepts `--json`:\n"
     "report-style commands take it as a bare flag replacing the table on\n"
     "stdout; the long-running `fuzz run` and `perf run` take\n"
-    "`--json FILE` (`-` = stdout) and write their summary at the end.\n")
+    "`--json FILE` and write their summary at the end.  With `--json -`\n"
+    "the summary is all of stdout: their human-readable output then goes\n"
+    "to stderr.\n")
 
 
-def _parser_factories() -> "List[Tuple[str, Callable[[], argparse.ArgumentParser]]]":
-    """Every documented entry point, in presentation order."""
-    from ..analysis.__main__ import _build_parser as analysis_parser
-    from ..backend.__main__ import _build_parser as backend_parser
-    from ..cegis.__main__ import _build_parser as cegis_parser
-    from ..fuzz.__main__ import _build_parser as fuzz_parser
-    from ..perf.__main__ import _build_parser as perf_parser
-    from ..pipeline.__main__ import _build_parser as pipeline_parser
-    from ..service.__main__ import _build_parser as service_parser
-    from ..tuning.__main__ import _build_parser as tuning_parser
-    from .__main__ import _build_parser as docs_parser
-    return [
-        ("python -m repro.service", service_parser),
-        ("python -m repro.pipeline", pipeline_parser),
-        ("python -m repro.analysis", analysis_parser),
-        ("python -m repro.tuning", tuning_parser),
-        ("python -m repro.cegis", cegis_parser),
-        ("python -m repro.backend", backend_parser),
-        ("python -m repro.fuzz", fuzz_parser),
-        ("python -m repro.perf", perf_parser),
-        ("python -m repro.docs", docs_parser),
-    ]
+#: The ``python -m repro.<tool>`` entry points, in presentation order.
+_TOOLS = ("service", "pipeline", "analysis", "tuning", "cegis", "backend",
+          "fuzz", "perf", "docs")
 
 
 @contextlib.contextmanager
@@ -121,8 +107,10 @@ def render_cli_reference() -> str:
     """The full, deterministic contents of ``docs/cli.md``."""
     with _stable_render_env():
         parts = [HEADER]
-        for prog, factory in _parser_factories():
-            parser = factory()
+        for tool in _TOOLS:
+            prog = f"python -m repro.{tool}"
+            parser = importlib.import_module(
+                f"repro.{tool}.__main__")._build_parser()
             parts.append(_block(prog, parser.format_help(), level=2))
             for name, sub in _subparsers(parser).items():
                 parts.append(_block(f"{prog} {name}", sub.format_help(),
@@ -171,14 +159,18 @@ def check_links(paths: Sequence[str],
     ``repo_root``; anything with a URL scheme, a bare ``#anchor``, or a
     target escaping the repository is out of scope.  A backticked
     ``results/...`` path is checked against ``repo_root`` whatever file
-    cites it.
+    cites it.  An unreadable file in ``paths`` raises
+    :class:`~repro.errors.ReproError`.
     """
     repo_root = os.path.abspath(repo_root)
     broken: List[Tuple[str, str]] = []
     for path in paths:
         base = os.path.dirname(os.path.abspath(path))
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ReproError(f"cannot read {path}: {exc}") from exc
         for match in _LINK_RE.finditer(text):
             target = match.group(1)
             if _EXTERNAL_RE.match(target) or target.startswith("#"):

@@ -24,6 +24,7 @@ import os
 import sys
 from typing import List, Optional
 
+from .. import cli
 from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, print_json
 from . import check_links, default_doc_paths, render_cli_reference
 
@@ -40,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ref = sub.add_parser("cli-ref",
                          help="write (or verify) the generated CLI "
                               "reference")
+    ref.set_defaults(handler=_cmd_cli_ref)
     ref.add_argument("--output", default=DEFAULT_OUTPUT, metavar="FILE",
                      help=f"target file (default: {DEFAULT_OUTPUT})")
     ref.add_argument("--check", action="store_true",
@@ -50,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     links = sub.add_parser("linkcheck",
                            help="verify relative links and cited results/ "
                                 "files in Markdown files")
+    links.set_defaults(handler=_cmd_linkcheck)
     links.add_argument("paths", nargs="*", metavar="FILE",
                        help="Markdown files to check (default: README.md, "
                             "CHANGES.md and docs/*.md under the current "
@@ -115,12 +118,7 @@ def _cmd_linkcheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "cli-ref":
-        return _cmd_cli_ref(args)
-    if args.command == "linkcheck":
-        return _cmd_linkcheck(args)
-    return 0  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json
+from .. import cli
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, human_output,
+                   print_json, write_json_file)
 from ..errors import ReproError
 from . import corpus as corpus_mod
 from .generate import sample_case
@@ -63,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="fuzz N random cases; shrink and report failures")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--budget", type=int, default=100, metavar="N",
                      help="number of random cases to run (default 100)")
     run.add_argument("--seed", type=int, default=0,
@@ -105,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay", help="re-run saved repros; every entry must pass")
+    replay.set_defaults(handler=_cmd_replay)
     replay.add_argument("paths", nargs="*", metavar="FILE",
                         help="repro files (default: the committed corpus)")
     replay.add_argument("--corpus", default=corpus_mod.DEFAULT_CORPUS_DIR,
@@ -118,6 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(replay)
 
     listing = sub.add_parser("corpus", help="list the committed corpus")
+    listing.set_defaults(handler=_cmd_corpus)
     listing.add_argument("--corpus", default=corpus_mod.DEFAULT_CORPUS_DIR,
                          metavar="DIR",
                          help="corpus directory "
@@ -150,74 +155,63 @@ def _verify_case(case, args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     counts = {"ok": 0, "reject": 0, "crash": 0, "divergence": 0}
-    failures = 0
     failure_docs = []
     applied: dict = {}
     reference = not args.no_reference
-    for index in range(args.budget):
-        seed = args.seed + index
-        case = sample_case(seed, max_statements=args.max_statements,
-                           max_size=args.max_size)
-        if args.verified:
-            case, accepted = _verify_case(case, args)
-            for rewrite_id in accepted:
-                applied[rewrite_id] = applied.get(rewrite_id, 0) + 1
-        result = run_case(case, backends=args.backends, tol=args.tol,
-                          reference=reference, ref_tol=args.ref_tol)
-        counts[result.status] += 1
-        if result.failed:
-            failure_docs.append({"seed": seed, "status": result.status,
-                                 "stage": result.stage,
-                                 "describe": result.describe()})
-        if args.verbose or result.failed:
-            print(f"seed {seed:8d}  {result.describe()}")
-        if not result.failed:
-            continue
-        failures += 1
-        if not args.no_shrink:
-            shrunk = shrink_case(case, result, backends=args.backends,
-                                 tol=args.tol, reference=reference,
-                                 ref_tol=args.ref_tol,
-                                 budget=args.shrink_budget)
-            case, result = shrunk.case, shrunk.result
-            print(f"  shrunk to {len(case.program.statements)} stmt(s), "
-                  f"{len(case.program.decls)} operand(s) "
-                  f"in {shrunk.attempts} attempts: {result.describe()}")
-        if args.save:
-            path = corpus_mod.save_entry(
-                case, result, note=f"found by run --seed {args.seed} "
-                                   f"(case seed {seed})",
-                directory=args.save)
-            print(f"  saved {path}")
-        else:
-            print("  repro:")
-            for line in case.dumps().rstrip().splitlines():
-                print(f"    {line}")
-    total = args.budget
-    print(f"{total} cases: {counts['ok']} ok, {counts['reject']} rejected, "
-          f"{counts['crash']} crashed, {counts['divergence']} diverged")
-    if args.json_path:
-        import json
-
-        summary = {
-            "schema": RUN_SCHEMA_VERSION,
-            "seed": args.seed,
-            "budget": args.budget,
-            "backends": resolve_backends(args.backends),
-            "verified": bool(args.verified),
-            "counts": dict(counts),
-            "verified_rewrites": dict(sorted(applied.items())),
-            "failures": failure_docs,
-        }
-        text = json.dumps(summary, indent=2, sort_keys=True)
-        if args.json_path == "-":
-            print(text)
-        else:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"summary written to {args.json_path}")
-    if failures:
-        print(f"{failures} unresolved failure(s)", file=sys.stderr)
+    with human_output(args.json_path):
+        for index in range(args.budget):
+            seed = args.seed + index
+            case = sample_case(seed, max_statements=args.max_statements,
+                               max_size=args.max_size)
+            if args.verified:
+                case, accepted = _verify_case(case, args)
+                for rewrite_id in accepted:
+                    applied[rewrite_id] = applied.get(rewrite_id, 0) + 1
+            result = run_case(case, backends=args.backends, tol=args.tol,
+                              reference=reference, ref_tol=args.ref_tol)
+            counts[result.status] += 1
+            if result.failed:
+                failure_docs.append({"seed": seed, "status": result.status,
+                                     "stage": result.stage,
+                                     "describe": result.describe()})
+            if args.verbose or result.failed:
+                print(f"seed {seed:8d}  {result.describe()}")
+            if not result.failed:
+                continue
+            if not args.no_shrink:
+                shrunk = shrink_case(case, result, backends=args.backends,
+                                     tol=args.tol, reference=reference,
+                                     ref_tol=args.ref_tol,
+                                     budget=args.shrink_budget)
+                case, result = shrunk.case, shrunk.result
+                print(f"  shrunk to {len(case.program.statements)} stmt(s), "
+                      f"{len(case.program.decls)} operand(s) "
+                      f"in {shrunk.attempts} attempts: {result.describe()}")
+            if args.save:
+                path = corpus_mod.save_entry(
+                    case, result, note=f"found by run --seed {args.seed} "
+                                       f"(case seed {seed})",
+                    directory=args.save)
+                print(f"  saved {path}")
+            else:
+                print("  repro:")
+                for line in case.dumps().rstrip().splitlines():
+                    print(f"    {line}")
+        print(f"{args.budget} cases: {counts['ok']} ok, "
+              f"{counts['reject']} rejected, {counts['crash']} crashed, "
+              f"{counts['divergence']} diverged")
+    write_json_file(args.json_path, {
+        "schema": RUN_SCHEMA_VERSION,
+        "seed": args.seed,
+        "budget": args.budget,
+        "backends": resolve_backends(args.backends),
+        "verified": bool(args.verified),
+        "counts": dict(counts),
+        "verified_rewrites": dict(sorted(applied.items())),
+        "failures": failure_docs,
+    }, note=f"summary written to {args.json_path}")
+    if failure_docs:
+        print(f"{len(failure_docs)} unresolved failure(s)", file=sys.stderr)
         return 1
     return 0
 
@@ -227,11 +221,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         entries = [corpus_mod.load_entry(path) for path in args.paths]
     else:
         entries = corpus_mod.load_corpus(args.corpus)
-    if not entries:
-        if args.as_json:
-            print_json({"entries": [], "failures": 0})
-        else:
-            print("no corpus entries found")
+    if not entries and not args.as_json:
+        print("no corpus entries found")
         return EXIT_OK
     failures = 0
     docs = []
@@ -285,15 +276,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_corpus(args)
-    except ReproError as exc:
-        return fail(exc)
+    return cli.run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

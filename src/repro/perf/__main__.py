@@ -40,9 +40,9 @@ import json
 import sys
 from typing import List, Optional
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, fail,
-                   print_json)
-from ..errors import ReproError
+from .. import cli
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, human_output,
+                   print_json, write_json_file)
 from .analyze import (DEFAULT_MIN_REL, DEFAULT_NOISE_MULT, gate_records,
                       render_report, trend_report)
 from .environment import environment_fingerprint
@@ -70,12 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the benchmark matrix and "
                                      "append a trajectory run")
+    run.set_defaults(handler=_cmd_run)
     add_matrix_args(run)
     run.add_argument("--repeats", type=int, default=None, metavar="N",
                      help="override every entry's repeat policy")
     run.add_argument("--validate", action="store_true",
                      help="also check each kernel against its case oracle")
-    run.add_argument("--json", default=None, metavar="FILE", dest="json_out",
+    run.add_argument("--json", default=None, metavar="FILE", dest="json_path",
                      help="write the run document as JSON ('-' = stdout)")
     run.add_argument("--no-append", action="store_true",
                      help="do not append the records to the trajectory")
@@ -84,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser("gate", help="judge a run against the "
                                        "trajectory's baselines")
+    gate.set_defaults(handler=_cmd_gate)
     add_matrix_args(gate)
     gate.add_argument("--candidate", default=None, metavar="FILE",
                       help="run document / record list to judge (default: "
@@ -104,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="per-entry trends over the "
                                            "trajectory")
+    report.set_defaults(handler=_cmd_report)
     add_matrix_args(report)
     report.add_argument("--entry", action="append", default=None,
                         metavar="ID",
@@ -115,12 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
     baseline = sub.add_parser("baseline",
                               help="the gate's baseline statistics for "
                                    "this host")
+    baseline.set_defaults(handler=_cmd_baseline)
     add_matrix_args(baseline)
     add_json_flag(baseline, help="emit machine-readable statistics")
 
     migrate = sub.add_parser("migrate-seed",
                              help="append pre-trajectory BENCH_seed.json "
                                   "records to the trajectory")
+    migrate.set_defaults(handler=_cmd_migrate_seed)
     migrate.add_argument("seed", nargs="?", default="BENCH_seed.json",
                          metavar="FILE",
                          help="seed record file (default: %(default)s)")
@@ -138,25 +143,19 @@ def _cmd_run(store: TrajectoryStore, args: argparse.Namespace) -> int:
     manifest = resolve(args.suite, args.manifest)
     run = run_manifest(manifest, repeats=args.repeats,
                        validate=args.validate, commit=args.commit)
-    print(run.format_table())
-    if not args.no_append:
-        appended = store.append(run.records)
-        print(f"appended {appended} record(s) to {store.path}")
-    if args.json_out:
-        doc = json.dumps(run.to_json(), indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(doc)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                handle.write(doc + "\n")
-            print(f"wrote {args.json_out} ({len(run.records)} records, "
-                  f"{len(run.skipped)} skipped)")
-    if args.validate:
-        wrong = [r["entry"] for r in run.records if r["correct"] is False]
+    wrong = [r["entry"] for r in run.records
+             if args.validate and r["correct"] is False]
+    with human_output(args.json_path):
+        print(run.format_table())
+        if not args.no_append:
+            appended = store.append(run.records)
+            print(f"appended {appended} record(s) to {store.path}")
         if wrong:
             print(f"FAIL: incorrect outputs from {', '.join(wrong)}")
-            return EXIT_FAILURE
-    return EXIT_OK
+    write_json_file(args.json_path, run.to_json(),
+                    note=f"wrote {args.json_path} ({len(run.records)} "
+                         f"records, {len(run.skipped)} skipped)")
+    return EXIT_FAILURE if wrong else EXIT_OK
 
 
 def _load_candidate(path: str) -> List[dict]:
@@ -192,8 +191,7 @@ def _cmd_gate(store: TrajectoryStore, args: argparse.Namespace) -> int:
                           min_rel=args.min_rel,
                           noise_mult=args.noise_mult)
     if args.as_json:
-        print(json.dumps(report.to_json(warn_timing=args.warn_timing),
-                         indent=2, sort_keys=True))
+        print_json(report.to_json(warn_timing=args.warn_timing))
     else:
         print(report.format_table())
         if args.warn_timing and report.regressions():
@@ -207,7 +205,7 @@ def _cmd_report(store: TrajectoryStore, args: argparse.Namespace) -> int:
         entries = resolve(args.suite, args.manifest).entry_ids()
     doc = trend_report(store.load(), entries=entries)
     if args.as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print_json(doc)
         return 0
     if not doc["entries"]:
         print(f"trajectory {store.path} has no matching records")
@@ -226,12 +224,12 @@ def _cmd_baseline(store: TrajectoryStore, args: argparse.Namespace) -> int:
     stats = [baseline_for(entry_id, history, env)
              for entry_id in manifest.entry_ids()]
     if args.as_json:
-        print(json.dumps({
+        print_json({
             "schema": 1,
             "suite": manifest.name,
             "env": env,
             "baselines": [s.to_json() for s in stats],
-        }, indent=2, sort_keys=True))
+        })
         return 0
     print(f"[perf baseline:{manifest.name}]  trajectory {store.path}")
     for s in stats:
@@ -263,22 +261,8 @@ def _cmd_migrate_seed(store: TrajectoryStore,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    store = TrajectoryStore(path=args.trajectory)
-    try:
-        if args.command == "run":
-            return _cmd_run(store, args)
-        if args.command == "gate":
-            return _cmd_gate(store, args)
-        if args.command == "report":
-            return _cmd_report(store, args)
-        if args.command == "baseline":
-            return _cmd_baseline(store, args)
-        if args.command == "migrate-seed":
-            return _cmd_migrate_seed(store, args)
-    except ReproError as exc:
-        return fail(exc)
-    return EXIT_OK  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv,
+                   setup=lambda args: TrajectoryStore(path=args.trajectory))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,9 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from ..cli import EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json
+from .. import cli
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_generation_flags,
+                   add_json_flag, generation_options, print_json)
 from ..errors import ReproError
 from ..slingen.options import Options
 from .cache import PersistentPhaseStore, PhaseCache
@@ -62,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="generate workloads cold then warm against one "
                         "phase cache; fail on any warm-pass miss")
+    profile.set_defaults(handler=_cmd_profile)
     profile.add_argument("specs", nargs="*", metavar="SPEC",
                          default=["potrf:8"],
                          help="workloads to profile (default: potrf:8)")
-    profile.add_argument("--scalar", action="store_true",
-                         help="profile scalar (non-vectorized) generation")
-    profile.add_argument("--no-autotune", action="store_true",
-                         help="skip the autotuning search")
-    profile.add_argument("--max-variants", type=int, default=6)
+    add_generation_flags(profile)
     profile.add_argument("--phase-cache", default=None, metavar="DIR",
                          help="persistent artifact layer root (default: "
                               "none -- in-memory only; also "
@@ -78,11 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     axes = sub.add_parser(
         "axes", help="print the phase -> option-axis partition")
+    axes.set_defaults(handler=_cmd_axes)
     add_json_flag(axes)
 
     purge = sub.add_parser(
         "purge", help="empty (or, with --gc, size-bound) the persistent "
                       "phase-cache layer")
+    purge.set_defaults(handler=_cmd_purge)
     purge.add_argument("--phase-cache", default=None, metavar="DIR",
                        help="persistent layer root (default: "
                             "$REPRO_PHASE_CACHE)")
@@ -142,10 +143,7 @@ def _profile_one(spec_text: str, options: Options,
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    options = Options(vectorize=not args.scalar,
-                      autotune=not args.no_autotune,
-                      max_variants=args.max_variants,
-                      annotate_code=False)
+    options = generation_options(args)
     persistent = (PersistentPhaseStore(args.phase_cache)
                   if args.phase_cache else None)
     cache = PhaseCache(persistent=persistent)
@@ -239,15 +237,7 @@ def _cmd_purge(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "purge":
-            return _cmd_purge(args)
-        return _cmd_axes(args)
-    except ReproError as exc:
-        return fail(exc)
+    return cli.run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

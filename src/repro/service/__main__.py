@@ -42,10 +42,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, confirm, fail,
-                   print_json)
+from .. import cli
+from ..cli import (EXIT_FAILURE, EXIT_OK, add_generation_flags,
+                   add_json_flag, generation_options, print_json,
+                   purge_records)
 from ..errors import ReproError
-from ..slingen.options import Options
 from .registry import sweep_requests, workload_names
 from .service import KernelService
 from .store import DiskKernelStore, default_cache_dir
@@ -80,13 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     warm = sub.add_parser("warm", help="generate-and-cache workloads")
+    warm.set_defaults(handler=_cmd_warm)
     warm.add_argument("specs", nargs="*", metavar="SPEC",
                       help="workloads to warm (default: all, default sizes)")
-    warm.add_argument("--scalar", action="store_true",
-                      help="generate scalar (non-vectorized) kernels")
-    warm.add_argument("--no-autotune", action="store_true",
-                      help="skip the autotuning search")
-    warm.add_argument("--max-variants", type=int, default=6)
+    add_generation_flags(warm)
     warm.add_argument("--workers", type=int, default=None,
                       help="worker pool size for misses")
     warm.add_argument("--serial", action="store_true",
@@ -95,10 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="generate (or hit) workloads and "
                                      "execute them on synthesized inputs")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("specs", nargs="+", metavar="SPEC")
-    run.add_argument("--scalar", action="store_true")
-    run.add_argument("--no-autotune", action="store_true")
-    run.add_argument("--max-variants", type=int, default=6)
+    add_generation_flags(run)
     run.add_argument("--backend", default="auto",
                      choices=("auto", "compiled", "numpy", "interpreter"),
                      help="execution backend (default: auto -- compiled "
@@ -109,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="run the HTTP kernel-serving daemon")
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default=None,
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=None,
@@ -141,38 +139,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="look up workloads without "
                                          "generating")
+    query.set_defaults(handler=_cmd_query)
     query.add_argument("specs", nargs="+", metavar="SPEC")
-    query.add_argument("--scalar", action="store_true")
-    query.add_argument("--no-autotune", action="store_true")
-    query.add_argument("--max-variants", type=int, default=6)
+    add_generation_flags(query)
     add_json_flag(query)
 
     ls = sub.add_parser("ls", help="list cached kernels")
+    ls.set_defaults(handler=_cmd_ls)
     add_json_flag(ls)
     stats = sub.add_parser("stats", help="print store statistics")
+    stats.set_defaults(handler=_cmd_stats)
     add_json_flag(stats, help="accepted for consistency (stats is "
                               "always JSON)")
 
     purge = sub.add_parser("purge", help="drop every cached kernel")
+    purge.set_defaults(handler=lambda service, args: purge_records(
+        service.store, "cached kernel", args))
     purge.add_argument("--yes", action="store_true",
                        help="do not ask for confirmation")
     add_json_flag(purge)
 
     workloads = sub.add_parser("workloads",
                                help="list registered workload names")
+    workloads.set_defaults(handler=_cmd_workloads)
     add_json_flag(workloads)
     return parser
 
 
-def _options_from(args: argparse.Namespace) -> Options:
-    return Options(vectorize=not args.scalar,
-                   autotune=not args.no_autotune,
-                   max_variants=args.max_variants,
-                   annotate_code=False)
-
-
 def _cmd_warm(service: KernelService, args: argparse.Namespace) -> int:
-    options = _options_from(args)
+    options = generation_options(args)
     requests = sweep_requests(args.specs or None, options=options)
     responses = service.generate_many(requests, parallel=not args.serial)
     summary = service.stats.snapshot()
@@ -214,7 +209,7 @@ def _cmd_run(service: KernelService, args: argparse.Namespace) -> int:
 
     from ..tuning.measure import synthesize_inputs
 
-    options = _options_from(args)
+    options = generation_options(args)
     failures = 0
     docs = []
     for text in args.specs:
@@ -249,7 +244,7 @@ def _cmd_run(service: KernelService, args: argparse.Namespace) -> int:
 
 
 def _cmd_query(service: KernelService, args: argparse.Namespace) -> int:
-    options = _options_from(args)
+    options = generation_options(args)
     missing = 0
     docs = []
     for text in args.specs:
@@ -274,13 +269,12 @@ def _cmd_query(service: KernelService, args: argparse.Namespace) -> int:
     return EXIT_FAILURE if missing else EXIT_OK
 
 
-def _cmd_serve(service: KernelService, args: argparse.Namespace,
-               make_service) -> int:
+def _cmd_serve(service: KernelService, args: argparse.Namespace) -> int:
     """Run the HTTP daemon until SIGINT/SIGTERM, then shut down cleanly.
 
     ``--workers 1`` (the default) serves in-process; ``--workers N``
     pre-forks a pool of N worker processes sharing one listening socket
-    (each built fresh by ``make_service``, so they share only the
+    (each built fresh by :func:`_make_service`, so they share only the
     on-disk store and its cross-process lease layer).
     """
     import signal
@@ -289,8 +283,7 @@ def _cmd_serve(service: KernelService, args: argparse.Namespace,
     from .server import DEFAULT_HOST, DEFAULT_PORT, KernelServer
 
     if args.workers < 1:
-        return fail(ReproError(f"--workers must be >= 1, "
-                               f"got {args.workers}"))
+        raise ReproError(f"--workers must be >= 1, got {args.workers}")
     host = args.host if args.host is not None else DEFAULT_HOST
     port = args.port if args.port is not None else DEFAULT_PORT
 
@@ -330,7 +323,8 @@ def _cmd_serve(service: KernelService, args: argparse.Namespace,
 
     from .pool import WorkerPool
 
-    pool = WorkerPool(make_service, workers=args.workers, host=host,
+    pool = WorkerPool(lambda: _make_service(args),
+                      workers=args.workers, host=host,
                       port=port, max_inflight=args.max_inflight,
                       quiet=args.quiet, grace_s=args.grace)
     pool.start()
@@ -380,78 +374,48 @@ def _cmd_ls(service: KernelService, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(service: KernelService) -> int:
+def _cmd_stats(service: KernelService, args: argparse.Namespace) -> int:
     print_json(service.store.stats())
     return EXIT_OK
 
 
-def _cmd_purge(service: KernelService, args: argparse.Namespace) -> int:
-    root = getattr(service.store, "root", "<store>")
-    if not confirm(f"purge every cached kernel under {root}?",
-                   assume_yes=args.yes):
-        print("aborted")
-        return EXIT_FAILURE
-    removed = service.store.purge()
+def _cmd_workloads(service: KernelService,
+                   args: argparse.Namespace) -> int:
     if args.as_json:
-        print_json({"purged": removed})
+        print_json({"workloads": workload_names()})
     else:
-        print(f"purged {removed} entries")
+        print("\n".join(workload_names()))
     return EXIT_OK
 
 
+def _make_service(args: argparse.Namespace) -> KernelService:
+    """One fresh service over the shared persistent stores.  The worker
+    pool calls this *inside each forked worker*, so locks, stats, and
+    hot layers are always per-process."""
+    store = DiskKernelStore(root=args.cache_dir)
+    tuning_db = None
+    if args.tuned or args.tuning_db:
+        from ..tuning.db import TuningDB
+        tuning_db = TuningDB(root=args.tuning_db)
+    fix_bank = None
+    if args.verified or args.fixbank:
+        from ..cegis.fixbank import FixBank
+        fix_bank = FixBank(root=args.fixbank)
+    leases = None
+    if args.command == "serve":
+        from .leases import LeaseManager
+        leases = LeaseManager.for_store(
+            store, ttl_s=args.lease_ttl, wait_s=args.lease_wait)
+    return KernelService(
+        store=store,
+        max_workers=getattr(args, "workers", None)
+        if args.command != "serve" else None,
+        tuning_db=tuning_db, fix_bank=fix_bank, leases=leases,
+        analysis=args.analysis)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    def make_service() -> KernelService:
-        """One fresh service over the shared persistent stores.  The
-        worker pool calls this *inside each forked worker*, so locks,
-        stats, and hot layers are always per-process."""
-        store = DiskKernelStore(root=args.cache_dir)
-        tuning_db = None
-        if args.tuned or args.tuning_db:
-            from ..tuning.db import TuningDB
-            tuning_db = TuningDB(root=args.tuning_db)
-        fix_bank = None
-        if args.verified or args.fixbank:
-            from ..cegis.fixbank import FixBank
-            fix_bank = FixBank(root=args.fixbank)
-        leases = None
-        if args.command == "serve":
-            from .leases import LeaseManager
-            leases = LeaseManager.for_store(
-                store, ttl_s=args.lease_ttl, wait_s=args.lease_wait)
-        return KernelService(
-            store=store,
-            max_workers=getattr(args, "workers", None)
-            if args.command != "serve" else None,
-            tuning_db=tuning_db, fix_bank=fix_bank, leases=leases,
-            analysis=args.analysis)
-
-    try:
-        service = make_service()
-        if args.command == "warm":
-            return _cmd_warm(service, args)
-        if args.command == "run":
-            return _cmd_run(service, args)
-        if args.command == "serve":
-            return _cmd_serve(service, args, make_service)
-        if args.command == "query":
-            return _cmd_query(service, args)
-        if args.command == "ls":
-            return _cmd_ls(service, args)
-        if args.command == "stats":
-            return _cmd_stats(service)
-        if args.command == "purge":
-            return _cmd_purge(service, args)
-        if args.command == "workloads":
-            if args.as_json:
-                print_json({"workloads": workload_names()})
-            else:
-                print("\n".join(workload_names()))
-            return EXIT_OK
-    except ReproError as exc:
-        return fail(exc)
-    return EXIT_OK  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv, setup=_make_service)
 
 
 if __name__ == "__main__":

@@ -21,13 +21,12 @@ CI) can assert that a tuning run landed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from ..cli import (EXIT_FAILURE, EXIT_OK, add_json_flag, fail, print_json,
-                   purge_records)
-from ..errors import ReproError
+from .. import cli
+from ..cli import (EXIT_OK, add_json_flag, print_json, purge_records,
+                   write_json_file)
 from ..slingen.options import Options
 from .db import TuningDB, default_tuning_dir, tuning_key
 from .measure import measurer_names
@@ -46,6 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="search variants for workloads and "
                                        "persist the winners")
+    tune.set_defaults(handler=_cmd_tune)
     tune.add_argument("specs", nargs="+", metavar="SPEC",
                       help="workloads to tune, e.g. potrf:4 kf:8x4")
     tune.add_argument("--strategy", default="hill-climb",
@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(tune)
 
     report = sub.add_parser("report", help="show tuning records")
+    report.set_defaults(handler=_cmd_report)
     report.add_argument("specs", nargs="*", metavar="SPEC",
                         help="workloads to report (default: every record)")
     report.add_argument("--scalar", action="store_true",
@@ -71,12 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                "instead of the human-readable table")
 
     export = sub.add_parser("export", help="dump records as JSON")
+    export.set_defaults(handler=_cmd_export)
     export.add_argument("--output", default=None, metavar="FILE",
                         help="write to FILE instead of stdout")
     add_json_flag(export, help="accepted for consistency (export is "
                                "always JSON)")
 
     purge = sub.add_parser("purge", help="drop every tuning record")
+    purge.set_defaults(
+        handler=lambda db, args: purge_records(db, "tuning record", args))
     purge.add_argument("--yes", action="store_true",
                        help="do not ask for confirmation")
     add_json_flag(purge)
@@ -146,72 +150,22 @@ def _cmd_tune(db: TuningDB, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(db: TuningDB, args: argparse.Namespace) -> int:
-    found: List[tuple] = []          # (spec-or-None, record)
-    missing: List[str] = []
-    if args.specs:
-        from ..service.registry import build_case, parse_spec
-        for text in args.specs:
-            case = build_case(parse_spec(text))
-            record = db.get(tuning_key(case.program,
-                                       vectorize=not args.scalar))
-            if record is None:
-                missing.append(text)
-            else:
-                found.append((text, record))
-    else:
-        found = [(None, record)
-                 for record in sorted(db.records(), key=lambda r: r.label)]
-
-    if args.as_json:
-        print_json({
-            "schema": REPORT_SCHEMA_VERSION,
-            "db_root": db.root,
-            "requested": list(args.specs) or None,
-            "missing": missing,
-            "records": [_record_json(record, spec)
-                        for spec, record in found],
-        })
-        return EXIT_FAILURE if missing else EXIT_OK
-
-    for text in missing:
-        print(f"{text}: no tuning record")
-    for _, record in found:
-        print(_record_line(record))
-    if not args.specs:
-        if not found:
-            print("tuning database is empty")
-        else:
-            print(f"{len(found)} record(s) in {db.root}")
-    return EXIT_FAILURE if missing else EXIT_OK
+    return cli.report_records(
+        db, args, noun="tuning record", store_name="tuning database",
+        root_key="db_root", schema=REPORT_SCHEMA_VERSION, key=tuning_key,
+        to_json=_record_json, line=_record_line)
 
 
 def _cmd_export(db: TuningDB, args: argparse.Namespace) -> int:
     doc = [record.to_json() for record in db.records()]
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"exported {len(doc)} record(s) to {args.output}")
-    else:
-        print(text)
+    write_json_file(args.output or "-", doc,
+                    note=f"exported {len(doc)} record(s) to {args.output}")
     return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        db = TuningDB(root=args.db)
-        if args.command == "tune":
-            return _cmd_tune(db, args)
-        if args.command == "report":
-            return _cmd_report(db, args)
-        if args.command == "export":
-            return _cmd_export(db, args)
-        if args.command == "purge":
-            return purge_records(db, "tuning record", args)
-    except ReproError as exc:
-        return fail(exc)
-    return EXIT_OK  # pragma: no cover - argparse enforces a command
+    return cli.run(_build_parser(), argv,
+                   setup=lambda args: TuningDB(root=args.db))
 
 
 if __name__ == "__main__":

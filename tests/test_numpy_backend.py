@@ -6,6 +6,7 @@ content-addressed source cache, the executor resolution used by the
 service/bench layers, and the `numpy` tuning measurer.
 """
 
+import json
 import os
 
 import numpy as np
@@ -533,6 +534,38 @@ class TestBackendCLI:
                      "interpreter,fortran"]) == 2
         assert main(["crosscheck", "potrf:4", "--backends",
                      "numpy"]) == 2
+
+    def test_crosscheck_flags_nan_against_a_number(self, monkeypatch,
+                                                  capsys):
+        import repro.backend.__main__ as backend_cli
+
+        real_make_executor = backend_cli.make_executor
+
+        class NanInFirstOutput:
+            """A numpy kernel whose first output element reads NaN."""
+
+            def __init__(self, kernel):
+                self.kernel = kernel
+
+            def run(self, inputs):
+                outputs = dict(self.kernel.run(inputs))
+                name = sorted(outputs)[0]
+                outputs[name] = np.array(outputs[name], dtype=float)
+                outputs[name].flat[0] = np.nan
+                return outputs
+
+        def make_executor(function, backend, c_code=None):
+            kernel = real_make_executor(function, backend=backend,
+                                        c_code=c_code)
+            return NanInFirstOutput(kernel) if backend == "numpy" else kernel
+
+        monkeypatch.setattr(backend_cli, "make_executor", make_executor)
+        assert backend_cli.main(["crosscheck", "potrf:4", "--backends",
+                                 "interpreter,numpy", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 1
+        assert doc["workloads"][0]["ok"] is False
+        assert doc["workloads"][0]["max_deviation"] == float("inf")
 
     def test_emit_numpy_source(self, capsys):
         from repro.backend.__main__ import main
