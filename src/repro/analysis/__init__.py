@@ -16,11 +16,11 @@ the differential fuzzer and the CEGIS verifier can only sample:
 * :mod:`repro.analysis.verifier` -- orchestration, the
   ``Options.analysis`` phase gate, and the process-wide stats counters
   surfaced on ``/stats``.
-* :mod:`repro.analysis.serialize` / :mod:`repro.analysis.witnesses` --
-  the JSON fixture codec and the committed witness builders.
+* :mod:`repro.analysis.witnesses` -- builders of deliberately broken
+  artifacts the verifier must flag.
 
 CLI: ``python -m repro.analysis check|lint`` sweeps registry kernels,
-the fuzz corpus, fixture files, and arbitrary LA sources.
+the fuzz corpus, the witnesses, and arbitrary LA sources.
 """
 
 from ..errors import AnalysisError

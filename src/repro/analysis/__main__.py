@@ -21,15 +21,14 @@ A TARGET is one of:
   (``potrf`` -- expands to its default size sweep),
 * a ``.la`` source file (dimension constants via ``--const N=8``),
 * a fuzz-case JSON file (the ``tests/fuzz_corpus/`` shape), or
-* an analysis fixture JSON file written by
-  :func:`repro.analysis.serialize.dump_fixture` (verified directly,
-  without generation -- how the committed witness artifacts are swept).
+* ``witness:NAME`` -- a deliberately broken artifact from
+  :data:`repro.analysis.witnesses.WITNESSES`, verified directly
+  without generation (it must be flagged).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -40,8 +39,8 @@ from ..errors import AnalysisError
 from ..ir.program import Program
 from ..slingen.options import Options
 from .diagnostics import AnalysisReport
-from .serialize import load_fixture
 from .verifier import verify_artifact, verify_function, verify_program
+from .witnesses import WITNESSES
 
 #: Version of the ``check/lint --json`` document; bump on any
 #: incompatible change.  The document is ``{"schema": N, "mode":
@@ -56,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="Statically verify generated artifacts: registry "
                     "kernels, fuzz-corpus entries, LA sources, and "
-                    "serialized fixtures.")
+                    "the built-in witnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("check", "verify targets; exit 1 on any error diagnostic"),
@@ -65,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=_run)
         cmd.add_argument("targets", nargs="*", metavar="TARGET",
                          help="registry spec/name, .la source, fuzz-case "
-                              "JSON, or analysis fixture JSON (default: "
-                              "full registry + corpus sweep)")
+                              "JSON, or witness:NAME (default: full "
+                              "registry + corpus sweep)")
         cmd.add_argument("--const", action="append", default=[],
                          metavar="NAME=VALUE", dest="consts",
                          help="dimension constant for .la targets "
@@ -110,19 +109,16 @@ def _verify_generated(program: Program, options: Options,
     return report
 
 
-def _looks_like_fixture(path: str) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(doc, dict) and doc.get("kind") in ("program",
-                                                         "function")
-
-
 def _target_reports(text: str, consts: Dict[str, int]
                     ) -> List[Tuple[str, str, AnalysisReport]]:
     """Expand one TARGET into ``(label, kind, report)`` rows."""
+    if text.startswith("witness:"):
+        name = text[len("witness:"):]
+        if name not in WITNESSES:
+            raise AnalysisError(
+                f"unknown witness {name!r} (known: "
+                f"{', '.join(sorted(WITNESSES))})")
+        return [(text, "witness", verify_artifact(WITNESSES[name]()))]
     if text.endswith(".la"):
         from ..la import parse_program
         with open(text, "r", encoding="utf-8") as handle:
@@ -132,8 +128,6 @@ def _target_reports(text: str, consts: Dict[str, int]
         return [(text, "source",
                  _verify_generated(program, _sweep_options(), None, text))]
     if text.endswith(".json"):
-        if _looks_like_fixture(text):
-            return [(text, "fixture", verify_artifact(load_fixture(text)))]
         from ..fuzz.corpus import load_entry
         entry = load_entry(text)
         case = entry.case

@@ -1,4 +1,4 @@
-"""Builders for the committed witness fixtures.
+"""Deliberately broken artifacts the static verifier must flag.
 
 Two historical bug shapes, re-introduced deliberately so the verifier's
 regression surface is executable:
@@ -18,12 +18,14 @@ regression surface is executable:
   reading one element past its input and a store at the extent of its
   output.  The bounds pass proves both and names witness bindings.
 
-``tests/analysis_witnesses/`` holds these as JSON (via
-:mod:`repro.analysis.serialize`); a test asserts the committed files
-stay byte-identical to the builders.
+:data:`WITNESSES` maps each witness name to its builder; ``python -m
+repro.analysis check witness:NAME`` verifies the built artifact
+directly, without generation.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Dict, Union
 
 from ..cir.nodes import Affine, Buffer, For, Function, Load, Store
 from ..ir.expr import Const, Div, Mul, Neg, Ref
@@ -81,3 +83,11 @@ def out_of_bounds_function() -> Function:
     ]
     return Function(name="oob_witness", params=[x, y], temps=[],
                     body=body, vector_width=1)
+
+
+#: Witness name -> builder; the ``witness:NAME`` targets of ``check``
+#: and ``lint``.
+WITNESSES: Dict[str, Callable[[], Union[Program, Function]]] = {
+    "trtri_transposed_wrong_coeff": wrong_coefficient_program,
+    "oob_function": out_of_bounds_function,
+}

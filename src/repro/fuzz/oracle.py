@@ -398,11 +398,13 @@ def _mismatch_mask(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
     NaN agrees with NaN (C sqrt semantics), equal infinities agree, and
     the tolerance scales with magnitude so amplified-but-identical
-    computations do not alarm."""
+    computations do not alarm.  Only finite pairs can be close: an
+    infinity would scale the tolerance to infinity and agree with
+    anything."""
     with np.errstate(invalid="ignore"):
         diff = np.abs(a - b)
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        close = diff <= tol * scale
+        close = np.isfinite(a) & np.isfinite(b) & (diff <= tol * scale)
     equal = (a == b) | (np.isnan(a) & np.isnan(b))
     return ~(equal | close)
 

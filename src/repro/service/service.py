@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from concurrent import futures
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -103,11 +102,6 @@ class ServiceResponse:
         return self.result.kernel(backend, cache_key=self.key)
 
 
-#: How many of the most recent per-request records ServiceStats keeps;
-#: aggregate counters are unbounded, the record log is a window.
-STATS_RECORD_WINDOW = 1024
-
-
 @dataclass
 class ServiceStats:
     """Aggregate counters over the lifetime of one service instance.
@@ -135,8 +129,6 @@ class ServiceStats:
     verified: int = 0               # requests answered with banked rewrites
     hit_latency_s: float = 0.0
     miss_latency_s: float = 0.0
-    records: "deque[Dict[str, object]]" = field(
-        default_factory=lambda: deque(maxlen=STATS_RECORD_WINDOW))
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
@@ -169,15 +161,6 @@ class ServiceStats:
                 self.tuned += 1
             if response.verified:
                 self.verified += 1
-            self.records.append({
-                "key": response.key,
-                "label": response.label,
-                "hit": response.cache_hit,
-                "coalesced": response.coalesced,
-                "tuned": response.tuned,
-                "verified": response.verified,
-                "latency_s": response.latency_s,
-            })
 
     def snapshot(self) -> Dict[str, object]:
         """A consistent, JSON-able view of the counters.

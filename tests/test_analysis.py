@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.analysis import (gate_artifact, reset_stats, stats_snapshot,
-                            verify_artifact, verify_function, verify_program)
+                            verify_function, verify_program)
 from repro.analysis import verifier as verifier_mod
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.cfg import build_cfg
@@ -16,10 +16,8 @@ from repro.analysis.defuse import (check_element_defuse,
                                    check_register_defuse, element_events)
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.liveness import check_dead_registers, check_double_writes
-from repro.analysis.serialize import (artifact_from_doc, artifact_to_doc,
-                                      load_fixture)
 from repro.analysis.structure import structurally_zero
-from repro.analysis.witnesses import (out_of_bounds_function,
+from repro.analysis.witnesses import (WITNESSES, out_of_bounds_function,
                                       wrong_coefficient_program)
 from repro.cir.nodes import (Affine, Assign as CAssign, BinOp, Buffer,
                              FloatConst, For, Function, Load, ScalarVar,
@@ -33,9 +31,6 @@ from repro.pipeline.cache import PhaseCache
 from repro.service.registry import build_case, parse_spec
 from repro.slingen.generator import SLinGen
 from repro.slingen.options import Options
-
-WITNESS_DIR = os.path.join(os.path.dirname(__file__), "analysis_witnesses")
-
 
 def make_fn(body, params, temps=(), width=1, name="t"):
     return Function(name=name, params=list(params), temps=list(temps),
@@ -228,32 +223,6 @@ class TestStructurePasses:
         assert verify_program(program).ok
 
 
-class TestWitnessFixtures:
-    def test_committed_fixtures_match_builders(self):
-        for name, builder in (
-                ("trtri_transposed_wrong_coeff.json",
-                 wrong_coefficient_program),
-                ("oob_function.json", out_of_bounds_function)):
-            path = os.path.join(WITNESS_DIR, name)
-            with open(path, "r", encoding="utf-8") as handle:
-                committed = json.load(handle)
-            assert committed == artifact_to_doc(builder()), name
-
-    def test_fixture_round_trip_verifies_identically(self):
-        for builder in (wrong_coefficient_program, out_of_bounds_function):
-            artifact = builder()
-            clone = artifact_from_doc(artifact_to_doc(artifact))
-            want = [d.describe() for d in verify_artifact(artifact).errors]
-            got = [d.describe() for d in verify_artifact(clone).errors]
-            assert want == got and want
-
-    def test_load_fixture_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"schema\": 1, \"kind\": \"program\"}")
-        with pytest.raises(AnalysisError):
-            load_fixture(str(bad))
-
-
 class TestGate:
     def test_invalid_mode_rejected_by_options(self):
         with pytest.raises(ConfigurationError):
@@ -384,15 +353,26 @@ class TestCli:
         assert doc["targets"][0]["kind"] == "registry"
 
     def test_check_witnesses_exit_one(self, capsys):
-        paths = [os.path.join(WITNESS_DIR, name)
-                 for name in ("trtri_transposed_wrong_coeff.json",
-                              "oob_function.json")]
-        assert analysis_main(["check", *paths, "--json"]) == 1
+        targets = ["witness:trtri_transposed_wrong_coeff",
+                   "witness:oob_function"]
+        assert analysis_main(["check", *targets, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert not doc["ok"]
         assert doc["counts"]["errors"] >= 5
-        assert all(t["kind"] == "fixture" and not t["ok"]
+        assert all(t["kind"] == "witness" and not t["ok"]
                    for t in doc["targets"])
+
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_each_witness_target_is_flagged(self, name, capsys):
+        assert analysis_main(["check", f"witness:{name}", "--json"]) == 1
+        (target,) = json.loads(capsys.readouterr().out)["targets"]
+        assert target["label"] == f"witness:{name}"
+        assert target["kind"] == "witness" and target["errors"]
+
+    def test_unknown_witness_is_usage_error(self, capsys):
+        assert analysis_main(["check", "witness:nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "nosuch" in err
 
     def test_lint_shows_warnings_but_exit_tracks_errors(self, capsys):
         assert analysis_main(["lint", "potrf:4"]) == 0

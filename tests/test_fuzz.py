@@ -13,7 +13,7 @@ from repro.fuzz import (FuzzCase, FuzzDecl, FuzzProgram, load_corpus,
                         options_to_json, reference_outputs, replay_entry,
                         run_case, sample_case, save_entry, shrink_case)
 from repro.fuzz.__main__ import main as fuzz_main
-from repro.fuzz.oracle import _mismatch_mask
+from repro.fuzz.oracle import _mismatch_mask, max_deviation
 from repro.slingen.options import Options
 
 
@@ -136,6 +136,29 @@ class TestMismatchMask:
         a = np.array([[0.0]])
         b = np.array([[1e-6]])
         assert _mismatch_mask(a, b, 1e-9).any()
+
+    def test_infinity_disagrees_with_finite(self):
+        a = np.array([np.inf, 1.0])
+        b = np.array([1.0, 1.0])
+        assert _mismatch_mask(a, b, 1e-12).tolist() == [True, False]
+        c = np.array([-np.inf, 1.0])
+        assert _mismatch_mask(c, b, 1e-12).tolist() == [True, False]
+
+    def test_opposite_infinities_disagree(self):
+        a = np.array([-np.inf])
+        b = np.array([np.inf])
+        assert _mismatch_mask(a, b, 1e-12).all()
+        assert _mismatch_mask(a, b, np.inf).all()
+
+    def test_equal_infinities_and_nans_agree(self):
+        a = np.array([np.inf, -np.inf, np.nan])
+        assert not _mismatch_mask(a, a.copy(), 1e-12).any()
+
+    def test_max_deviation_is_inf_for_infinity_vs_finite(self):
+        assert max_deviation({"X": np.array([np.inf])},
+                             {"X": np.array([1.0])}) == float("inf")
+        assert max_deviation({"X": np.array([np.inf, 2.0])},
+                             {"X": np.array([np.inf, 2.5])}) == 0.5
 
 
 class TestOracle:
