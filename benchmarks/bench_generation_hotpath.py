@@ -1,8 +1,9 @@
 """Phase-cache hot-path benchmark: the tuning sweep, cold vs. warm.
 
 The staged pipeline content-addresses every phase artifact (Stage-1
-synthesis, rewrites, lowering, the pass pipeline), so a codegen-axis
-sweep shares everything the variants do not change.  This benchmark
+synthesis, rewrites, lowering, the pass pipeline, the roofline score),
+keying lowering, passes and score by what each consumes, so a
+codegen-axis sweep shares everything the variants do not change.  This benchmark
 drives an exhaustive sweep over one Stage-1 choice and a fixed set of
 codegen variants (none of which overrides the blocking factor, so all
 of them share one Stage-1 artifact) twice against one
@@ -32,7 +33,7 @@ REPO_ROOT = ensure_repro_importable()
 #: The profiled workload (the same one CI's pipeline-smoke job uses).
 SPEC = "potrf:8"
 
-#: Minimum cold/warm cost ratio; generous against the ~20x measured so
+#: Minimum cold/warm cost ratio; generous against the >100x measured so
 #: CI noise does not flap the job.
 MIN_SPEEDUP = 5.0
 
@@ -105,7 +106,8 @@ def run(write_results: bool = True) -> int:
         "",
         f"{'pass':6s} {'wall (ms)':>10s}  "
         f"{'stage1 miss':>11s} {'rewrite miss':>12s} "
-        f"{'lower miss':>10s} {'optimize miss':>13s}",
+        f"{'lower miss':>10s} {'optimize miss':>13s} "
+        f"{'score miss':>10s}",
     ]
     for name, seconds, stats in (("cold", cold_s, cold_stats),
                                  ("warm", warm_s, warm_stats)):
@@ -114,7 +116,8 @@ def run(write_results: bool = True) -> int:
             f"{stats['stage1']['misses']:>11d} "
             f"{stats['rewrite']['misses']:>12d} "
             f"{stats['lower']['misses']:>10d} "
-            f"{stats['optimize']['misses']:>13d}")
+            f"{stats['optimize']['misses']:>13d} "
+            f"{stats['score']['misses']:>10d}")
     lines.append("")
     lines.append(f"warm speedup: {speedup:.1f}x (assert >= "
                  f"{MIN_SPEEDUP:.0f}x)")

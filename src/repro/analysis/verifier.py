@@ -2,8 +2,8 @@
 
 :func:`verify_function` and :func:`verify_program` aggregate the pass
 modules into one :class:`~repro.analysis.diagnostics.AnalysisReport`;
-:func:`verify_artifact` dispatches on artifact type so the four phase
-drivers share one entry point.  :func:`gate_artifact` implements the
+:func:`verify_artifact` dispatches on artifact type so the four IR
+phase drivers share one entry point.  :func:`gate_artifact` implements the
 ``Options.analysis`` contract:
 
 ``off``

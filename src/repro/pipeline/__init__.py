@@ -10,9 +10,13 @@ This package makes each phase an explicitly keyed, cacheable step:
 ``rewrite`` sound R0/R1 + CEGIS-verified rewrites
             (+ rewrite_rules, verified_rewrites)
 ``lower``   lowering to C-IR
-            (+ resolved vector width, shuffle transpose, name, annotate)
+            (rewritten-program digest, resolved vector width, shuffle
+            transpose, name, annotate)
 ``optimize`` the Stage-3 pass pipeline
-            (+ unroll axes, effective scalar-replacement / load-store)
+            (lowered-function digest, unroll axes, effective
+            scalar-replacement / load-store)
+``score``   the roofline estimate
+            (optimize key, machine model, nominal flops)
 
 :mod:`repro.pipeline.keys` owns the option-axis partition (asserted
 complete against ``Options`` in tests), :mod:`repro.pipeline.cache` the
@@ -29,7 +33,7 @@ from .cache import (ENV_PHASE_CACHE, PersistentPhaseStore, PhaseCache,
                     shared_phase_cache)
 from .keys import (PHASE_AXES, PHASE_SCHEMA_VERSION, PHASES, SEARCH_AXES,
                    assert_partition_complete, lower_key, optimize_key,
-                   partition, rewrite_key, stage1_key)
+                   partition, rewrite_key, score_key, stage1_key)
 
 __all__ = [
     "ENV_PHASE_CACHE",
@@ -50,6 +54,7 @@ __all__ = [
     "partition",
     "rewrite_key",
     "reset_shared_phase_cache",
+    "score_key",
     "shared_phase_cache",
     "stage1_key",
 ]

@@ -15,7 +15,8 @@ Usage (``PYTHONPATH=src python -m repro.pipeline <command>``)::
     axes [--json]
         Print the phase -> option-axis partition (which Options fields
         feed which pipeline phase, plus the search-level axes that feed
-        none).  The partition is asserted complete against the Options
+        none) and the score phase's inputs, which are not Options
+        fields.  The partition is asserted complete against the Options
         dataclass on import, so this listing cannot go stale.
 
     purge [--phase-cache DIR] [--gc] [--yes] [--json]
@@ -44,7 +45,7 @@ from ..cli import (EXIT_FAILURE, EXIT_OK, add_generation_flags,
 from ..errors import ReproError
 from ..slingen.options import Options
 from .cache import PersistentPhaseStore, PhaseCache
-from .keys import GATE_AXES, PHASE_AXES, PHASES, SEARCH_AXES
+from .keys import GATE_AXES, PHASE_AXES, PHASES, SCORE_INPUTS, SEARCH_AXES
 
 #: Version of the ``profile --json`` document; bump on any incompatible
 #: change.  The document is ``{"schema": N, "workloads": [{"spec",
@@ -186,12 +187,15 @@ def _cmd_axes(args: argparse.Namespace) -> int:
     if args.as_json:
         print_json({
             "phases": {phase: list(PHASE_AXES[phase]) for phase in PHASES},
+            "score_inputs": list(SCORE_INPUTS),
             "search": list(SEARCH_AXES),
             "gate": list(GATE_AXES),
         })
         return EXIT_OK
+    rows = {phase: ", ".join(PHASE_AXES[phase]) for phase in PHASES}
+    rows["score"] = f"{', '.join(SCORE_INPUTS)} (not Options fields)"
     for phase in PHASES:
-        print(f"{phase:10s} {', '.join(PHASE_AXES[phase])}")
+        print(f"{phase:10s} {rows[phase]}")
     print(f"{'(search)':10s} {', '.join(SEARCH_AXES)}")
     print(f"{'(gate)':10s} {', '.join(GATE_AXES)}")
     return EXIT_OK

@@ -1,13 +1,14 @@
 """Typed artifacts of the staged generation pipeline.
 
 Each artifact is the pure output of one phase, stamped with its own
-content key and the key of the artifact it was derived from, so a chain
-``Stage1Artifact -> RewrittenProgram -> LoweredFunction ->
-OptimizedFunction`` is self-describing and every link can be cached and
-reused independently.  The final link, the fully built
-:class:`~repro.slingen.generator.Candidate`, stays in the generator: it
-binds an optimized function to a machine-model estimate, which is
-recomputed per request rather than cached.
+content key.  An artifact names no parent: lowering and optimization are
+keyed by what they consume, so one artifact can serve several parents.
+:class:`RewrittenProgram` and :class:`LoweredFunction` carry the digest
+of their IR, computed once when they are built, which keys the next
+phase.  The score phase caches the roofline
+:class:`~repro.machine.roofline.PerformanceEstimate` itself; the fully
+built :class:`~repro.slingen.generator.Candidate` that binds an
+optimized function to its estimate stays in the generator.
 
 Artifacts are plain picklable dataclasses (the persistent
 ``REPRO_PHASE_CACHE`` layer stores them as pickles).  They are
@@ -48,20 +49,28 @@ class Stage1Artifact:
 
 @dataclass
 class RewrittenProgram:
-    """The basic program after sound R0/R1 and CEGIS-verified rewrites."""
+    """The basic program after sound R0/R1 and CEGIS-verified rewrites.
+
+    ``digest`` is :func:`~repro.pipeline.keys.program_digest` of
+    ``program``, which keys lowering.
+    """
 
     key: str
-    stage1_key: str
+    digest: str
     program: Program
     report: RewriteReport = field(default_factory=RewriteReport)
 
 
 @dataclass
 class LoweredFunction:
-    """The C-IR function straight out of lowering, before Stage-3 passes."""
+    """The C-IR function straight out of lowering, before Stage-3 passes.
+
+    ``digest`` is :func:`~repro.pipeline.keys.function_digest` of
+    ``function``, which keys the pass pipeline.
+    """
 
     key: str
-    rewrite_key: str
+    digest: str
     function: Function
     stats: CompileStats = field(default_factory=CompileStats)
 
@@ -71,6 +80,5 @@ class OptimizedFunction:
     """The C-IR function after the Stage-3 pass pipeline."""
 
     key: str
-    lower_key: str
     function: Function
     pass_report: PassReport = field(default_factory=PassReport)

@@ -10,9 +10,9 @@ read-only everywhere downstream, exactly like results shared out of the
 (``apply_rewrite_rules``, ``run_pipeline``) merely rebind containers,
 and run inside phase drivers that give them a fresh program/function
 shell around the shared, never-mutated statements.  All map access is
-serialized by one
-lock -- the cache is shared across the threaded service's
-coalesced-miss path, the tuner, the fuzz oracle, and the CEGIS verifier.
+serialized by one lock, never held across disk I/O -- the cache is
+shared across the threaded service's coalesced-miss path, the tuner,
+the fuzz oracle, and the CEGIS verifier.
 
 The persistent layer (:class:`PersistentPhaseStore`) is a pickle codec
 over :class:`repro.ioutil.ShardedStore`, with one namespace per phase:
@@ -162,17 +162,31 @@ class PhaseCache:
 
         The returned object is shared: treat it (and everything
         reachable from it) as immutable.  Phase drivers share its IR
-        and give in-place stages a fresh shell to rebind.
+        and give in-place stages a fresh shell to rebind.  A hot miss
+        reads the persistent layer outside the lock, so one slow disk
+        read never stalls another thread's lookups.
         """
         with self._lock:
             artifact = self._maps[phase].get(key)
-            if artifact is None and self.persistent is not None:
-                artifact = self.persistent.get(phase, key)
-                if artifact is not None:
+            if artifact is not None or self.persistent is None:
+                self._count(phase, artifact)
+                return artifact
+        artifact = self.persistent.get(phase, key)
+        with self._lock:
+            if artifact is not None:
+                # Another thread may have adopted an entry meanwhile:
+                # keep that one canonical.
+                adopted = self._maps[phase].get(key)
+                if adopted is not None:
+                    artifact = adopted
+                else:
                     self._maps[phase].insert(key, artifact)
-            counter = self._counters[phase]
-            counter["hits" if artifact is not None else "misses"] += 1
+            self._count(phase, artifact)
         return artifact
+
+    def _count(self, phase: str, artifact: Optional[object]) -> None:
+        self._counters[phase]["hits" if artifact is not None
+                              else "misses"] += 1
 
     def put(self, phase: str, key: str, artifact: object) -> None:
         """Adopt ``artifact`` as the canonical entry for ``(phase, key)``.

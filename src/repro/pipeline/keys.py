@@ -1,14 +1,18 @@
-"""Phase keys: which option axis feeds which generation phase.
+"""Phase keys: which input feeds which generation phase.
 
 The staged pipeline memoizes one artifact per phase -- Stage-1 synthesis,
-LA-level rewriting, lowering to C-IR, and the Stage-3 pass pipeline --
-each under a content hash of the *resolved inputs that phase actually
-consumes*.  The partition below is the correctness contract of the whole
-cache: an option axis assigned to a phase participates in that phase's
-key (and, through key chaining, in every later phase's key); an axis
-leaking *out* of its phase key would let two requests that generate
-different code collide on one cached artifact -- a wrong-code bug.
-``tests/test_pipeline.py`` asserts the partition covers every
+LA-level rewriting, lowering to C-IR, the Stage-3 pass pipeline, and the
+roofline score -- each under a content hash of the *resolved inputs that
+phase actually consumes*: a digest of the artifact it reads plus the
+option axes assigned to it.  Keys do not chain through the option
+history: lowering is keyed by a digest of the rewritten program it
+lowers and optimization by a digest of the lowered function it
+optimizes, so two algorithmic variants that synthesize the same basic
+program share one lowering, one pass pipeline and one score.  The
+partition below is the correctness contract of the whole cache: an
+option axis leaking *out* of its phase key would let two requests that
+generate different code collide on one cached artifact -- a wrong-code
+bug.  ``tests/test_pipeline.py`` asserts the partition covers every
 :class:`~repro.slingen.options.Options` field exactly once.
 
 Resolution notes (why the raw field lives where it does):
@@ -31,8 +35,8 @@ Resolution notes (why the raw field lives where it does):
   one phase computes: ``stage1_variants`` resolves into the
   ``variant_choices`` dict that already keys Stage 1.
 
-The machine model and ``nominal_flops`` feed only the roofline estimate,
-which is recomputed per candidate (it is cheap and not an Options axis).
+The score phase consumes no Options field: its key is the optimize key
+plus :data:`SCORE_INPUTS`, the machine model and ``nominal_flops``.
 """
 
 from __future__ import annotations
@@ -40,19 +44,24 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..cir.nodes import Affine, Buffer, CExpr, CStmt, Function
+from ..errors import CIRError, ConfigurationError
 from ..ir.program import Program
+from ..machine.microarch import MicroArchitecture
 from ..slingen.options import Options
 
 #: Bump whenever a phase's semantics change such that an old artifact is
 #: no longer what the phase would compute today (pass pipeline changes,
 #: rewrite tiers, canonicalization, artifact shape).
-PHASE_SCHEMA_VERSION = 1
+#: v2: lower and optimize keyed by digests of the artifacts they consume,
+#: the ``score`` phase, and no parent-key fields on the artifacts.
+PHASE_SCHEMA_VERSION = 2
 
 #: The phases, in dataflow order.
-PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize")
+PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",
+                           "score")
 
 #: Which Options field is consumed by which phase key.  See module docs
 #: for how raw fields map to the resolved values the keys actually hash.
@@ -63,7 +72,12 @@ PHASE_AXES: Dict[str, Tuple[str, ...]] = {
               "function_name", "annotate_code"),
     "optimize": ("unroll", "unroll_trip_count", "unroll_body_limit",
                  "scalar_replacement", "load_store_analysis"),
+    "score": (),
 }
+
+#: What the score key takes besides the optimize key: neither is an
+#: Options field, so the partition leaves ``score`` without axes.
+SCORE_INPUTS: Tuple[str, ...] = ("machine model", "nominal_flops")
 
 #: Options fields that steer the variant *search*, not any single phase.
 SEARCH_AXES: Tuple[str, ...] = ("autotune", "max_variants",
@@ -123,6 +137,77 @@ def _digest(doc: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def program_digest(program: Program) -> str:
+    """SHA-256 of the canonical text of an LA program (what lowering
+    consumes of a :class:`~repro.pipeline.artifacts.RewrittenProgram`)."""
+    from ..service.keys import canonical_program
+    return hashlib.sha256(
+        canonical_program(program).encode("utf-8")).hexdigest()
+
+
+#: Field values encoded by ``repr``, which round-trips them.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+#: C-IR node class -> its dataclass field names, in order.
+_NODE_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _encode_cir(value: object, out: List[str]) -> None:
+    # A node is its type name and its fields in order; buffers are named
+    # (the function header carries their shapes).  The common field
+    # types are encoded inline: this runs on every lowering.
+    cls = type(value)
+    if cls is list or cls is tuple:
+        out.append("[")
+        for item in value:
+            _encode_cir(item, out)
+            out.append(",")
+        out.append("]")
+        return
+    if cls in _ATOMS or isinstance(value, float):   # numpy floats too
+        out.append(repr(value))
+        return
+    names = _NODE_FIELDS.get(cls)
+    if names is None:
+        if not isinstance(value, (CExpr, CStmt)):
+            raise CIRError(f"cannot digest a {cls.__name__} in C-IR")
+        names = _NODE_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls))
+    out.append(cls.__name__ + "(")
+    for name in names:
+        field = getattr(value, name)
+        kind = type(field)
+        if kind in _ATOMS:
+            out.append(repr(field))
+        elif kind is Buffer:
+            out.append("@" + field.name)
+        elif kind is Affine:
+            out.append(repr(field.terms) + repr(field.const))
+        else:
+            _encode_cir(field, out)
+        out.append(",")
+    out.append(")")
+
+
+def function_digest(function: Function) -> str:
+    """SHA-256 of everything the Stage-3 passes read of a C-IR function:
+    its name, vector width, each parameter and temporary as (name, rows,
+    cols, kind), and its body."""
+    out = [json.dumps([
+        function.name, function.vector_width,
+        [[b.name, b.rows, b.cols, b.kind] for b in function.params],
+        [[b.name, b.rows, b.cols, b.kind] for b in function.temps]])]
+    _encode_cir(function.body, out)
+    return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+
+
+def machine_digest(machine: MicroArchitecture) -> str:
+    """SHA-256 of the machine model's fingerprint (what scoring consumes
+    of the machine)."""
+    from ..service.keys import machine_fingerprint
+    return _digest(machine_fingerprint(machine))
+
+
 def stage1_key(program: Program, block_size: int,
                variant_choices: Mapping[int, str]) -> str:
     """Key of one Stage-1 synthesis: (program, resolved block size,
@@ -151,13 +236,14 @@ def rewrite_key(stage1: str, rewrite_rules: bool,
     })
 
 
-def lower_key(rewrite: str, vector_width: int, use_shuffle_transpose: bool,
+def lower_key(program: str, vector_width: int, use_shuffle_transpose: bool,
               function_name: str, annotate: bool) -> str:
-    """Key of lowering to C-IR (resolved vector width and emission axes)."""
+    """Key of lowering to C-IR: the :func:`program_digest` of the
+    rewritten program plus the resolved vector width and emission axes."""
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "lower",
-        "rewrite": rewrite,
+        "program": program,
         "vector_width": int(vector_width),
         "use_shuffle_transpose": bool(use_shuffle_transpose),
         "function_name": str(function_name),
@@ -165,17 +251,32 @@ def lower_key(rewrite: str, vector_width: int, use_shuffle_transpose: bool,
     })
 
 
-def optimize_key(lower: str, unroll: bool, unroll_trip_count: int,
+def optimize_key(function: str, unroll: bool, unroll_trip_count: int,
                  unroll_body_limit: int, scalar_replacement: bool,
                  load_store_analysis: bool) -> str:
-    """Key of the Stage-3 pass pipeline (effective pass toggles)."""
+    """Key of the Stage-3 pass pipeline: the :func:`function_digest` of
+    the lowered function plus the effective pass toggles."""
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "optimize",
-        "lower": lower,
+        "function": function,
         "unroll": bool(unroll),
         "unroll_trip_count": int(unroll_trip_count),
         "unroll_body_limit": int(unroll_body_limit),
         "scalar_replacement": bool(scalar_replacement),
         "load_store_analysis": bool(load_store_analysis),
+    })
+
+
+def score_key(optimize: str, machine: str,
+              nominal_flops: Optional[float]) -> str:
+    """Key of the roofline score: the optimize key (the optimized
+    function is a pure function of it), the :func:`machine_digest`, and
+    the nominal flop count."""
+    return _digest({
+        "schema": PHASE_SCHEMA_VERSION,
+        "phase": "score",
+        "optimize": optimize,
+        "machine": machine,
+        "nominal_flops": nominal_flops,
     })

@@ -1,11 +1,15 @@
-"""Phase drivers: the Stage 1-3 pipeline as four memoizable steps.
+"""Phase drivers: the Stage 1-3 pipeline and its score as five
+memoizable steps.
 
 Each driver computes its artifact's content key, consults the
 :class:`~repro.pipeline.cache.PhaseCache` (when given one), and builds
 the artifact only on a miss -- recording wall-clock and hit/miss into a
 :class:`~repro.pipeline.cache.PhaseTimings`.  The drivers are *pure*:
-the artifact a driver returns is fully determined by its key.  Two
-details make that true:
+the artifact a driver returns is fully determined by its key.  Lowering
+and optimization are keyed by the digest of the artifact they consume
+(not by how it was produced), so algorithmic variants that reach the
+same basic program share everything downstream of it.  Two details make
+purity true:
 
 * Stage 1 synthesizes with a **fresh** algorithm database per call, so
   temporary naming never depends on what other variants were built
@@ -21,7 +25,7 @@ details make that true:
   LA statements are rebuilt rather than edited, C-IR expressions and
   statements are frozen, and every C-IR pass returns new statement lists.
 
-Every driver takes an ``analysis`` gate mode (``Options.analysis``):
+Every IR driver takes an ``analysis`` gate mode (``Options.analysis``):
 on a cache miss the freshly built artifact is handed to
 :func:`repro.analysis.gate_artifact` *before* ``cache.put``, so under
 ``strict`` an ill-formed program/function raises
@@ -30,7 +34,7 @@ the kernel store, or a client.  Cache hits are not re-verified: an
 artifact in the cache either passed the gate or was admitted with the
 gate off.
 
-``build_candidate`` in :mod:`repro.slingen.generator` chains the four
+``build_candidate`` in :mod:`repro.slingen.generator` chains the five
 drivers and is the only intended caller; the drivers are exposed for
 tests and the ``python -m repro.pipeline profile`` CLI.
 """
@@ -38,7 +42,7 @@ tests and the ``python -m repro.pipeline profile`` CLI.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from ..cir.nodes import Function
 from ..cir.passes import PassOptions, run_pipeline
@@ -46,12 +50,15 @@ from ..cl1ck.database import AlgorithmDatabase
 from ..ir.program import Program
 from ..lgen.compiler import lower_program_with_stats
 from ..lgen.lowering import LoweringOptions
+from ..machine.microarch import MicroArchitecture
+from ..machine.roofline import PerformanceEstimate
 from ..slingen.rewrite import RewriteReport, apply_rewrite_rules
 from ..slingen.stage1 import synthesize_basic_program
 from .artifacts import (LoweredFunction, OptimizedFunction,
                         RewrittenProgram, Stage1Artifact)
 from .cache import PhaseCache, PhaseTimings
-from .keys import lower_key, optimize_key, rewrite_key, stage1_key
+from .keys import (function_digest, lower_key, optimize_key, program_digest,
+                   rewrite_key, score_key, stage1_key)
 
 
 def _finish(timings: Optional[PhaseTimings], phase: str, started: float,
@@ -114,7 +121,7 @@ def rewrite(stage1_artifact: Stage1Artifact, rewrite_rules: bool,
         # tier, on the same basic program every later stage consumes.
         from ..cegis.rewrites import apply_sequence
         program = apply_sequence(verified_rewrites, program)
-    artifact = RewrittenProgram(key=key, stage1_key=stage1_artifact.key,
+    artifact = RewrittenProgram(key=key, digest=program_digest(program),
                                 program=program, report=report)
     _gate("rewrite", program, analysis)
     if cache is not None:
@@ -130,7 +137,7 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
           analysis: str = "off") -> LoweredFunction:
     """Lower the rewritten basic program to a C-IR function."""
     started = time.perf_counter()
-    key = lower_key(rewritten.key, vector_width, use_shuffle_transpose,
+    key = lower_key(rewritten.digest, vector_width, use_shuffle_transpose,
                     function_name, annotate)
     artifact = cache.get("lower", key) if cache is not None else None
     if artifact is not None:
@@ -141,7 +148,7 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
     function, stats = lower_program_with_stats(
         rewritten.program, options, function_name=function_name,
         annotate=annotate)
-    artifact = LoweredFunction(key=key, rewrite_key=rewritten.key,
+    artifact = LoweredFunction(key=key, digest=function_digest(function),
                                function=function, stats=stats)
     _gate("lower", function, analysis)
     if cache is not None:
@@ -161,7 +168,7 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
     then binds the optimized body to the shell.
     """
     started = time.perf_counter()
-    key = optimize_key(lowered.key, pass_options.unroll,
+    key = optimize_key(lowered.digest, pass_options.unroll,
                        pass_options.max_unroll_trip_count,
                        pass_options.max_unroll_body,
                        pass_options.scalar_replacement,
@@ -175,13 +182,41 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
                         list(source.temps), source.body,
                         source.vector_width)
     report = run_pipeline(function, pass_options)
-    artifact = OptimizedFunction(key=key, lower_key=lowered.key,
-                                 function=function, pass_report=report)
+    artifact = OptimizedFunction(key=key, function=function,
+                                 pass_report=report)
     _gate("optimize", function, analysis)
     if cache is not None:
         cache.put("optimize", key, artifact)
     _finish(timings, "optimize", started, hit=False)
     return artifact
+
+
+def score(optimized: OptimizedFunction, machine: MicroArchitecture,
+          machine_key: str, nominal_flops: Optional[float],
+          analyze: Callable[..., PerformanceEstimate],
+          cache: Optional[PhaseCache] = None,
+          timings: Optional[PhaseTimings] = None) -> PerformanceEstimate:
+    """The roofline estimate of the optimized function on ``machine``.
+
+    ``machine_key`` is :func:`~repro.pipeline.keys.machine_digest` of
+    ``machine``, which callers compute once per search.  On a miss the
+    estimate comes from ``analyze(function, machine=, nominal_flops=)``;
+    the caller passes the analysis in so that traces of the generator's
+    ``analyze_function`` still see every scoring.  The estimate is
+    shared like any artifact: treat it as immutable.
+    """
+    started = time.perf_counter()
+    key = score_key(optimized.key, machine_key, nominal_flops)
+    estimate = cache.get("score", key) if cache is not None else None
+    if estimate is not None:
+        _finish(timings, "score", started, hit=True)
+        return estimate
+    estimate = analyze(optimized.function, machine=machine,
+                       nominal_flops=nominal_flops)
+    if cache is not None:
+        cache.put("score", key, estimate)
+    _finish(timings, "score", started, hit=False)
+    return estimate
 
 
 def aggregate_database_stats(

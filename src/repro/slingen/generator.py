@@ -43,6 +43,7 @@ from ..machine.microarch import MicroArchitecture, default_machine
 from ..machine.roofline import PerformanceEstimate, analyze_function
 from ..pipeline import phases as pipeline_phases
 from ..pipeline.cache import PhaseCache, PhaseTimings, shared_phase_cache
+from ..pipeline.keys import machine_digest
 from .options import Options
 from .rewrite import RewriteReport
 from .stage1 import (Stage1Result, enumerate_variant_choices,
@@ -240,24 +241,26 @@ def build_candidate(program: Program, options: Options,
                     codegen: CodegenVariant,
                     block_size: int,
                     nominal_flops: Optional[float],
+                    machine_key: str,
                     cache: Optional[PhaseCache] = None,
                     timings: Optional[PhaseTimings] = None) -> Candidate:
-    """Run Stages 1-3 for one (algorithmic, code-generation) variant pair.
+    """Run Stages 1-3 for one (algorithmic, code-generation) variant pair
+    and score the result on the machine model.
 
     This is the single place a candidate implementation is built; the
     generator's search strategies and the standalone empirical tuner both
     call it.  ``block_size`` is the options default; a ``codegen`` with an
     explicit ``block_size`` overrides it for Stage-1 synthesis.
+    ``machine_key`` is :func:`~repro.pipeline.keys.machine_digest` of
+    ``machine``, computed once per search.
 
-    The stages run as the four memoized drivers of
-    :mod:`repro.pipeline.phases`, each keyed by exactly the option axes
-    it consumes (:data:`repro.pipeline.keys.PHASE_AXES`): with a
-    ``cache``, codegen-only sweeps reuse one Stage-1 build and repeated
-    generations of the same program reuse lowering.  Only the roofline
-    estimate, a static analysis parameterized by the machine model, is
-    recomputed every call: about 1 ms per candidate, or 8 ms of a cold
-    paper-suite build (traced ``machine.score_ms`` of
-    ``perfbench/run.py --trace 1`` on a 2-CPU AVX-512 x86-64 host).
+    The stages run as the five memoized drivers of
+    :mod:`repro.pipeline.phases`, each keyed by a digest of what it
+    consumes plus exactly the option axes assigned to it
+    (:data:`repro.pipeline.keys.PHASE_AXES`): with a ``cache``,
+    codegen-only sweeps reuse one Stage-1 build, algorithmic variants
+    that synthesize the same basic program share its lowering, passes
+    and score, and repeated generations reuse everything.
     """
     analysis = options.analysis
     stage1_art = pipeline_phases.stage1(
@@ -285,8 +288,9 @@ def build_candidate(program: Program, options: Options,
                                          cache=cache, timings=timings,
                                          analysis=analysis)
 
-    estimate = analyze_function(optimized.function, machine=machine,
-                                nominal_flops=nominal_flops)
+    estimate = pipeline_phases.score(
+        optimized, machine, machine_key, nominal_flops, analyze_function,
+        cache=cache, timings=timings)
     # The candidate's Stage-1 view carries the *rewritten* program (the
     # basic program every later stage consumed), as it always has.
     stage1 = dataclasses_replace(stage1_art.result,
@@ -336,6 +340,7 @@ class CandidateBuilder:
                             else shared_phase_cache())
         self.timings = timings if timings is not None else PhaseTimings()
         self.block_size = options.effective_block_size
+        self.machine_key = machine_digest(machine)
         self.built: List[Candidate] = []
         self._memo: Dict[Tuple[int, int], Candidate] = {}
         self._lock = threading.Lock()
@@ -359,7 +364,7 @@ class CandidateBuilder:
                     self.program, self.options, self.machine,
                     self.stage1_choices[point.stage1],
                     self.codegen_variants[point.codegen],
-                    self.block_size, self.nominal_flops,
+                    self.block_size, self.nominal_flops, self.machine_key,
                     cache=self.phase_cache, timings=self.timings)
                 self._memo[key] = found
                 self.built.append(found)
@@ -395,8 +400,9 @@ class SLinGen:
         search -- keys and results for unchanged requests stay stable.
 
         ``phase_cache`` (a :class:`~repro.pipeline.cache.PhaseCache`)
-        memoizes Stage-1/rewrite/lowering/pass artifacts across variants
-        and across calls; ``None`` uses the shared process-wide cache
+        memoizes Stage-1/rewrite/lowering/pass artifacts and roofline
+        scores across variants and across calls; ``None`` uses the
+        shared process-wide cache
         (:func:`~repro.pipeline.cache.shared_phase_cache`).  Phase
         artifacts are pure functions of their keys, so the cache changes
         generation cost, never generated code."""

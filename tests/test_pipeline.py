@@ -7,6 +7,8 @@ The load-bearing properties:
   once (a new field fails here until it is deliberately placed),
 * a codegen sweep whose variants share a blocking factor builds Stage 1
   exactly once,
+* lower, optimize and score are keyed by what they consume, so they
+  build once per distinct input and never change a candidate,
 * cached generation is byte-identical to cold generation,
 * the persistent layer quarantines corruption instead of raising, and
 * the builder's memo survives concurrent access.
@@ -28,7 +30,8 @@ from repro.pipeline.cache import (PersistentPhaseStore, PhaseCache,
 from repro.pipeline.keys import (PHASE_AXES, PHASES, SEARCH_AXES,
                                  assert_partition_complete)
 from repro.service.registry import build_case, parse_spec
-from repro.slingen.generator import CandidateBuilder, SLinGen
+from repro.slingen.generator import (CandidateBuilder, SLinGen,
+                                     build_candidate)
 from repro.slingen.options import Options
 
 
@@ -97,10 +100,45 @@ class TestKeyPartition:
         rb = keys.rewrite_key(b, True, ())
         assert ra != rb                     # parent key chains through
         assert keys.rewrite_key(a, False, ()) != ra
-        la = keys.lower_key(ra, 4, True, "kernel", False)
-        assert keys.lower_key(ra, 8, True, "kernel", False) != la
-        oa = keys.optimize_key(la, True, 8, 64, True, True)
-        assert keys.optimize_key(la, False, 8, 64, True, True) != oa
+        # Lower and optimize take digests of what they consume.
+        pa = keys.program_digest(case.program)
+        pb = keys.program_digest(make_case("potrf:8").program)
+        la = keys.lower_key(pa, 4, True, "kernel", False)
+        assert keys.lower_key(pb, 4, True, "kernel", False) != la
+        assert keys.lower_key(pa, 8, True, "kernel", False) != la
+        fa = keys.function_digest(_function("kernel"))
+        fb = keys.function_digest(_function("other"))
+        oa = keys.optimize_key(fa, True, 8, 64, True, True)
+        assert keys.optimize_key(fb, True, 8, 64, True, True) != oa
+        assert keys.optimize_key(fa, False, 8, 64, True, True) != oa
+        machine = keys.machine_digest(default_machine())
+        sa = keys.score_key(oa, machine, 10.0)
+        assert keys.score_key(oa, machine, 20.0) != sa
+        assert keys.score_key(oa, "0" * 64, 10.0) != sa
+
+    def test_function_digest_covers_shapes_and_kinds(self):
+        # The C text names a buffer but not its rows or whether it is
+        # out or inout; the passes read both, so the digest must too.
+        base = keys.function_digest(_function("kernel"))
+        assert keys.function_digest(_function("kernel")) == base
+        assert keys.function_digest(_function("kernel", rows=4)) != base
+        assert keys.function_digest(_function("kernel", kind="inout")) \
+            != base
+        assert keys.function_digest(_function("kernel", width=2)) != base
+        assert keys.function_digest(_function("kernel", value=2.5)) != base
+        assert keys.function_digest(_function("kernel", index=3)) != base
+
+
+def _function(name, rows=2, kind="out", width=4, value=1.5, index=1):
+    """A two-statement C-IR function whose every input can be varied."""
+    from repro.cir.nodes import (Affine, Buffer, FloatConst, Function,
+                                 Load, Store)
+    x = Buffer("x", 2, 2, "in")
+    y = Buffer("y", rows, 8 // rows, kind)
+    body = [Store(y, Affine.constant(0),
+                  Load(x, Affine.constant(index))),
+            Store(y, Affine.var("i", 2), FloatConst(value))]
+    return Function(name, [x, y], [], body, width)
 
 
 class TestPhaseCache:
@@ -152,6 +190,50 @@ class TestPhaseCache:
         assert store.get("stage1", key) is None
         assert store.corrupt_dropped == 2
 
+    def test_slow_disk_read_does_not_block_hot_lookups(self):
+        class SlowDisk:
+            """A persistent layer whose reads wait for ``release``."""
+
+            def __init__(self):
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def get(self, phase, key):
+                self.entered.set()
+                self.release.wait(10)
+                return {"from": "disk"}
+
+            def put(self, phase, key, artifact):
+                pass
+
+            def stats(self):
+                return {}
+
+        disk = SlowDisk()
+        cache = PhaseCache(persistent=disk)
+        cache.put("lower", "hot", {"from": "memory"})
+        cold = []
+        reader = threading.Thread(
+            target=lambda: cold.append(cache.get("lower", "cold")))
+        reader.start()
+        try:
+            assert disk.entered.wait(10)
+            hot = []
+            lookup = threading.Thread(
+                target=lambda: hot.append(cache.get("lower", "hot")))
+            lookup.start()
+            lookup.join(5)
+            assert hot == [{"from": "memory"}], \
+                "a hot get waited for another thread's disk read"
+        finally:
+            disk.release.set()
+            reader.join(10)
+        assert cold == [{"from": "disk"}]
+        # The disk hit is promoted, and every get counted exactly once.
+        assert cache.get("lower", "cold") is cold[0]
+        assert cache.stats()["phases"]["lower"] == \
+            {"hits": 3, "misses": 0, "puts": 1}
+
     def test_shared_cache_reads_environment(self, tmp_path, monkeypatch):
         reset_shared_phase_cache()
         monkeypatch.setenv("REPRO_PHASE_CACHE", str(tmp_path))
@@ -190,9 +272,12 @@ class TestCrossVariantReuse:
         phases = cache.stats()["phases"]
         assert phases["stage1"]["misses"] == 1
         assert phases["stage1"]["hits"] == len(variants) - 1
-        # One rewrite too (same axes), and one optimize per variant.
+        # One rewrite too (same axes).  Optimize runs once per distinct
+        # (lowered function, pass toggles): both shuffle settings lower
+        # potrf:4 to one function, so the two pairs of variants that
+        # differ only in shuffle share their pass pipeline -- 6 of 8.
         assert phases["rewrite"]["misses"] == 1
-        assert phases["optimize"]["misses"] == len(variants)
+        assert phases["optimize"]["misses"] == 6
 
     def test_builder_memo_is_thread_safe(self):
         case = make_case()
@@ -294,6 +379,8 @@ def _render(phase, artifact):
         return canonical_program(artifact.result.program)
     if phase == "rewrite":
         return canonical_program(artifact.program)
+    if phase == "score":
+        return repr(artifact)
     return CUnparser(artifact.function).unparse()
 
 
@@ -334,6 +421,96 @@ class TestSharedArtifactsStayUnchanged:
         assert rewritten.report.r1_applications == 1
         assert len(rewritten.program.statements) == 2
         assert canonical_program(basic) == before
+
+
+def full_space(case, options, cache):
+    """The generator's whole autotuning space for ``case``: every
+    Stage-1 choice times every resolved codegen variant."""
+    from repro.lgen.tiling import candidate_variants, dedupe_resolved
+    from repro.slingen.stage1 import (enumerate_variant_choices,
+                                      find_hlac_sites)
+    block_size = options.effective_block_size
+    choices = enumerate_variant_choices(
+        find_hlac_sites(case.program, block_size),
+        max_candidates=options.max_variants)
+    variants = dedupe_resolved(
+        candidate_variants(vectorize=options.vectorize), block_size)
+    return CandidateBuilder(case.program, options, default_machine(),
+                            choices, variants,
+                            nominal_flops=case.nominal_flops,
+                            phase_cache=cache)
+
+
+def build_uncached(builder, point):
+    return build_candidate(
+        builder.program, builder.options, builder.machine,
+        builder.stage1_choices[point.stage1],
+        builder.codegen_variants[point.codegen], builder.block_size,
+        builder.nominal_flops, builder.machine_key, cache=None)
+
+
+class TestContentKeys:
+    """Lower, optimize and score are keyed by digests of what they
+    consume, so one artifact serves every variant that reaches the same
+    input.  A digest that left out an input would hand a variant some
+    other variant's code, pass report or score."""
+
+    @pytest.mark.parametrize("spec", ("potrf:8", "trsyl:4", "kf:4",
+                                      "gpr:4", "l1a:4"))
+    def test_shared_cache_never_changes_a_candidate(self, spec):
+        from repro.backend.c_unparser import CUnparser
+        case, cache = make_case(spec), PhaseCache()
+        # The vector and scalar spaces share the cache, so the vector
+        # width varies across the candidates too.
+        for options in (Options(), Options(vectorize=False)):
+            builder = full_space(case, options, cache)
+            for point in builder.space().points():
+                cached = builder.candidate(point)
+                fresh = build_uncached(builder, point)
+                assert CUnparser(cached.function).unparse() == \
+                    CUnparser(fresh.function).unparse(), cached.label
+                assert cached.pass_report == fresh.pass_report, \
+                    cached.label
+                assert cached.estimate == fresh.estimate, cached.label
+
+    def test_each_distinct_input_builds_once(self, monkeypatch):
+        from repro.backend.c_unparser import CUnparser
+        from repro.pipeline import phases
+        from repro.service.keys import canonical_program
+        builder = full_space(make_case("gemm:4"), Options(), PhaseCache())
+        points = list(builder.space().points())
+
+        # Distinct inputs of an uncached run, told apart by their full
+        # text rather than by the digests under test.
+        lowering, optimizing = set(), set()
+        lower, optimize = phases.lower, phases.optimize
+
+        def record_lower(rewritten, *args, **kwargs):
+            lowering.add((canonical_program(rewritten.program),) + args
+                         + (kwargs["function_name"], kwargs["annotate"]))
+            return lower(rewritten, *args, **kwargs)
+
+        def record_optimize(lowered, pass_options, **kwargs):
+            function = lowered.function
+            buffers = tuple((b.name, b.rows, b.cols, b.kind)
+                            for b in function.buffers())
+            optimizing.add((CUnparser(function).unparse(), buffers,
+                            function.vector_width, repr(pass_options)))
+            return optimize(lowered, pass_options, **kwargs)
+
+        monkeypatch.setattr(phases, "lower", record_lower)
+        monkeypatch.setattr(phases, "optimize", record_optimize)
+        for point in points:
+            build_uncached(builder, point)
+        monkeypatch.undo()
+
+        for point in points:
+            builder.candidate(point)
+        stats = builder.phase_cache.stats()["phases"]
+        assert len(optimizing) < len(points)        # sharing happened
+        assert stats["lower"]["misses"] == len(lowering)
+        assert stats["optimize"]["misses"] == len(optimizing)
+        assert stats["score"]["misses"] == len(optimizing)
 
 
 class TestApiFacade:
