@@ -14,11 +14,11 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cir.nodes import Buffer, Function, VFma, walk_expressions
+from ..cir.nodes import BinOp, Function, UnOp, VFma, walk_expressions
 from ..errors import BackendError
 
 
@@ -122,43 +122,82 @@ def default_object_cache_dir() -> str:
     return cache_root("REPRO_OBJECT_CACHE", "objects")
 
 
+#: The libm functions the unparser calls: ``sqrt`` for ``UnOp("sqrt")``,
+#: ``fmax``/``fmin`` for scalar ``BinOp("max"/"min")``.
+_LIBM_FUNCTIONS = ("sqrt", "fmax", "fmin")
+
+
+def _calls_libm(expr) -> bool:
+    return (isinstance(expr, UnOp) and expr.op == "sqrt") or (
+        isinstance(expr, BinOp) and expr.op in ("max", "min"))
+
+
+def kernel_flags(function: Function, c_code: Optional[str] = None
+                 ) -> Tuple[List[str], List[str]]:
+    """The flags compiling ``function`` needs beyond the fixed recipe: the
+    instruction-set flags, which reach the compiler proper, and the
+    libraries to link.
+
+    AVX for any vector width, and FMA on top when the body fuses
+    multiply-adds (``VFma``); ``-lm`` when it calls libm.  One walk over the
+    C-IR decides both, so nothing the C text happens to contain (a prelude
+    definition, a comment) can switch either on.  ``c_code``, the
+    function's C, only spares the walk -- which costs up to a few
+    milliseconds, against microseconds for a cached object -- when it names
+    neither an FMA intrinsic nor a libm function: the unparser spells every
+    ``VFma`` and every libm call by name.
+    """
+    find_fma = function.vector_width > 1 and (
+        c_code is None or "_fmadd_pd" in c_code)
+    find_libm = c_code is None or any(name in c_code
+                                      for name in _LIBM_FUNCTIONS)
+    fma = libm = False
+    if find_fma or find_libm:
+        for stmt in function.walk_statements():
+            for expr in walk_expressions(stmt):
+                fma = fma or (find_fma and isinstance(expr, VFma))
+                libm = libm or (find_libm and _calls_libm(expr))
+            if fma == find_fma and libm == find_libm:
+                break
+    isa = [] if function.vector_width == 1 else (
+        ["-mavx", "-mfma"] if fma else ["-mavx"])
+    return isa, ["-lm"] if libm else []
+
+
 def isa_flags(function: Function, c_code: Optional[str] = None) -> List[str]:
     """The instruction-set flags ``function`` needs: AVX for any vector
-    width, and FMA on top when its body fuses multiply-adds (``VFma``).
-
-    The C-IR decides, so nothing the C text happens to contain (a prelude
-    definition, a comment) can switch FMA on.  ``c_code``, the function's
-    C, only spares the walk over the body -- which costs up to a few
-    milliseconds, against microseconds for a cached object -- when it
-    names no FMA intrinsic at all: the unparser spells every ``VFma`` as
-    one.
-    """
-    if function.vector_width == 1:
-        return []
-    uses_fma = (c_code is None or "_fmadd_pd" in c_code) and any(
-        isinstance(expr, VFma) for stmt in function.walk_statements()
-        for expr in walk_expressions(stmt))
-    return ["-mavx", "-mfma"] if uses_fma else ["-mavx"]
+    width, and FMA on top when its body fuses multiply-adds.  The first
+    half of :func:`kernel_flags`."""
+    return kernel_flags(function, c_code)[0]
 
 
 def compile_kernel(c_code: str, function: Function,
-                   extra_flags: Optional[List[str]] = None,
                    keep_dir: Optional[str] = None,
                    cache_key: Optional[str] = None,
                    cache_dir: Optional[str] = None) -> CompiledKernel:
     """Compile emitted C code into a shared library and wrap it.
 
+    The compiler proper sees ``-O2 -std=c99 -fPIC`` and the ISA flags of
+    :func:`kernel_flags`.  The link is ``-shared -nostdlib``: no start
+    files and no libc, which the generated code never calls, and ``-lm``
+    only when the C-IR calls libm, so such a library records
+    ``NEEDED libm.so.6`` and loads into a process that has no libm.
+    Symbols the compiler itself adds, such as ``__stack_chk_fail`` under a
+    default ``-fstack-protector``, resolve from the loading process's libc.
+
     When ``cache_key`` is given (the kernel service's content hash), the
     shared object is kept under ``cache_dir`` and reused by later calls with
     the same key, C source and flags, skipping the compiler entirely.
+    ``library_path`` names an existing file only when ``cache_key`` or
+    ``keep_dir`` is given: otherwise the scratch directory is removed once
+    the library is loaded, and the mapping outlives the file.
 
     Raises :class:`~repro.errors.BackendError` when no compiler is available
-    or compilation fails (the compiler diagnostics are included).
+    or compilation, linking or loading fails (the diagnostics are included).
     """
-    flags = ["-O2", "-std=c99", "-shared", "-fPIC", "-lm"]
-    flags.extend(isa_flags(function, c_code))
-    if extra_flags:
-        flags.extend(extra_flags)
+    isa, libraries = kernel_flags(function, c_code)
+    flags = ["-O2", "-std=c99", "-fPIC", *isa,
+             "-pipe", "-shared", "-nostdlib", *libraries]
 
     cached_path: Optional[str] = None
     if cache_key is not None:
@@ -190,29 +229,35 @@ def compile_kernel(c_code: str, function: Function,
         raise BackendError("no C compiler available on this system")
 
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_cc_")
-    source_path = os.path.join(workdir, f"{function.name}.c")
-    library_path = os.path.join(workdir, f"{function.name}.so")
-    with open(source_path, "w", encoding="utf-8") as handle:
-        handle.write(c_code)
+    try:
+        source_path = os.path.join(workdir, f"{function.name}.c")
+        library_path = os.path.join(workdir, f"{function.name}.so")
+        with open(source_path, "w", encoding="utf-8") as handle:
+            handle.write(c_code)
 
-    command = [compiler, source_path, "-o", library_path] + flags
-    result = subprocess.run(command, capture_output=True, text=True)
-    if result.returncode != 0:
+        # libraries after the source: a linker that defaults to
+        # --as-needed drops a library no earlier input references
+        command = [compiler, source_path, "-o", library_path] + flags
+        result = subprocess.run(command, capture_output=True, text=True)
+        if result.returncode != 0:
+            raise BackendError(
+                f"compilation of generated code failed:\n{result.stderr}")
+
+        if cached_path is not None:
+            from ..ioutil import atomic_publish
+            os.makedirs(os.path.dirname(cached_path), exist_ok=True)
+            atomic_publish(library_path, cached_path)
+            library_path = cached_path
+
+        try:
+            library = ctypes.CDLL(library_path)
+        except OSError as exc:
+            raise BackendError(
+                f"loading the compiled kernel failed: {exc}") from exc
+    finally:
         if keep_dir is None:
+            # Loaded or failed, the scratch directory has served its
+            # purpose; without this, every compile would leave one behind.
             shutil.rmtree(workdir, ignore_errors=True)
-        raise BackendError(
-            f"compilation of generated code failed:\n{result.stderr}")
-
-    if cached_path is not None:
-        from ..ioutil import atomic_publish
-        os.makedirs(os.path.dirname(cached_path), exist_ok=True)
-        atomic_publish(library_path, cached_path)
-        library_path = cached_path
-        if keep_dir is None:
-            # The shared object now lives in the cache; the scratch dir
-            # would otherwise accumulate one orphan per compilation.
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    library = ctypes.CDLL(library_path)
     return CompiledKernel(function=function, library_path=library_path,
                           _library=library)

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import tempfile
 
@@ -12,12 +13,13 @@ from repro.applications import make_case
 from repro.api import make_request
 from repro.backend import (CUnparser, compile_kernel, compiler_available,
                            find_c_compiler, unparse_function)
-from repro.backend.compile import isa_flags
+from repro.backend.compile import isa_flags, kernel_flags
 from repro.cir import (Affine, Assign, Buffer, FloatConst, For, Function,
-                       ScalarVar, Store, Load, BinOp, VBlend, VecVar, VFma,
-                       VLoad, VStore)
+                       ScalarVar, Store, Load, BinOp, UnOp, VBlend, VecVar,
+                       VFma, VLoad, VStore)
 from repro.cir.interpreter import Interpreter
 from repro.errors import BackendError
+from repro.service.registry import workload_names
 from repro.slingen import Options, SLinGen
 from test_generated_c_golden import PAPER_SUITE
 
@@ -164,7 +166,7 @@ def _assembly(tmp_path, name, code, flags):
 def _every_intrinsic_function(width):
     """A function whose C calls every intrinsic (and libm function) the
     unparser emits at ``width``."""
-    from repro.cir import (UnOp, VBroadcast, VBinOp, VExtract, VPermute2f128,
+    from repro.cir import (VBroadcast, VBinOp, VExtract, VPermute2f128,
                            VReduceAdd, VSet, VShufflePd, VUnpack, VZero)
     a = Buffer("a", 1, 8, "in")
     out = Buffer("out", 1, 8, "out")
@@ -326,6 +328,28 @@ class TestObjectCache:
         np.testing.assert_allclose(result["out"], [[3.0, 6.0, 9.0, 12.0]])
 
 
+def _libm_function(*ops):
+    """A scalar function whose body applies each of ``ops`` (``sqrt``,
+    ``max`` or ``min``), which the C spells as a libm call."""
+    a = Buffer("a", 1, 2, "in")
+    out = Buffer("out", 1, 2, "out")
+    x, y = Load(a, Affine.constant(0)), Load(a, Affine.constant(1))
+    body = [Store(out, Affine.constant(i),
+                  UnOp(op, x) if op == "sqrt" else BinOp(op, x, y))
+            for i, op in enumerate(ops)]
+    return Function("libm_" + "_".join(ops), [a, out], [], body,
+                    vector_width=1)
+
+
+def _private_tmpdir(tmp_path, monkeypatch):
+    """Point ``tempfile`` at a fresh directory and return it."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    return scratch
+
+
 def _fake_compiler(tmp_path):
     """A ``$CC`` that records its arguments and fails."""
     log = tmp_path / "cc-args"
@@ -358,14 +382,107 @@ class TestCompileFlags:
 
     def test_failed_compiles_leave_no_scratch_directory(self, tmp_path,
                                                         monkeypatch):
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
+        scratch = _private_tmpdir(tmp_path, monkeypatch)
         compiler, _ = _fake_compiler(tmp_path)
         monkeypatch.setenv("CC", compiler)
-        monkeypatch.setenv("TMPDIR", str(scratch))
-        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
         func = _simple_scalar_function()
         for _ in range(3):
             with pytest.raises(BackendError):
                 compile_kernel(unparse_function(func), func)
         assert list(scratch.glob("repro_cc_*")) == []
+
+    @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
+    def test_successful_compiles_leave_no_scratch_directory(self, tmp_path,
+                                                            monkeypatch):
+        scratch = _private_tmpdir(tmp_path, monkeypatch)
+        func = _simple_scalar_function()
+        kernels = [compile_kernel(unparse_function(func), func)
+                   for _ in range(3)]
+        assert list(scratch.glob("repro_cc_*")) == []
+        # the loaded libraries outlive their deleted files
+        for kernel in kernels:
+            result = kernel.run({"a": np.array([[1.0, 2.0, 3.0, 4.0]])})
+            np.testing.assert_allclose(result["out"],
+                                       [[2.0, 4.0, 6.0, 8.0]])
+
+    @pytest.mark.parametrize("function,calls_libm", [
+        pytest.param(_simple_scalar_function(), False, id="no-libm"),
+        pytest.param(_libm_function("sqrt"), True, id="sqrt"),
+        pytest.param(_libm_function("max"), True, id="fmax"),
+        pytest.param(_libm_function("min"), True, id="fmin"),
+    ])
+    def test_link_recipe(self, tmp_path, monkeypatch, function, calls_libm):
+        compiler, log = _fake_compiler(tmp_path)
+        monkeypatch.setenv("CC", compiler)
+        with pytest.raises(BackendError):
+            compile_kernel(unparse_function(function), function)
+        arguments = log.read_text().split()
+        assert "-nostdlib" in arguments and "-pipe" in arguments
+        assert "-lc" not in arguments
+        assert ("-lm" in arguments) == calls_libm
+
+    def test_c_text_shortcut_agrees_with_the_walk_on_every_registry_spec(
+            self):
+        for name in workload_names():
+            for vectorize in (True, False):
+                function = SLinGen(Options(vectorize=vectorize)).generate(
+                    make_request(f"{name}:4").program).function
+                assert kernel_flags(function, unparse_function(function)) \
+                    == kernel_flags(function), (name, vectorize)
+
+
+_LOADER = r"""
+#include <dlfcn.h>
+#include <stdio.h>
+
+int main(int argc, char **argv) {
+    for (int i = 1; i < argc; i++) {
+        if (!dlopen(argv[i], RTLD_NOW | RTLD_LOCAL)) {
+            fprintf(stderr, "%s\n", dlerror());
+            return 1;
+        }
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.skipif(not compiler_available(), reason="no C compiler")
+class TestLibcFreeLink:
+    """Kernels link without libc and its start files, and with libm only
+    when they call it."""
+
+    def _library(self, tmp_path, name, function):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        return compile_kernel(unparse_function(function), function,
+                              keep_dir=str(workdir)).library_path
+
+    def _generated(self, spec):
+        return SLinGen(Options()).generate(make_request(spec).program).function
+
+    def test_kernels_load_in_a_process_without_libm(self, tmp_path):
+        # built like the native benchmark driver: $CC with -ldl only
+        loader = tmp_path / "loader"
+        (tmp_path / "loader.c").write_text(_LOADER)
+        subprocess.run([find_c_compiler(), str(tmp_path / "loader.c"),
+                        "-o", str(loader), "-ldl"],
+                       check=True, capture_output=True)
+        libraries = [
+            self._library(tmp_path, "potrf", self._generated("potrf:4")),
+            self._library(tmp_path, "gemm", self._generated("gemm:4")),
+            self._library(tmp_path, "maxmin", _libm_function("max", "min")),
+        ]
+        result = subprocess.run([str(loader), *libraries],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_no_start_files_are_linked(self, tmp_path):
+        if shutil.which("nm") is None:
+            pytest.skip("no nm")
+        library = self._library(tmp_path, "potrf", self._generated("potrf:4"))
+        symbols = subprocess.run(["nm", library], check=True,
+                                 capture_output=True, text=True).stdout
+        assert "potrf_4_kernel" in symbols
+        assert "frame_dummy" not in symbols
+        assert "register_tm_clones" not in symbols
