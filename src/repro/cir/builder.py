@@ -117,13 +117,6 @@ class CIRBuilder:
                 f"operand {operand.name!r} is not part of program "
                 f"{self.program.name!r}")
 
-    def temp_buffer(self, rows: int, cols: int, prefix: str = "tmp") -> Buffer:
-        """Allocate a local temporary array buffer."""
-        buffer = Buffer(name=self.names.fresh(prefix), rows=rows, cols=cols,
-                        kind="temp")
-        self.function.temps.append(buffer)
-        return buffer
-
     def register_temp_operand(self, operand: Operand) -> Buffer:
         """Create (or reuse) a temp buffer backing a synthesized operand.
 

@@ -2,9 +2,9 @@
 
 from .algorithms import Synthesizer
 from .database import AlgorithmDatabase, DatabaseEntry
-from .operations import OperationInstance, collect_hlacs, recognize
+from .operations import OperationInstance, recognize
 
 __all__ = [
     "Synthesizer", "AlgorithmDatabase", "DatabaseEntry",
-    "OperationInstance", "collect_hlacs", "recognize",
+    "OperationInstance", "recognize",
 ]

@@ -22,7 +22,7 @@ kind                    equation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import UnsupportedHLACError
 from ..ir.expr import Add, Expr, Inverse, Mul, Ref, Transpose
@@ -209,11 +209,3 @@ def _recognize_equation(statement: Equation) -> OperationInstance:
         f"operation (Cholesky, triangular solve, triangular inverse, "
         f"Sylvester, Lyapunov)")
 
-
-def collect_hlacs(statements: List[Statement]) -> List[Tuple[int, OperationInstance]]:
-    """Return (index, recognized operation) for every HLAC statement."""
-    found: List[Tuple[int, OperationInstance]] = []
-    for index, statement in enumerate(statements):
-        if statement.is_hlac():
-            found.append((index, recognize(statement)))
-    return found

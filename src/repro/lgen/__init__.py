@@ -5,7 +5,7 @@ from .lowering import Lowerer, LoweringOptions
 from .normalize import (CanonicalOp, MatMulOp, Normalizer, ScalarAssignOp,
                         ScalarCoeff, ScaleCopyOp, TempAllocator,
                         push_down_transposes)
-from .nu_blacs import NU_BLACS, NuBlac, find_nu_blac
+from .nu_blacs import NU_BLACS, NuBlac
 from .tiling import CodegenVariant, candidate_variants, dedupe_resolved
 
 __all__ = [
@@ -13,6 +13,6 @@ __all__ = [
     "Lowerer", "LoweringOptions",
     "CanonicalOp", "MatMulOp", "Normalizer", "ScalarAssignOp", "ScalarCoeff",
     "ScaleCopyOp", "TempAllocator", "push_down_transposes",
-    "NU_BLACS", "NuBlac", "find_nu_blac",
+    "NU_BLACS", "NuBlac",
     "CodegenVariant", "candidate_variants", "dedupe_resolved",
 ]

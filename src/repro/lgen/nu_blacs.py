@@ -7,9 +7,8 @@ are tiled down to these.  This module provides
 * :data:`NU_BLACS` -- the catalogue of the 18 operations (used by the
   documentation, by tests, and to label generated code), and
 * the innermost C-IR emitters the tiled lowering uses for a vector-length
-  unit of work: broadcast multiply-accumulate along a row, vector
-  dot-product accumulation, the shuffle-based 4x4 in-register transpose, and
-  scaled row copies.
+  unit of work: the shuffle-based 4x4 in-register transpose and scaled row
+  copies.
 
 Only the AVX double-precision instantiation (nu = 4) of the shuffle-based
 transpose is provided, matching the paper's evaluation platform; all other
@@ -22,9 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..cir.builder import CIRBuilder
-from ..cir.nodes import (Affine, Assign, CStmt, FloatConst, ScalarVar, VBinOp,
-                         VBlend, VecVar, VLoad, VPermute2f128, VStore, VUnpack,
-                         VZero)
+from ..cir.nodes import (Assign, CStmt, VBinOp, VecVar, VLoad, VPermute2f128,
+                         VStore, VUnpack)
 from ..ir.operands import View
 
 
@@ -61,14 +59,6 @@ NU_BLACS: Tuple[NuBlac, ...] = (
 )
 
 
-def find_nu_blac(name: str) -> Optional[NuBlac]:
-    """Look up a nu-BLAC descriptor by name."""
-    for blac in NU_BLACS:
-        if blac.name == name:
-            return blac
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Innermost emitters
 # ---------------------------------------------------------------------------
@@ -82,35 +72,6 @@ def leftover_mask(count: int, width: int) -> Optional[Tuple[bool, ...]]:
     if count >= width:
         return None
     return tuple(lane < count for lane in range(width))
-
-
-def emit_axpy_row(builder: CIRBuilder, acc: VecVar, scale: VecVar,
-                  src_view: View, row, col, width: int,
-                  mask: Optional[Tuple[bool, ...]],
-                  stmts: List[CStmt]) -> VecVar:
-    """Emit ``acc += scale * src[row, col:col+width]`` and return the new
-    accumulator register."""
-    buffer, index = builder.address(src_view, row, col)
-    loaded = VLoad(buffer, index, width, mask)
-    new_acc = builder.vector(width, "acc")
-    stmts.append(Assign(new_acc, VBinOp("add", acc,
-                                        VBinOp("mul", scale, loaded, width),
-                                        width)))
-    return new_acc
-
-
-def emit_dot_step(builder: CIRBuilder, acc: VecVar, a_view: View, a_row, a_col,
-                  b_view: View, b_row, b_col, width: int,
-                  mask: Optional[Tuple[bool, ...]],
-                  stmts: List[CStmt]) -> VecVar:
-    """Emit one vector step of a dot product: ``acc += a[...] * b[...]``."""
-    a_buf, a_idx = builder.address(a_view, a_row, a_col)
-    b_buf, b_idx = builder.address(b_view, b_row, b_col)
-    product = VBinOp("mul", VLoad(a_buf, a_idx, width, mask),
-                     VLoad(b_buf, b_idx, width, mask), width)
-    new_acc = builder.vector(width, "acc")
-    stmts.append(Assign(new_acc, VBinOp("add", acc, product, width)))
-    return new_acc
 
 
 def emit_transpose_4x4(builder: CIRBuilder, dest_view: View, dest_row: int,
