@@ -6,18 +6,28 @@ with the product of the trip counts of its enclosing loops.  The resulting
 :class:`InstructionMix` is the input of the ERM-style roofline analysis and
 is also used directly by tests (e.g. "the load/store analysis removes N
 loads").
+
+Divisions and square roots are charged once per distinct value, the way
+the C compiler computes them: within one straight-line block, a repeat of
+the same ``div``/``sqrt`` expression node is free while nothing it reads
+has changed since its first occurrence.  An ``Assign`` to a register the
+expression reads, or a ``Store``/``VStore`` to a buffer it loads from,
+makes the next occurrence charged again, and the set of charged values
+starts empty at every ``For``/``If`` boundary (as in
+:mod:`repro.cir.passes.cse`).  Every other instruction is charged per
+occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,
-                         If, Load, Store, UnOp, VBinOp, VBlend, VBroadcast,
-                         VExtract, VFma, VLoad, VPermute2f128, VReduceAdd,
-                         VSet, VShufflePd, VStore, VUnpack, VZero,
-                         walk_expressions)
+                         If, Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
+                         VBroadcast, VecVar, VExtract, VFma, VLoad,
+                         VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
+                         VUnpack, VZero)
 
 
 @dataclass
@@ -126,7 +136,39 @@ class InstructionMix:
                 if f.name != "vector_width"}
 
 
-def _count_expression(expr: CExpr, mix: InstructionMix, weight: float) -> None:
+class _Issued:
+    """The divisions and square roots already charged in one straight-line
+    block, each with its inputs: ``("reg", name)`` for a register it reads
+    and ``("buf", name)`` for a buffer it loads from."""
+
+    def __init__(self) -> None:
+        self.inputs: Dict[CExpr, FrozenSet[Tuple[str, str]]] = {}
+
+    def first(self, node: CExpr) -> bool:
+        """True (and remember ``node``) unless its value is still live."""
+        if node in self.inputs:
+            return False
+        self.inputs[node] = frozenset(
+            ("reg", child.name) if isinstance(child, (ScalarVar, VecVar))
+            else ("buf", child.buffer.name)
+            for child in node.walk()
+            if isinstance(child, (ScalarVar, VecVar, Load, VLoad)))
+        return True
+
+    def kill(self, stmt: CStmt) -> None:
+        """Forget every value ``stmt`` overwrites an input of."""
+        if self.inputs:
+            written = (("reg", stmt.dest.name) if isinstance(stmt, Assign)
+                       else ("buf", stmt.buffer.name))
+            # delete in place: rebuilding the dict would rehash every key,
+            # and hashing a C-IR expression walks all of it
+            for node in [node for node, inputs in self.inputs.items()
+                         if written in inputs]:
+                del self.inputs[node]
+
+
+def _count_expression(expr: CExpr, mix: InstructionMix, weight: float,
+                      issued: _Issued) -> None:
     for node in expr.walk():
         if isinstance(node, Load):
             mix.scalar_loads += weight
@@ -139,19 +181,19 @@ def _count_expression(expr: CExpr, mix: InstructionMix, weight: float) -> None:
                 mix.scalar_add += weight
             elif node.op == "mul":
                 mix.scalar_mul += weight
-            elif node.op == "div":
+            elif node.op == "div" and issued.first(node):
                 mix.scalar_div += weight
         elif isinstance(node, UnOp):
-            if node.op == "sqrt":
-                mix.scalar_sqrt += weight
-            else:
+            if node.op != "sqrt":
                 mix.scalar_add += weight
+            elif issued.first(node):
+                mix.scalar_sqrt += weight
         elif isinstance(node, VBinOp):
             if node.op in ("add", "sub", "max", "min"):
                 mix.vector_add += weight
             elif node.op == "mul":
                 mix.vector_mul += weight
-            elif node.op == "div":
+            elif node.op == "div" and issued.first(node):
                 mix.vector_div += weight
         elif isinstance(node, VFma):
             mix.vector_fma += weight
@@ -172,28 +214,27 @@ def _count_expression(expr: CExpr, mix: InstructionMix, weight: float) -> None:
 
 def _count_statements(stmts: Iterable[CStmt], mix: InstructionMix,
                       weight: float) -> None:
+    issued = _Issued()
     for stmt in stmts:
         if isinstance(stmt, Comment):
             continue
         if isinstance(stmt, For):
+            issued = _Issued()
             _count_statements(stmt.body, mix, weight * stmt.trip_count)
             continue
         if isinstance(stmt, If):
             # Both branches weighted by half: conditions in generated code
             # are leftovers guards that alternate.
+            issued = _Issued()
             _count_statements(stmt.then_body, mix, weight * 0.5)
             _count_statements(stmt.else_body, mix, weight * 0.5)
             continue
-        for expr in walk_expressions(stmt):
-            pass  # expressions handled below (walk once, weighted)
-        if isinstance(stmt, Assign):
-            _count_expression(stmt.value, mix, weight)
-        elif isinstance(stmt, Store):
-            _count_expression(stmt.value, mix, weight)
+        _count_expression(stmt.value, mix, weight, issued)
+        if isinstance(stmt, Store):
             mix.scalar_stores += weight
         elif isinstance(stmt, VStore):
-            _count_expression(stmt.value, mix, weight)
             mix.vector_stores += weight
+        issued.kill(stmt)
 
 
 def instruction_mix(function: Function) -> InstructionMix:

@@ -57,7 +57,9 @@ from ..slingen.options import Options
 #: rewrite tiers, canonicalization, artifact shape).
 #: v2: lower and optimize keyed by digests of the artifacts they consume,
 #: the ``score`` phase, and no parent-key fields on the artifacts.
-PHASE_SCHEMA_VERSION = 2
+#: v3: ``score`` charges each distinct division/square root once per
+#: straight-line block; cached scores from the old count are stale.
+PHASE_SCHEMA_VERSION = 3
 
 #: The phases, in dataflow order.
 PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",

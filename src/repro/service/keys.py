@@ -43,7 +43,11 @@ from ..slingen.options import Options
 #: Not bumped for the header-free C prelude under GCC: C stored before it
 #: still compiles to the same machine code, and compiled objects are keyed
 #: by the C source as well.
-KEY_SCHEMA_VERSION = 4
+#: v5: the instruction mix charges each distinct division/square root once
+#: per straight-line block, which changes scores and the trtri:4/trtri:8
+#: (and kf:8) selections; stored kernels chosen by the old count must not
+#: be recalled.
+KEY_SCHEMA_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
