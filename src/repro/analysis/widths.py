@@ -20,9 +20,8 @@ from typing import Dict, List, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, CStmt, FloatConst, Function,
                          Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
-                         VBroadcast, VecVar, VExtract, VFma, VLoad,
-                         VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
-                         VUnpack, VZero)
+                         VBroadcast, VecVar, VExtract, VLoad, VPermute2f128,
+                         VReduceAdd, VSet, VStore, VUnpack, VZero)
 from .diagnostics import Diagnostic
 
 PASS = "widths"
@@ -110,7 +109,7 @@ def check_widths(fn: Function) -> List[Diagnostic]:
                         diags.append(_err(
                             f"scalar op {node.op!r} has a width-"
                             f"{child.width} operand", location))
-            elif isinstance(node, (VBinOp, VFma)):
+            elif isinstance(node, VBinOp):
                 if node.width != width:
                     diags.append(_err(
                         f"vector op width {node.width} != function "
@@ -140,8 +139,7 @@ def check_widths(fn: Function) -> List[Diagnostic]:
                     diags.append(_err(
                         f"vextract lane {node.lane} out of range for "
                         f"width {node.vec.width}", location))
-            elif isinstance(node, (VBlend, VShufflePd, VPermute2f128,
-                                   VUnpack)):
+            elif isinstance(node, (VBlend, VPermute2f128, VUnpack)):
                 if node.width != width:
                     diags.append(_err(
                         f"{type(node).__name__} width {node.width} != "

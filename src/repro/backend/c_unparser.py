@@ -25,8 +25,8 @@ from typing import Dict, List, Set, Tuple
 from ..cir.nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
                          FloatConst, For, Function, If, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
-                         VExtract, VFma, VLoad, VPermute2f128, VReduceAdd,
-                         VSet, VShufflePd, VStore, VUnpack, VZero)
+                         VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,
+                         VStore, VUnpack, VZero)
 from ..errors import BackendError
 
 # GCC parses the system headers anew for every kernel: <immintrin.h>
@@ -35,7 +35,7 @@ from ..errors import BackendError
 # compile.  Under GCC the kernel therefore includes nothing.  A prelude
 # declares what the code uses: the vector types, one definition per
 # intrinsic the function calls -- copied from GCC's own avxintrin.h,
-# emmintrin.h, smmintrin.h and fmaintrin.h, each a vector-extension
+# emmintrin.h and smmintrin.h, each a vector-extension
 # expression or a __builtin_ia32_* call, so the machine code is the one the
 # headers give -- and the libm prototypes that replace <math.h>.  Other
 # compilers (clang's builtins differ) take the #else branch and the
@@ -77,7 +77,7 @@ def _binary(ret: str, name: str, body: str) -> Tuple[str, str]:
 #: Every name the unparser can emit, in prelude order, with its definition
 #: (GCC 12 spelling).  The prelude defines the ones a kernel uses.
 _DEFINITIONS: Dict[str, str] = dict([
-    # SSE2 (emmintrin.h), SSE4.1 (smmintrin.h), AVX and FMA, 128-bit
+    # SSE2 (emmintrin.h), SSE4.1 (smmintrin.h) and AVX, 128-bit
     _inline("__m128d", "_mm_loadu_pd", "double const *__P",
             "return *(__m128d_u *)__P;"),
     _inline("void", "_mm_storeu_pd", "double *__P, __m128d __A",
@@ -119,16 +119,10 @@ _DEFINITIONS: Dict[str, str] = dict([
             "((__v2df)__A, (__v2df)__B);"),
     _inline("double", "_mm_cvtsd_f64", "__m128d __A",
             "return ((__v2df)__A)[0];"),
-    _inline("__m128d", "_mm_fmadd_pd", "__m128d __A, __m128d __B, __m128d __C",
-            "return (__m128d)__builtin_ia32_vfmaddpd "
-            "((__v2df)__A, (__v2df)__B, (__v2df)__C);"),
     _macro("_mm_blend_pd", "X, Y, M",
            "((__m128d) __builtin_ia32_blendpd ((__v2df)(__m128d)(X), "
            "(__v2df)(__m128d)(Y), (int)(M)))"),
-    _macro("_mm_shuffle_pd", "A, B, N",
-           "((__m128d)__builtin_ia32_shufpd ((__v2df)(__m128d)(A), "
-           "(__v2df)(__m128d)(B), (int)(N)))"),
-    # AVX (avxintrin.h) and FMA, 256-bit
+    # AVX (avxintrin.h), 256-bit
     _inline("__m256d", "_mm256_loadu_pd", "double const *__P",
             "return *(__m256d_u *)__P;"),
     _inline("void", "_mm256_storeu_pd", "double *__P, __m256d __A",
@@ -172,16 +166,9 @@ _DEFINITIONS: Dict[str, str] = dict([
             "((__v4df)__A, (__v4df)__B);"),
     _inline("__m128d", "_mm256_castpd256_pd128", "__m256d __A",
             "return (__m128d) __builtin_ia32_pd_pd256 ((__v4df)__A);"),
-    _inline("__m256d", "_mm256_fmadd_pd",
-            "__m256d __A, __m256d __B, __m256d __C",
-            "return (__m256d)__builtin_ia32_vfmaddpd256 "
-            "((__v4df)__A, (__v4df)__B, (__v4df)__C);"),
     _macro("_mm256_blend_pd", "X, Y, M",
            "((__m256d) __builtin_ia32_blendpd256 ((__v4df)(__m256d)(X), "
            "(__v4df)(__m256d)(Y), (int)(M)))"),
-    _macro("_mm256_shuffle_pd", "A, B, N",
-           "((__m256d)__builtin_ia32_shufpd256 ((__v4df)(__m256d)(A), "
-           "(__v4df)(__m256d)(B), (int)(N)))"),
     _macro("_mm256_permute2f128_pd", "X, Y, C",
            "((__m256d) __builtin_ia32_vperm2f128_pd256 ((__v4df)(__m256d)(X), "
            "(__v4df)(__m256d)(Y), (int)(C)))"),
@@ -448,18 +435,12 @@ class CUnparser:
                     "max": "max", "min": "min"}[expr.op]
             return self._vcall(f"{name}_pd", self._expr(expr.left),
                                self._expr(expr.right))
-        if isinstance(expr, VFma):
-            return self._vcall("fmadd_pd", self._expr(expr.a),
-                               self._expr(expr.b), self._expr(expr.c))
         if isinstance(expr, VReduceAdd):
             return f"repro_reduce_add_pd({self._expr(expr.vec)})"
         if isinstance(expr, VExtract):
             return f"repro_extract_pd({self._expr(expr.vec)}, {expr.lane})"
         if isinstance(expr, VBlend):
             return self._vcall("blend_pd", self._expr(expr.a),
-                               self._expr(expr.b), str(expr.imm))
-        if isinstance(expr, VShufflePd):
-            return self._vcall("shuffle_pd", self._expr(expr.a),
                                self._expr(expr.b), str(expr.imm))
         if isinstance(expr, VPermute2f128):
             if self.function.vector_width != 4:

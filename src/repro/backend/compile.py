@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cir.nodes import BinOp, Function, UnOp, VFma, walk_expressions
+from ..cir.nodes import BinOp, Function, UnOp, walk_expressions
 from ..errors import BackendError
 
 
@@ -138,37 +138,20 @@ def kernel_flags(function: Function, c_code: Optional[str] = None
     instruction-set flags, which reach the compiler proper, and the
     libraries to link.
 
-    AVX for any vector width, and FMA on top when the body fuses
-    multiply-adds (``VFma``); ``-lm`` when it calls libm.  One walk over the
-    C-IR decides both, so nothing the C text happens to contain (a prelude
-    definition, a comment) can switch either on.  ``c_code``, the
-    function's C, only spares the walk -- which costs up to a few
-    milliseconds, against microseconds for a cached object -- when it names
-    neither an FMA intrinsic nor a libm function: the unparser spells every
-    ``VFma`` and every libm call by name.
+    ``-mavx`` for any vector width; ``-lm`` when the C-IR calls libm.  A
+    walk over the C-IR decides the latter, so nothing the C text happens to
+    contain (a prelude definition, a comment) can switch it on.
+    ``c_code``, the function's C, only spares the walk -- which costs up to
+    a few milliseconds, against microseconds for a cached object -- when it
+    names no libm function: the unparser spells every libm call by name.
     """
-    find_fma = function.vector_width > 1 and (
-        c_code is None or "_fmadd_pd" in c_code)
-    find_libm = c_code is None or any(name in c_code
-                                      for name in _LIBM_FUNCTIONS)
-    fma = libm = False
-    if find_fma or find_libm:
-        for stmt in function.walk_statements():
-            for expr in walk_expressions(stmt):
-                fma = fma or (find_fma and isinstance(expr, VFma))
-                libm = libm or (find_libm and _calls_libm(expr))
-            if fma == find_fma and libm == find_libm:
-                break
-    isa = [] if function.vector_width == 1 else (
-        ["-mavx", "-mfma"] if fma else ["-mavx"])
+    isa = ["-mavx"] if function.vector_width > 1 else []
+    if c_code is not None and not any(name in c_code
+                                      for name in _LIBM_FUNCTIONS):
+        return isa, []
+    libm = any(_calls_libm(expr) for stmt in function.walk_statements()
+               for expr in walk_expressions(stmt))
     return isa, ["-lm"] if libm else []
-
-
-def isa_flags(function: Function, c_code: Optional[str] = None) -> List[str]:
-    """The instruction-set flags ``function`` needs: AVX for any vector
-    width, and FMA on top when its body fuses multiply-adds.  The first
-    half of :func:`kernel_flags`."""
-    return kernel_flags(function, c_code)[0]
 
 
 def compile_kernel(c_code: str, function: Function,

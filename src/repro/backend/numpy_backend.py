@@ -18,8 +18,8 @@ translator supports two emission modes:
 * ``"unrolled"`` (default): every width-``nu`` vector value is
   lane-decomposed into ``nu`` scalar expressions at *translation* time --
   loads become per-lane indexing, lane-wise arithmetic becomes scalar
-  arithmetic, and the data-reorganization ops (blend/shuffle/permute/
-  unpack) and mask constants resolve into pure lane selection, i.e. they
+  arithmetic, and the data-reorganization ops (blend/permute/unpack)
+  and mask constants resolve into pure lane selection, i.e. they
   cost nothing at run time.  Buffers live as Python lists inside the
   kernel (converted from/to the caller's ndarrays at entry/exit).  For
   the paper's kernel sizes (nu = 4) this is by far the fastest portable
@@ -54,8 +54,8 @@ import numpy as np
 from ..cir.nodes import (Affine, Assign, BinOp, CExpr, Comment, CStmt,
                          FloatConst, For, Function, If, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
-                         VExtract, VFma, VLoad, VPermute2f128, VReduceAdd,
-                         VSet, VShufflePd, VStore, VUnpack, VZero)
+                         VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,
+                         VStore, VUnpack, VZero)
 from ..errors import BackendError
 
 #: Bump whenever the emitted Python changes incompatibly; stale cached
@@ -116,14 +116,6 @@ def _maskstore(buf, base, lanes, value):
     """AVX maskstore: only active lanes are written."""
     value = np.asarray(value, dtype=np.float64)
     buf[base + lanes] = value[lanes] if value.ndim else value
-
-
-def _shuffle(a, b, ai, bi):
-    """AVX shuffle_pd: even result lanes gather from a, odd from b."""
-    out = np.empty(4, dtype=np.float64)
-    out[0::2] = a[ai]
-    out[1::2] = b[bi]
-    return out
 
 
 def _perm2f128(a, b, imm):
@@ -252,14 +244,6 @@ class NumPyTranslator:
         sel = [bool(imm >> lane & 1) for lane in range(width)]
         return self._constant(
             "BLEND", (imm, width), f"np.array({sel!r}, dtype=bool)")
-
-    def _shuffle_constants(self, imm: int) -> Tuple[str, str]:
-        a_idx = [imm & 1, 2 + ((imm >> 2) & 1)]
-        b_idx = [(imm >> 1) & 1, 2 + ((imm >> 3) & 1)]
-        return (self._constant("GA", ("a", imm),
-                               f"np.array({a_idx!r}, dtype=np.intp)"),
-                self._constant("GB", ("b", imm),
-                               f"np.array({b_idx!r}, dtype=np.intp)"))
 
     # -- affine index expressions --------------------------------------------
 
@@ -457,23 +441,11 @@ class NumPyTranslator:
                              for l, r in zip(left, right))
             return tuple(f"{expr.op}({l}, {r})"
                          for l, r in zip(left, right))
-        if isinstance(expr, VFma):
-            a = self._lanes(expr.a, expr.width)
-            b = self._lanes(expr.b, expr.width)
-            c = self._lanes(expr.c, expr.width)
-            return tuple(f"({x} * {y} + {z})"
-                         for x, y, z in zip(a, b, c))
         if isinstance(expr, VBlend):
             a = self._lanes(expr.a, expr.width)
             b = self._lanes(expr.b, expr.width)
             return tuple(b[lane] if expr.imm >> lane & 1 else a[lane]
                          for lane in range(expr.width))
-        if isinstance(expr, VShufflePd):
-            a = self._lanes(expr.a, 4)
-            b = self._lanes(expr.b, 4)
-            imm = expr.imm
-            return (a[imm & 1], b[(imm >> 1) & 1],
-                    a[2 + ((imm >> 2) & 1)], b[2 + ((imm >> 3) & 1)])
         if isinstance(expr, VPermute2f128):
             a = self._lanes(expr.a, 4)
             b = self._lanes(expr.b, 4)
@@ -542,9 +514,6 @@ class NumPyTranslator:
             if expr.op == "neg":
                 return f"(-{self._expr(expr.operand)})"
             return f"sqrt({self._expr(expr.operand)})"
-        if isinstance(expr, VFma):
-            return (f"({self._expr(expr.a)} * {self._expr(expr.b)} + "
-                    f"{self._expr(expr.c)})")
         if isinstance(expr, VReduceAdd):
             return f"({self._expr(expr.vec)}).sum()"
         if isinstance(expr, VExtract):
@@ -553,10 +522,6 @@ class NumPyTranslator:
             selector = self._blend_constant(expr.imm, expr.width)
             return (f"np.where({selector}, {self._expr(expr.b)}, "
                     f"{self._expr(expr.a)})")
-        if isinstance(expr, VShufflePd):
-            a_idx, b_idx = self._shuffle_constants(expr.imm)
-            return (f"_shuffle({self._expr(expr.a)}, {self._expr(expr.b)}, "
-                    f"{a_idx}, {b_idx})")
         if isinstance(expr, VPermute2f128):
             return (f"_perm2f128({self._expr(expr.a)}, "
                     f"{self._expr(expr.b)}, {expr.imm})")

@@ -4,9 +4,9 @@ from .builder import CIRBuilder, NameAllocator
 from .interpreter import Interpreter, InterpreterKernel, run_function
 from .nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
                     FloatConst, For, Function, If, Load, ScalarVar, Store,
-                    UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VFma,
-                    VLoad, VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
-                    VUnpack, VZero, walk_expressions)
+                    UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
+                    VPermute2f128, VReduceAdd, VSet, VStore, VUnpack, VZero,
+                    walk_expressions)
 from .passes import PassOptions, PassReport, run_pipeline
 
 __all__ = [
@@ -14,8 +14,8 @@ __all__ = [
     "run_function",
     "Affine", "Assign", "BinOp", "Buffer", "CExpr", "Comment", "CStmt",
     "FloatConst", "For", "Function", "If", "Load", "ScalarVar", "Store",
-    "UnOp", "VBinOp", "VBlend", "VBroadcast", "VecVar", "VExtract", "VFma",
-    "VLoad", "VPermute2f128", "VReduceAdd", "VSet", "VShufflePd", "VStore",
-    "VUnpack", "VZero", "walk_expressions",
+    "UnOp", "VBinOp", "VBlend", "VBroadcast", "VecVar", "VExtract", "VLoad",
+    "VPermute2f128", "VReduceAdd", "VSet", "VStore", "VUnpack", "VZero",
+    "walk_expressions",
     "PassOptions", "PassReport", "run_pipeline",
 ]

@@ -4,8 +4,8 @@ The interpreter gives C-IR an executable semantics independent of a C
 compiler: every generated kernel can be run on numpy inputs and compared
 against a reference implementation.  The vector operations implement the
 exact semantics of the AVX instructions they are unparsed to
-(``blend_pd``, ``shuffle_pd``, ``permute2f128_pd``, ``unpacklo/hi_pd``,
-masked loads/stores), so that the load/store analysis of Stage 3 can be
+(``blend_pd``, ``permute2f128_pd``, ``unpacklo/hi_pd``, masked
+loads/stores), so that the load/store analysis of Stage 3 can be
 validated end to end.
 """
 
@@ -19,9 +19,8 @@ import numpy as np
 from ..errors import InterpreterError
 from .nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
                     FloatConst, For, Function, If, Load, ScalarVar, Store,
-                    UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VFma,
-                    VLoad, VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
-                    VUnpack, VZero)
+                    UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
+                    VPermute2f128, VReduceAdd, VSet, VStore, VUnpack, VZero)
 
 Value = Union[float, np.ndarray]
 
@@ -219,11 +218,6 @@ class Interpreter:
             right = self._as_vector(self._eval(expr.right, env, indices),
                                     expr.width)
             return self._vector_op(expr.op, left, right)
-        if isinstance(expr, VFma):
-            a = self._as_vector(self._eval(expr.a, env, indices), expr.width)
-            b = self._as_vector(self._eval(expr.b, env, indices), expr.width)
-            c = self._as_vector(self._eval(expr.c, env, indices), expr.width)
-            return a * b + c
         if isinstance(expr, VReduceAdd):
             vec = self._eval(expr.vec, env, indices)
             return float(np.sum(self._as_vector(vec, len(np.atleast_1d(vec)))))
@@ -238,13 +232,6 @@ class Interpreter:
                 if expr.imm >> lane & 1:
                     out[lane] = b[lane]
             return out
-        if isinstance(expr, VShufflePd):
-            a = self._as_vector(self._eval(expr.a, env, indices), 4)
-            b = self._as_vector(self._eval(expr.b, env, indices), 4)
-            imm = expr.imm
-            return np.array([a[imm & 1], b[(imm >> 1) & 1],
-                             a[2 + ((imm >> 2) & 1)], b[2 + ((imm >> 3) & 1)]],
-                            dtype=np.float64)
         if isinstance(expr, VPermute2f128):
             a = self._as_vector(self._eval(expr.a, env, indices), 4)
             b = self._as_vector(self._eval(expr.b, env, indices), 4)

@@ -368,21 +368,6 @@ class VBinOp(CExpr):
 
 
 @dataclass(frozen=True)
-class VFma(CExpr):
-    """Fused multiply-add ``a * b + c`` (lane-wise)."""
-    a: CExpr
-    b: CExpr
-    c: CExpr
-    width: int = 4
-
-    def children(self) -> Tuple[CExpr, ...]:
-        return (self.a, self.b, self.c)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"vfma({self.a!r}, {self.b!r}, {self.c!r})"
-
-
-@dataclass(frozen=True)
 class VReduceAdd(CExpr):
     """Horizontal sum of all lanes; the result is a scalar."""
     vec: CExpr
@@ -422,26 +407,6 @@ class VBlend(CExpr):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"vblend({self.a!r}, {self.b!r}, {self.imm:#x})"
-
-
-@dataclass(frozen=True)
-class VShufflePd(CExpr):
-    """AVX ``shuffle_pd`` on 256-bit double vectors.
-
-    Within each 128-bit half h (0 or 1), lane 0 of the result half is
-    ``a[2h + bit(2h)]`` and lane 1 is ``b[2h + bit(2h+1)]`` where ``bit(k)``
-    is bit k of ``imm``.
-    """
-    a: CExpr
-    b: CExpr
-    imm: int
-    width: int = 4
-
-    def children(self) -> Tuple[CExpr, ...]:
-        return (self.a, self.b)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"vshuffle_pd({self.a!r}, {self.b!r}, {self.imm:#x})"
 
 
 @dataclass(frozen=True)
@@ -640,8 +605,8 @@ def walk_expressions(stmt: CStmt) -> Iterator[CExpr]:
 
 __all__ = [
     "Affine", "Buffer", "CExpr", "FloatConst", "ScalarVar", "VecVar", "Load",
-    "VLoad", "VBroadcast", "VSet", "VZero", "BinOp", "UnOp", "VBinOp", "VFma",
-    "VReduceAdd", "VExtract", "VBlend", "VShufflePd", "VPermute2f128",
-    "VUnpack", "CStmt", "Assign", "Store", "VStore", "For", "If", "Comment",
-    "Function", "walk_expressions",
+    "VLoad", "VBroadcast", "VSet", "VZero", "BinOp", "UnOp", "VBinOp",
+    "VReduceAdd", "VExtract", "VBlend", "VPermute2f128", "VUnpack", "CStmt",
+    "Assign", "Store", "VStore", "For", "If", "Comment", "Function",
+    "walk_expressions",
 ]

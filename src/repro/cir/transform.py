@@ -11,9 +11,8 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .nodes import (Affine, Assign, BinOp, CExpr, CStmt, For, If, Load,
-                    Store, UnOp, VBinOp, VBlend, VBroadcast, VExtract, VFma,
-                    VLoad, VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
-                    VUnpack)
+                    Store, UnOp, VBinOp, VBlend, VBroadcast, VExtract, VLoad,
+                    VPermute2f128, VReduceAdd, VSet, VStore, VUnpack)
 
 ExprFn = Callable[[CExpr], CExpr]
 
@@ -25,11 +24,9 @@ _CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
     BinOp: ("left", "right"),
     UnOp: ("operand",),
     VBinOp: ("left", "right"),
-    VFma: ("a", "b", "c"),
     VReduceAdd: ("vec",),
     VExtract: ("vec",),
     VBlend: ("a", "b"),
-    VShufflePd: ("a", "b"),
     VPermute2f128: ("a", "b"),
     VUnpack: ("a", "b"),
 }

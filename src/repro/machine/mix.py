@@ -25,9 +25,8 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,
                          If, Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
-                         VBroadcast, VecVar, VExtract, VFma, VLoad,
-                         VPermute2f128, VReduceAdd, VSet, VShufflePd, VStore,
-                         VUnpack, VZero)
+                         VBroadcast, VecVar, VExtract, VLoad, VPermute2f128,
+                         VReduceAdd, VSet, VStore, VUnpack, VZero)
 
 
 @dataclass
@@ -37,7 +36,6 @@ class InstructionMix:
     # floating-point arithmetic (instruction counts, not flops)
     vector_add: float = 0.0
     vector_mul: float = 0.0
-    vector_fma: float = 0.0
     vector_div: float = 0.0
     scalar_add: float = 0.0
     scalar_mul: float = 0.0
@@ -64,20 +62,18 @@ class InstructionMix:
         """Double-precision floating-point operations actually executed."""
         w = self.vector_width
         return (w * (self.vector_add + self.vector_mul + self.vector_div)
-                + 2 * w * self.vector_fma
                 + self.scalar_add + self.scalar_mul + self.scalar_div
                 + self.scalar_sqrt
                 + (w - 1) * self.reductions)
 
     @property
     def mul_issues(self) -> float:
-        return self.vector_mul + self.vector_fma + self.scalar_mul
+        return self.vector_mul + self.scalar_mul
 
     @property
     def add_issues(self) -> float:
         # a horizontal reduction needs ~2 additional add-type issues
-        return (self.vector_add + self.vector_fma + self.scalar_add
-                + 2 * self.reductions)
+        return self.vector_add + self.scalar_add + 2 * self.reductions
 
     @property
     def div_sqrt_issues(self) -> float:
@@ -195,15 +191,13 @@ def _count_expression(expr: CExpr, mix: InstructionMix, weight: float,
                 mix.vector_mul += weight
             elif node.op == "div" and issued.first(node):
                 mix.vector_div += weight
-        elif isinstance(node, VFma):
-            mix.vector_fma += weight
         elif isinstance(node, VReduceAdd):
             mix.reductions += weight
         elif isinstance(node, VExtract):
             mix.extracts += weight
         elif isinstance(node, VBlend):
             mix.blends += weight
-        elif isinstance(node, (VShufflePd, VPermute2f128, VUnpack)):
+        elif isinstance(node, (VPermute2f128, VUnpack)):
             mix.shuffles += weight
         elif isinstance(node, (VSet, VZero)):
             # vzeroall / set sequences: negligible, but VSet of k scalars

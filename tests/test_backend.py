@@ -13,10 +13,10 @@ from repro.applications import make_case
 from repro.api import make_request
 from repro.backend import (CUnparser, compile_kernel, compiler_available,
                            find_c_compiler, unparse_function)
-from repro.backend.compile import isa_flags, kernel_flags
+from repro.backend.compile import kernel_flags
 from repro.cir import (Affine, Assign, Buffer, FloatConst, For, Function,
                        ScalarVar, Store, Load, BinOp, UnOp, VBlend, VecVar,
-                       VFma, VLoad, VStore)
+                       VLoad, VStore)
 from repro.cir.interpreter import Interpreter
 from repro.errors import BackendError
 from repro.service.registry import workload_names
@@ -95,42 +95,6 @@ class TestCompileAndRun:
         np.testing.assert_allclose(outputs["X"], expected["X"], atol=1e-7)
 
 
-def _cpu_has_fma():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as handle:
-            return any(line.startswith("flags") and "fma" in line.split()
-                       for line in handle)
-    except OSError:
-        return False
-
-
-def _fma_function():
-    a = Buffer("a", 1, 4, "in")
-    b = Buffer("b", 1, 4, "in")
-    out = Buffer("out", 1, 4, "inout")
-    body = [VStore(out, Affine.constant(0),
-                   VFma(VLoad(a, Affine.constant(0)),
-                        VLoad(b, Affine.constant(0)),
-                        VLoad(out, Affine.constant(0))))]
-    return Function("fma4", [a, b, out], [], body, vector_width=4)
-
-
-@pytest.mark.skipif(not compiler_available(), reason="no C compiler")
-class TestFusedMultiplyAdd:
-    def test_vfma_function_compiles(self, tmp_path):
-        func = _fma_function()
-        kernel = compile_kernel(unparse_function(func), func,
-                                keep_dir=str(tmp_path))
-        if not _cpu_has_fma():
-            pytest.skip("compiled, but this CPU has no FMA to run it on")
-        inputs = {"a": np.array([[1.0, 2.0, 3.0, 4.0]]),
-                  "b": np.array([[0.5, 0.25, 2.0, -1.0]]),
-                  "out": np.array([[1.0, 1.0, 1.0, 1.0]])}
-        expected = Interpreter(func).run(inputs)
-        np.testing.assert_array_equal(kernel.run(inputs)["out"],
-                                      expected["out"])
-
-
 def _cc_is_gcc(compiler):
     macros = subprocess.run([compiler, "-dM", "-E", "-x", "c", os.devnull],
                             capture_output=True, text=True).stdout
@@ -167,7 +131,7 @@ def _every_intrinsic_function(width):
     """A function whose C calls every intrinsic (and libm function) the
     unparser emits at ``width``."""
     from repro.cir import (VBroadcast, VBinOp, VExtract, VPermute2f128,
-                           VReduceAdd, VSet, VShufflePd, VUnpack, VZero)
+                           VReduceAdd, VSet, VUnpack, VZero)
     a = Buffer("a", 1, 8, "in")
     out = Buffer("out", 1, 8, "out")
     v, w = VecVar("v", width), VecVar("w", width)
@@ -188,7 +152,6 @@ def _every_intrinsic_function(width):
             Assign(w, VBinOp("max", w, v, width)),
             Assign(w, VBinOp("min", w, v, width)),
             Assign(w, VBlend(w, v, 1, width)),
-            Assign(w, VShufflePd(w, v, 1, width)),
             Assign(w, VUnpack(w, v, True, width)),
             Assign(w, VUnpack(w, v, False, width)),
             Assign(s, VReduceAdd(w)),
@@ -214,7 +177,7 @@ class TestHeaderFreePrelude:
     definitions must compile to the code the standard headers give."""
 
     def _assert_same_assembly(self, tmp_path, function, code):
-        flags = isa_flags(function)
+        flags = kernel_flags(function)[0]
         assert _assembly(tmp_path, "prelude", code, flags) == \
             _assembly(tmp_path, "headers", _with_immintrin(code), flags)
 
@@ -234,19 +197,10 @@ class TestHeaderFreePrelude:
         self._assert_same_assembly(tmp_path, function,
                                    unparse_function(function))
 
-    def test_fma_identical_to_immintrin(self, tmp_path):
-        function = _fma_function()
-        self._assert_same_assembly(tmp_path, function,
-                                   unparse_function(function))
-
     def test_every_definition_is_reachable(self):
         from repro.backend.c_unparser import _DEFINITIONS
         used = set()
-        for function in [_every_intrinsic_function(w) for w in (4, 2, 1)] + [
-                _fma_function(),
-                Function("fma2", [], [], [Assign(VecVar("v", 2), VFma(
-                    VecVar("v", 2), VecVar("v", 2), VecVar("v", 2), 2))],
-                         vector_width=2)]:
+        for function in [_every_intrinsic_function(w) for w in (4, 2, 1)]:
             unparser = CUnparser(function)
             unparser.unparse()
             used |= unparser._used
@@ -257,20 +211,17 @@ class TestHeaderFreePrelude:
         compiler = find_c_compiler()
         if not _cc_is_gcc(compiler):
             pytest.skip("the header-free prelude applies under GCC only")
-        functions = [_every_intrinsic_function(width)]
-        if width == 4:
-            functions.append(_fma_function())
-        for function in functions:
-            source = tmp_path / f"{function.name}.c"
-            source.write_text(unparse_function(function))
-            result = subprocess.run(
-                [compiler, "-H", "-fsyntax-only", "-std=c99", "-O2", "-Wall",
-                 "-Wextra", "-Werror", *isa_flags(function), str(source)],
-                capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            # -H prints one dotted line per header it opens
-            assert [line for line in result.stderr.splitlines()
-                    if line.startswith(".")] == []
+        function = _every_intrinsic_function(width)
+        source = tmp_path / f"{function.name}.c"
+        source.write_text(unparse_function(function))
+        result = subprocess.run(
+            [compiler, "-H", "-fsyntax-only", "-std=c99", "-O2", "-Wall",
+             "-Wextra", "-Werror", *kernel_flags(function)[0], str(source)],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        # -H prints one dotted line per header it opens
+        assert [line for line in result.stderr.splitlines()
+                if line.startswith(".")] == []
 
 
 class TestFindCompiler:
@@ -360,25 +311,13 @@ def _fake_compiler(tmp_path):
 
 
 class TestCompileFlags:
-    def test_isa_flags_follow_the_cir(self):
-        assert isa_flags(_simple_scalar_function()) == []
-        assert isa_flags(_every_intrinsic_function(2)) == ["-mavx"]
-        assert isa_flags(_fma_function()) == ["-mavx", "-mfma"]
+    def test_instruction_set_flags_follow_the_vector_width(self):
+        assert kernel_flags(_simple_scalar_function())[0] == []
+        assert kernel_flags(_every_intrinsic_function(2))[0] == ["-mavx"]
         # the emitted C, given as a shortcut, does not change the answer
-        for function in (_every_intrinsic_function(4), _fma_function()):
-            assert isa_flags(function, unparse_function(function)) == \
-                isa_flags(function)
-
-    def test_fma_text_without_vfma_does_not_enable_fma(self, tmp_path,
-                                                        monkeypatch):
-        compiler, log = _fake_compiler(tmp_path)
-        monkeypatch.setenv("CC", compiler)
-        func = _every_intrinsic_function(4)
-        code = unparse_function(func) + "/* _mm256_fmadd_pd(a, b, c) */\n"
-        with pytest.raises(BackendError):
-            compile_kernel(code, func)
-        arguments = log.read_text().split()
-        assert "-mavx" in arguments and "-mfma" not in arguments
+        function = _every_intrinsic_function(4)
+        assert kernel_flags(function, unparse_function(function))[0] == \
+            kernel_flags(function)[0] == ["-mavx"]
 
     def test_failed_compiles_leave_no_scratch_directory(self, tmp_path,
                                                         monkeypatch):

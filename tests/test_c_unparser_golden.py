@@ -12,8 +12,7 @@ import pytest
 from repro.backend import compiler_available, unparse_function
 from repro.backend.c_unparser import CUnparser
 from repro.cir.nodes import (Affine, Assign, Buffer, Function, ScalarVar,
-                             Store, VecVar, VExtract, VFma, VLoad, VReduceAdd,
-                             VStore)
+                             Store, VecVar, VExtract, VLoad, VReduceAdd, VStore)
 from repro.errors import BackendError
 
 
@@ -285,21 +284,6 @@ class TestHeaderEmission:
             Store(y, Affine.constant(0), UnOp("sqrt", Load(x, Affine.constant(1)))),
         ], params=[x, y], vector_width=1)
         assert self._header(unparse_function(fn)) == GOLDEN_HEADER_SCALAR
-
-    @pytest.mark.parametrize("width", [4, 2])
-    def test_fma_adds_its_header_inside_the_guard(self, width):
-        prefix = "_mm256" if width == 4 else "_mm"
-        vector = "__m256d" if width == 4 else "__m128d"
-        definition = (INLINE.format(vector) + f"{prefix}_fmadd_pd (")
-        plain = unparse_function(self._copy(width, VecVar("v")))
-        assert "fmadd" not in plain
-        fma = VFma(VecVar("v"), VecVar("v"), VecVar("v"), width)
-        code = unparse_function(self._copy(width, fma))
-        assert code.count(definition) == 1
-        # defined in the GCC branch, before the fallback
-        assert code.index(GOLDEN_GUARD) < code.index(definition) \
-            < code.index(GOLDEN_FALLBACK)
-        assert f"r = {prefix}_fmadd_pd(v, v, v);" in code
 
 
 @pytest.mark.skipif(not compiler_available(),

@@ -8,8 +8,8 @@ import pytest
 from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
                        For, Function, If, Interpreter, Load, ScalarVar, Store,
                        UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
-                       VFma, VLoad, VPermute2f128, VReduceAdd, VSet,
-                       VShufflePd, VStore, VUnpack, VZero, run_function)
+                       VLoad, VPermute2f128, VReduceAdd, VSet, VStore, VUnpack,
+                       VZero, run_function)
 from repro.cir.passes import (PassOptions, eliminate_dead_code,
                               eliminate_redundant_loads,
                               forward_stores_to_loads, run_pipeline, simplify,
@@ -124,19 +124,6 @@ class TestInterpreter:
         data = np.arange(16.0).reshape(4, 4)
         result = run_function(func, {"a": data})
         np.testing.assert_allclose(result["out"].ravel(), data.T[0])
-
-    def test_shuffle_pd_semantics(self):
-        a = Buffer("a", 1, 4, "in")
-        b = Buffer("b", 1, 4, "in")
-        out = Buffer("out", 1, 4, "out")
-        body = [VStore(out, Affine.constant(0),
-                       VShufflePd(VLoad(a, Affine.constant(0)),
-                                  VLoad(b, Affine.constant(0)), 0b0101))]
-        func = _make_function(body, [a, b, out])
-        x = np.array([[0.0, 1.0, 2.0, 3.0]])
-        y = np.array([[10.0, 11.0, 12.0, 13.0]])
-        result = run_function(func, {"a": x, "b": y})
-        np.testing.assert_allclose(result["out"], [[1.0, 10.0, 3.0, 12.0]])
 
     def test_out_of_bounds_access_raises(self):
         a = Buffer("a", 1, 4, "in")
@@ -297,10 +284,9 @@ class TestImmutableSharing:
     def test_identity_map_returns_the_same_tree(self):
         buf = Buffer("A", 4, 4, "in")
         v = VLoad(buf, Affine.constant(0))
-        expr = VFma(
-            VBlend(v, VBroadcast(Load(buf, Affine.var("i"))), 0b0101),
-            VShufflePd(v, VUnpack(v, VZero(), True), 0b0110),
-            VBinOp("add", VPermute2f128(v, v, 0x21),
+        expr = VBinOp(
+            "mul", VBlend(v, VBroadcast(Load(buf, Affine.var("i"))), 0b0101),
+            VBinOp("add", VPermute2f128(v, VUnpack(v, VZero(), True), 0x21),
                    VSet((VExtract(v, 1), VReduceAdd(v), FloatConst(2.0),
                          UnOp("sqrt", BinOp("mul", ScalarVar("x"),
                                             FloatConst(3.0)))))))

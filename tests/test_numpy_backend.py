@@ -21,8 +21,8 @@ from repro.cir.interpreter import Interpreter, InterpreterKernel
 from repro.cir.nodes import (Affine, Assign, BinOp, Buffer, FloatConst, For,
                              Function, If, Load, ScalarVar, Store, UnOp,
                              VBinOp, VBlend, VBroadcast, VecVar, VExtract,
-                             VFma, VLoad, VPermute2f128, VReduceAdd, VSet,
-                             VShufflePd, VStore, VUnpack, VZero)
+                             VLoad, VPermute2f128, VReduceAdd, VSet, VStore,
+                             VUnpack, VZero)
 from repro.errors import BackendError
 from repro.slingen import Options, SLinGen
 
@@ -88,14 +88,12 @@ class TestVectorNodeSemantics:
             Assign(VecVar("m"), VBinOp("mul", a, b)),
             Assign(VecVar("mx"), VBinOp("max", a, b)),
             Assign(VecVar("mn"), VBinOp("min", a, b)),
-            Assign(VecVar("f"), VFma(a, b, VecVar("s"))),
             Assign(VecVar("bl"), VBlend(a, b, 0b0110)),
-            Assign(VecVar("sh"), VShufflePd(a, b, 0b1011)),
             Assign(VecVar("pm"), VPermute2f128(a, b, 0x21)),
             Assign(VecVar("up"), VUnpack(a, b, high=True)),
-            VStore(y, Affine.constant(0), VBinOp("add", VecVar("f"),
-                                                 VBinOp("add", VecVar("bl"),
-                                                        VecVar("sh")))),
+            VStore(y, Affine.constant(0), VBinOp("add", VecVar("s"),
+                                                 VBinOp("mul", VecVar("bl"),
+                                                        VecVar("m")))),
             VStore(y, Affine.constant(4), VBinOp("sub", VecVar("pm"),
                                                  VBinOp("div", VecVar("up"),
                                                         VecVar("mx")))),
