@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Set, Tuple
 
-from ..cir.nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
+from ..cir.nodes import (Affine, Assign, BinOp, CExpr, Comment, CStmt,
                          FloatConst, For, Function, If, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
                          VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,

@@ -33,7 +33,7 @@ from ..slingen.options import Options
 from .fixbank import FixBank, FixRecord, fixbank_key
 from .rewrites import apply_sequence, catalog
 from .verifier import (DEFAULT_BUDGET, DEFAULT_REF_TOL, DEFAULT_TOL,
-                       Counterexample, find_counterexample)
+                       find_counterexample)
 
 
 @dataclass
@@ -51,10 +51,6 @@ class CegisOutcome:
     budget: int = DEFAULT_BUDGET
     tol: float = DEFAULT_TOL
     ref_tol: float = DEFAULT_REF_TOL
-
-    @property
-    def options_applied(self) -> tuple:
-        return tuple(self.accepted)
 
     def to_record(self) -> FixRecord:
         return FixRecord(

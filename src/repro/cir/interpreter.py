@@ -17,7 +17,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..errors import InterpreterError
-from .nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
+from .nodes import (Assign, BinOp, Buffer, CExpr, Comment, CStmt,
                     FloatConst, For, Function, If, Load, ScalarVar, Store,
                     UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
                     VPermute2f128, VReduceAdd, VSet, VStore, VUnpack, VZero)

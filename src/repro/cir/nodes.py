@@ -19,7 +19,7 @@ both the interpreter and the static instruction-mix analysis exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CIRError
 
@@ -169,10 +169,6 @@ class Buffer:
     @property
     def size(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def is_param(self) -> bool:
-        return self.kind != "temp"
 
     @property
     def writable(self) -> bool:

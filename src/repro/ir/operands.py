@@ -184,18 +184,6 @@ class View:
         return not self.is_scalar and (self.rows == 1 or self.cols == 1)
 
     @property
-    def is_row_vector(self) -> bool:
-        return self.rows == 1 and self.cols > 1
-
-    @property
-    def is_col_vector(self) -> bool:
-        return self.cols == 1 and self.rows > 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.rows == 0 or self.cols == 0
-
-    @property
     def is_full(self) -> bool:
         """True when the view covers its whole operand."""
         return (self.row_off == 0 and self.col_off == 0

@@ -22,10 +22,10 @@ Statement taxonomy (paper Fig. 1 / Sec. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from ..errors import LASemanticError
-from .expr import Expr, Ref
+from .expr import Expr
 from .operands import IOType, Operand, View
 
 
@@ -34,9 +34,6 @@ class Statement:
 
     def is_hlac(self) -> bool:
         raise NotImplementedError
-
-    def is_sblac(self) -> bool:
-        return not self.is_hlac()
 
     def reads(self) -> List[View]:
         raise NotImplementedError
@@ -67,11 +64,6 @@ class Assign(Statement):
 
     def is_hlac(self) -> bool:
         return self.rhs.contains_inverse()
-
-    @property
-    def is_scalar_op(self) -> bool:
-        """True for auxiliary scalar computations (everything 1x1)."""
-        return self.lhs.is_scalar and all(v.is_scalar for v in self.rhs.views())
 
     def reads(self) -> List[View]:
         return self.rhs.views()
@@ -109,16 +101,6 @@ class Equation(Statement):
                 if op.is_output]
         unique: List[Operand] = []
         for op in outs:
-            if op not in unique:
-                unique.append(op)
-        return unique
-
-    def knowns(self) -> List[Operand]:
-        """Input operands appearing in the equation."""
-        ops = [op for op in self.lhs.operands() + self.rhs.operands()
-               if not op.is_output]
-        unique: List[Operand] = []
-        for op in ops:
             if op not in unique:
                 unique.append(op)
         return unique

@@ -22,7 +22,7 @@ used by LGen-style structure propagation: the structure of ``A + B``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable
 
 
@@ -130,10 +130,6 @@ class Properties:
     # -- predicates --------------------------------------------------------
 
     @property
-    def is_general(self) -> bool:
-        return self.structure is Structure.GENERAL
-
-    @property
     def is_lower_triangular(self) -> bool:
         return self.structure in (Structure.LOWER_TRIANGULAR,
                                   Structure.DIAGONAL, Structure.IDENTITY,
@@ -152,17 +148,6 @@ class Properties:
     @property
     def is_symmetric(self) -> bool:
         return self.structure.is_symmetric
-
-    @property
-    def is_zero(self) -> bool:
-        return self.structure is Structure.ZERO
-
-    @property
-    def is_identity(self) -> bool:
-        return self.structure is Structure.IDENTITY
-
-    def with_structure(self, structure: Structure) -> "Properties":
-        return replace(self, structure=structure)
 
     def transposed(self) -> "Properties":
         """Properties of the transpose of a matrix with these properties."""

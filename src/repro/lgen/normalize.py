@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import LoweringError
 from ..ir.expr import (Add, Const, Div, Expr, Inverse, Mul, Neg, Ref, Sqrt,
@@ -59,14 +59,6 @@ class ScalarCoeff:
     @property
     def is_one(self) -> bool:
         return self.sign == 1 and not self.factors
-
-    @property
-    def is_minus_one(self) -> bool:
-        return self.sign == -1 and not self.factors
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = [] if self.sign == 1 else ["-1"]

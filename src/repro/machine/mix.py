@@ -20,7 +20,7 @@ occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,

@@ -145,10 +145,6 @@ class TrajectoryStore:
         runs = self.runs()
         return runs[-1] if runs else None
 
-    def entry_history(self, entry_id: str) -> List[Dict[str, object]]:
-        """Every record of one manifest entry, in append order."""
-        return [r for r in self.load() if r.get("entry") == entry_id]
-
     def stats(self) -> Dict[str, object]:
         records = self.load()
         return {

@@ -17,7 +17,6 @@ from repro.backend.compile import kernel_flags
 from repro.cir import (Affine, Assign, Buffer, FloatConst, For, Function,
                        ScalarVar, Store, Load, BinOp, UnOp, VBlend, VecVar,
                        VLoad, VStore)
-from repro.cir.interpreter import Interpreter
 from repro.errors import BackendError
 from repro.service.registry import workload_names
 from repro.slingen import Options, SLinGen

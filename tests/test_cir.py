@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
-                       For, Function, If, Interpreter, Load, ScalarVar, Store,
+                       For, Function, If, Load, ScalarVar, Store,
                        UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
                        VLoad, VPermute2f128, VReduceAdd, VSet, VStore, VUnpack,
                        VZero, run_function)
