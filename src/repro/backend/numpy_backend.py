@@ -599,20 +599,12 @@ class NumPyKernel:
         :func:`repro.timing.batched_time` runs -- writable buffers
         restored from pristine copies before every call.
         """
-        from ..timing import batched_time
+        from ..timing import batched_time, pristine_restore
 
         run = self._callable
         work = self._prepare_buffers(inputs)
-        pristine: List[Optional[np.ndarray]] = [
-            array.copy() if buf.writable else None
-            for buf, array in zip(self.function.params, work)]
-
-        def restore() -> None:
-            for array, original in zip(work, pristine):
-                if original is not None:
-                    array[...] = original
-
-        return batched_time(lambda: run(*work), restore,
+        return batched_time(lambda: run(*work),
+                            pristine_restore(self.function.params, work),
                             repeats, warmup, inner)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 
 def median_and_mad(samples: List[float]) -> Tuple[float, float]:
@@ -58,3 +58,17 @@ def batched_time(invoke: Callable[[], None], restore: Callable[[], None],
     for _ in range(warmup):
         run_batch()
     return [run_batch() for _ in range(repeats)]
+
+
+def pristine_restore(params: Sequence, work: Sequence) -> Callable[[], None]:
+    """The ``restore`` step of :func:`batched_time` for a kernel called on
+    the arrays ``work``, one per C-IR parameter in ``params``: copies the
+    writable ones now and writes the copies back on every call."""
+    pristine = [(array, array.copy())
+                for buf, array in zip(params, work) if buf.writable]
+
+    def restore() -> None:
+        for array, original in pristine:
+            array[...] = original
+
+    return restore

@@ -315,6 +315,19 @@ class TestNumPyKernel:
         assert len(samples) == 3
         assert all(s > 0 for s in samples)
 
+    def test_pristine_restore_rewrites_only_writable_buffers(self):
+        from repro.timing import pristine_restore
+        params = [Buffer("a", 1, 2, "in"), Buffer("b", 1, 2, "inout"),
+                  Buffer("t", 1, 2, "temp")]
+        work = [np.array([1.0, 2.0]), np.array([3.0, 4.0]),
+                np.array([5.0, 6.0])]
+        restore = pristine_restore(params, work)
+        for array in work:
+            array[:] = -1.0
+        restore()
+        assert [array.tolist() for array in work] == [
+            [-1.0, -1.0], [3.0, 4.0], [5.0, 6.0]]
+
     def test_kernel_is_callable(self):
         case, result = generate("potrf", 4)
         kernel = compile_numpy_kernel(result.function)
