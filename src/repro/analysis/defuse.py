@@ -13,9 +13,10 @@ Two cooperating analyses:
   unrolled abstractly (up to a step budget) while tracking, per buffer,
   exactly which elements have been written.  Reading an element of an
   ``out``/``temp`` buffer before any write is well-defined under the
-  backend contract (those buffers start zeroed) but almost always a
-  lowering bug, so it is reported as a *warning*; ``in``/``inout``
-  buffers start fully defined.
+  backend contract but almost always a lowering bug, so it is reported
+  as a *warning*; ``in``/``inout`` buffers start fully defined.  Callers
+  zero ``out`` buffers; ``temp`` buffers start zeroed in the interpreter
+  and NumPy, and in C when :func:`temps_read_before_written` names them.
 
 The same concrete walk powers the double-write lint in
 :mod:`repro.analysis.liveness` -- both consume :func:`element_events`.
@@ -143,6 +144,26 @@ def element_events(fn: Function,
                             yield "write", stmt.buffer.name, base + lane, stmt
 
     return events(fn.body, {}, [limit]), status
+
+
+def temps_read_before_written(fn: Function) -> Set[str]:
+    """Names of the temp buffers with an element read before any write
+    to it, which must therefore start zeroed.  A truncated walk proves no
+    temp clean, so it names them all."""
+    temps = {buf.name for buf in fn.temps}
+    if not temps:
+        return set()
+    stream, status = element_events(fn)
+    written: Dict[str, Set[int]] = {name: set() for name in temps}
+    zeroed: Set[str] = set()
+    for kind, name, at, _stmt in stream:
+        if name not in temps or name in zeroed:
+            continue
+        if kind == "write":
+            written[name].add(at)
+        elif at not in written[name]:
+            zeroed.add(name)
+    return zeroed if status.complete else temps
 
 
 def check_element_defuse(fn: Function) -> List[Diagnostic]:

@@ -2,7 +2,8 @@
 
 The output matches the paper's target: one self-contained C function,
 optionally vectorized with intrinsics, with one pointer parameter per
-storage group of the LA program.  Width-4 functions use 256-bit AVX
+storage group of the LA program and every temporary a local array.
+Width-4 functions use 256-bit AVX
 (``__m256d``/``_mm256_*``); width-2 functions use the 128-bit SSE2/AVX
 subset (``__m128d``/``_mm_*``, masked accesses via the AVX
 ``_mm_maskload_pd``/``_mm_maskstore_pd``).  Horizontal reductions and
@@ -297,7 +298,12 @@ class CUnparser:
         return f"void {self.function.name}({', '.join(params)})"
 
     def _temp_declarations(self) -> List[str]:
-        return [f"double {buf.name}[{buf.size}];"
+        # The interpreter and the NumPy backend zero temps; C zeroes only
+        # the ones that read an element before writing it.
+        from ..analysis.defuse import temps_read_before_written
+        zeroed = temps_read_before_written(self.function)
+        return [f"double {buf.name}[{buf.size}]"
+                f"{' = {0}' if buf.name in zeroed else ''};"
                 for buf in self.function.temps]
 
     def _register_declarations(self) -> List[str]:

@@ -55,9 +55,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..errors import CegisError
 from ..ir.expr import (Add, Const, Div, Expr, Mul, Neg, Ref, Sub, _Binary,
                        _Unary, flatten_add)
-from ..ir.operands import IOType, Operand, View
+from ..ir.operands import IOType, Operand, Scratch, View
 from ..ir.program import Assign, Program, Statement
-from ..ir.properties import Properties
 
 #: Iteration bound for the internal fixpoint loops (generous; basic
 #: programs have at most a few hundred statements).
@@ -93,11 +92,11 @@ def _clashes_any(view: View, others: Iterable[View],
 
 
 def _fresh_scalar(program: Program, prefix: str) -> View:
-    """Declare a fresh 1x1 OUT temporary with an unused name."""
+    """Declare a fresh 1x1 scratch temporary with an unused name."""
     for index in itertools.count():
         name = f"{prefix}{index}"
         if name not in program.operands:
-            operand = Operand(name, 1, 1, IOType.OUT, Properties())
+            operand = Scratch(name, 1, 1)
             program.declare(operand)
             return operand.full_view()
     raise AssertionError("unreachable")  # pragma: no cover

@@ -68,7 +68,9 @@ class CIRBuilder:
     The builder creates one parameter buffer per *storage group* of the
     program (operands related by ``ow(...)`` share storage, exactly like the
     generated C code shares one pointer for them) and provides fresh
-    register/temporary names to the lowering code.
+    register/temporary names to the lowering code.  Scratch operands
+    (:func:`~repro.ir.operands.Scratch`) get local temp buffers instead, so
+    the parameters are exactly the LA program's interface.
     """
 
     def __init__(self, program: Program, name: Optional[str] = None,
@@ -94,6 +96,9 @@ class CIRBuilder:
                 self.program.operands[name])
         for leader, members in group_members.items():
             leader_op = self.program.operands[leader]
+            if leader_op.scratch:
+                self.register_temp_operand(leader_op)
+                continue
             has_input = any(m.is_input for m in members)
             has_output = any(m.is_output for m in members)
             if has_input and has_output:
@@ -118,11 +123,12 @@ class CIRBuilder:
                 f"{self.program.name!r}")
 
     def register_temp_operand(self, operand: Operand) -> Buffer:
-        """Create (or reuse) a temp buffer backing a synthesized operand.
+        """Create (or reuse) a temp buffer backing a scratch operand.
 
-        Stage 2 introduces temporary operands when it binarizes long
-        expressions (e.g. ``Y = F*P*F^T + Q``); those operands are backed by
-        local arrays in the generated function.
+        Stage 1 and the rewrite tiers declare their temporaries in the
+        program; Stage 2 introduces more when it binarizes long expressions
+        (e.g. ``Y = F*P*F^T + Q``).  All of them are backed by local arrays
+        in the generated function.
         """
         if operand.name in self._operand_buffers:
             return self._operand_buffers[operand.name]

@@ -33,9 +33,8 @@ from typing import Iterator, List, Optional
 from ..errors import SynthesisError
 from ..ir.expr import (Add, Const, Div, Expr, Mul, Neg, Ref, Sqrt, Sub,
                        Transpose, ref)
-from ..ir.operands import IOType, Operand, View
+from ..ir.operands import Scratch, View
 from ..ir.program import Assign, Program, Statement
-from ..ir.properties import Properties
 from .operations import OperationInstance
 
 
@@ -112,8 +111,7 @@ class Synthesizer:
     # -- helpers ----------------------------------------------------------------
 
     def _temp(self, rows: int, cols: int) -> View:
-        operand = Operand(f"{self._prefix}_t{next(self._counter)}", rows, cols,
-                          IOType.OUT, Properties())
+        operand = Scratch(f"{self._prefix}_t{next(self._counter)}", rows, cols)
         self.program.declare(operand)
         return operand.full_view()
 

@@ -7,7 +7,9 @@ program (paper Fig. 4/5).  Each operand carries:
 * an I/O type (``In``, ``Out``, ``InOut``),
 * structural properties (:class:`~repro.ir.properties.Properties`),
 * an optional *overwrite* target: ``ow(S)`` declares that the operand shares
-  storage with operand ``S`` (e.g. the Cholesky factor U overwriting S).
+  storage with operand ``S`` (e.g. the Cholesky factor U overwriting S),
+* a *scratch* flag on the temporaries the pipeline invents
+  (:func:`Scratch`), which the generated function keeps in local arrays.
 
 A *view* is a rectangular sub-block of an operand with concrete integer
 offsets and sizes.  Views are the leaves of every expression produced by
@@ -51,6 +53,7 @@ class Operand:
     properties: Properties = field(default_factory=Properties)
     overwrites: Optional[str] = None
     datatype: str = "double"
+    scratch: bool = False
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -139,6 +142,12 @@ def Scalar(name: str, io: IOType = IOType.IN,
            overwrites: Optional[str] = None) -> Operand:
     """Convenience constructor for a scalar operand (1 x 1)."""
     return Operand(name, 1, 1, io, Properties(), overwrites=overwrites)
+
+
+def Scratch(name: str, rows: int, cols: int) -> Operand:
+    """A temporary the pipeline invents (Stage 1, the rewrite tiers or
+    Stage 2): writable like an ``Out`` operand, backed by a local array."""
+    return Operand(name, rows, cols, IOType.OUT, Properties(), scratch=True)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..errors import LoweringError
 from ..ir.expr import (Add, Const, Div, Expr, Inverse, Mul, Neg, Ref, Sqrt,
                        Sub, Transpose, flatten_add)
-from ..ir.operands import IOType, Operand, View
+from ..ir.operands import Operand, Scratch, View
 from ..ir.program import Assign
-from ..ir.properties import Properties
 
 # ---------------------------------------------------------------------------
 # Canonical operations
@@ -132,8 +131,7 @@ class TempAllocator:
         self.operands: List[Operand] = []
 
     def fresh(self, rows: int, cols: int) -> Operand:
-        operand = Operand(f"{self.prefix}{next(self.counter)}", rows, cols,
-                          IOType.OUT, Properties())
+        operand = Scratch(f"{self.prefix}{next(self.counter)}", rows, cols)
         self.operands.append(operand)
         return operand
 

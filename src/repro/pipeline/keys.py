@@ -59,7 +59,9 @@ from ..slingen.options import Options
 #: the ``score`` phase, and no parent-key fields on the artifacts.
 #: v3: ``score`` charges each distinct division/square root once per
 #: straight-line block; cached scores from the old count are stale.
-PHASE_SCHEMA_VERSION = 3
+#: v4: scratch operands lower to temp buffers instead of parameters;
+#: cached lowered and optimized functions have the old signature.
+PHASE_SCHEMA_VERSION = 4
 
 #: The phases, in dataflow order.
 PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",

@@ -47,7 +47,9 @@ from ..slingen.options import Options
 #: per straight-line block, which changes scores and the trtri:4/trtri:8
 #: (and kf:8) selections; stored kernels chosen by the old count must not
 #: be recalled.
-KEY_SCHEMA_VERSION = 5
+#: v6: Stage-1, rewrite and CEGIS temporaries are local arrays, not
+#: parameters: stored kernels with the old signature must not be recalled.
+KEY_SCHEMA_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,8 @@ def _canonical_operand(op: Operand) -> str:
             f":pd={int(props.positive_definite)}"
             f":ns={int(props.non_singular)}"
             f":ud={int(props.unit_diagonal)}"
-            f":ow={op.overwrites or ''}:{op.datatype}")
+            f":ow={op.overwrites or ''}:{op.datatype}"
+            + (":scratch" if op.scratch else ""))
 
 
 def canonical_program(program: Program) -> str:

@@ -365,17 +365,10 @@ class KernelServer:
         function = response.result.function
         inputs = self._materialize_inputs(function, doc)
         outputs = kernel.run(inputs)
-        # The kernel also surfaces internal scratch buffers as writable
-        # params; answer only with the LA program's declared outputs.
-        from ..ir.operands import IOType
-        declared = {name for name, op in request.program.operands.items()
-                    if op.io in (IOType.OUT, IOType.INOUT)}
-        visible = {name: value for name, value in outputs.items()
-                   if name in declared} or outputs
         answer = _response_doc(response, include_code=False)
         answer["backend"] = backend
         answer["outputs"] = {name: np.asarray(value).tolist()
-                             for name, value in sorted(visible.items())}
+                             for name, value in sorted(outputs.items())}
         return answer
 
     def _materialize_inputs(self, function, doc: Dict[str, object]

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..ir.expr import Const, Div, Expr, Mul, Ref
-from ..ir.operands import IOType, Operand, View
+from ..ir.operands import Scratch, View
 from ..ir.program import Assign, Program, Statement
-from ..ir.properties import Properties
 
 
 @dataclass
@@ -41,8 +40,7 @@ class _TempFactory:
         self.counter = itertools.count()
 
     def scalar(self) -> View:
-        operand = Operand(f"{self.prefix}_t{next(self.counter)}", 1, 1,
-                          IOType.OUT, Properties())
+        operand = Scratch(f"{self.prefix}_t{next(self.counter)}", 1, 1)
         self.program.declare(operand)
         return operand.full_view()
 

@@ -76,6 +76,76 @@ class TestUnparser:
         assert "restrict U" not in signature
 
 
+class TestSignatureContract:
+    """The generated function takes exactly the LA program's storage
+    groups; every temporary the pipeline invents is a local array."""
+
+    @pytest.mark.parametrize("size", [4, 8])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_params_are_the_storage_group_leaders(self, name, size):
+        program = make_request(f"{name}:{size}").program
+        function = SLinGen(Options(autotune=False)).generate_result(
+            program).function
+        leaders = list(dict.fromkeys(program.storage_groups().values()))
+        assert [buf.name for buf in function.params] == leaders
+        assert all(buf.kind == "temp" for buf in function.temps)
+
+    def test_kf8_fits_the_native_drivers_pointer_limit(self):
+        function = SLinGen(Options()).generate_result(
+            make_request("kf:8").program).function
+        assert len(function.params) == 19 <= 64
+
+
+def _temp_read_before_write_function():
+    """``y[0] = t[0] + t[1]`` after writing only ``t[0]``, and ``y[1] =
+    u[0]`` after writing ``u[0]``: ``t`` needs its implicit zero, ``u``
+    does not."""
+    x = Buffer("x", 1, 2, "in")
+    y = Buffer("y", 1, 2, "out")
+    t = Buffer("t", 1, 2, "temp")
+    u = Buffer("u", 1, 1, "temp")
+    body = [Store(t, Affine.constant(0), Load(x, Affine.constant(0))),
+            Store(y, Affine.constant(0),
+                  BinOp("add", Load(t, Affine.constant(0)),
+                        Load(t, Affine.constant(1)))),
+            Store(u, Affine.constant(0), Load(x, Affine.constant(1))),
+            Store(y, Affine.constant(1), Load(u, Affine.constant(0)))]
+    return Function("zeroed_temp", [x, y], [t, u], body, vector_width=1)
+
+
+class TestTempInitialization:
+    def test_only_temps_read_before_written_are_zeroed(self):
+        code = unparse_function(_temp_read_before_write_function())
+        assert "double t[2] = {0};" in code
+        assert "double u[1];" in code
+
+    @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
+    def test_c_interpreter_and_numpy_agree(self, monkeypatch):
+        from repro.backend import compile as compile_module
+        from repro.backend.numpy_backend import compile_numpy_kernel
+        from repro.cir.interpreter import run_function
+
+        # Fill every uninitialized local with a non-zero pattern, so a
+        # temp declared without its initializer reads garbage, never a
+        # lucky zero from the stack.
+        flags = compile_module.kernel_flags
+        monkeypatch.setattr(
+            compile_module, "kernel_flags",
+            lambda function, c_code=None: (
+                flags(function, c_code)[0]
+                + ["-ftrivial-auto-var-init=pattern"],
+                flags(function, c_code)[1]))
+        function = _temp_read_before_write_function()
+        inputs = {"x": np.array([[3.0, 5.0]])}
+        compiled = compile_kernel(unparse_function(function),
+                                  function).run(inputs)["y"]
+        np.testing.assert_array_equal(compiled, [[3.0, 5.0]])
+        np.testing.assert_array_equal(
+            run_function(function, inputs)["y"], compiled)
+        np.testing.assert_array_equal(
+            compile_numpy_kernel(function).run(inputs)["y"], compiled)
+
+
 @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
 class TestCompileAndRun:
     def test_compile_simple_kernel(self):

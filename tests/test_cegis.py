@@ -125,7 +125,8 @@ class TestCatalogLaws:
                         continue
                     # anything new is an internal scalar temp, never a
                     # change to what the kernel takes or promises
-                    assert operand.is_scalar and not operand.is_input, \
+                    assert operand.is_scalar and operand.scratch \
+                        and not operand.is_input, \
                         f"{rewrite.id} added operand {name} on {entry_id}"
 
     def test_catalog_fires_on_the_corpus(self, corpus_basics):
@@ -362,6 +363,25 @@ class TestVerifiedWiring:
                                                  options=_options()))
         assert not response.verified
         assert service.stats.snapshot()["verified"] == 0
+
+    def test_verified_kernel_keeps_cegis_scalars_local(self, tmp_path):
+        # recip-div declares cg_r* reciprocals in the basic program; a
+        # verified kernel backs them with local arrays, so its signature
+        # stays the LA interface.
+        request = make_request("trsyl:4", options=_options())
+        bank = FixBank(root=str(tmp_path))
+        key = fixbank_key(request.program)
+        bank.put(key, _record(key, accepted=("recip-div",)))
+        service = KernelService(store=MemoryKernelStore(),
+                                executor="thread", fix_bank=bank)
+        response = service.generate(request)
+        assert response.verified
+        function = response.result.function
+        leaders = set(request.program.storage_groups().values())
+        assert [b.name for b in function.params] \
+            == [n for n in request.program.operands if n in leaders]
+        assert any(b.name.startswith("cg_r") for b in function.temps)
+        assert "double cg_r0[1];" in response.result.c_code
 
     def test_tuner_composes_fix_records(self, tmp_path, potrf_outcome):
         request, outcome = potrf_outcome

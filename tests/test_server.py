@@ -89,6 +89,20 @@ class TestEndpoints:
         assert U.shape == (4, 4)
         assert np.all(np.isfinite(U))
 
+    @pytest.mark.parametrize("spec", ["trtri:4", "gpr:4", "kf:4"])
+    def test_run_outputs_are_the_declared_outputs(self, client, spec):
+        # Stage-1 temporaries are locals, so /run answers with every
+        # writable parameter and that is exactly the LA interface's
+        # Out/InOut operands (by storage group: kf's U shares M3).
+        from repro.ir.operands import IOType
+        from repro.service import make_request
+        program = make_request(spec).program
+        leaders = program.storage_groups()
+        declared = {leaders[name] for name, op in program.operands.items()
+                    if op.io in (IOType.OUT, IOType.INOUT)}
+        doc = client.run(spec=spec, backend="numpy")
+        assert set(doc["outputs"]) == declared
+
     def test_run_with_client_supplied_inputs(self, client):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
