@@ -93,7 +93,7 @@ class CompiledKernel:
 
         Buffers and argument pointers are prepared once, then the shared
         batched protocol of :func:`repro.timing.batched_time` runs --
-        writable buffers restored from pristine copies before every call.
+        in-out buffers restored from pristine copies before every call.
         """
         from ..timing import batched_time, pristine_restore
 

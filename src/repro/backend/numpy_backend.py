@@ -596,7 +596,7 @@ class NumPyKernel:
 
         Same contract as :meth:`CompiledKernel.time`: buffers are prepared
         once, then the shared batched protocol of
-        :func:`repro.timing.batched_time` runs -- writable buffers
+        :func:`repro.timing.batched_time` runs -- in-out buffers
         restored from pristine copies before every call.
         """
         from ..timing import batched_time, pristine_restore

@@ -43,7 +43,7 @@ def batched_time(invoke: Callable[[], None], restore: Callable[[], None],
     below the timer resolution) and reports the mean call time.
     ``restore`` runs before every call -- *inside* the timed region, so
     its (constant) cost is identical across candidate kernels and cancels
-    in comparisons -- returning writable buffers to their pristine values,
+    in comparisons -- returning in-out buffers to their pristine values,
     which keeps iterative kernels like factorizations numerically sane
     across calls.  The first ``warmup`` batches run untimed (icache,
     branch predictors, frequency ramp-up).
@@ -63,9 +63,11 @@ def batched_time(invoke: Callable[[], None], restore: Callable[[], None],
 def pristine_restore(params: Sequence, work: Sequence) -> Callable[[], None]:
     """The ``restore`` step of :func:`batched_time` for a kernel called on
     the arrays ``work``, one per C-IR parameter in ``params``: copies the
-    writable ones now and writes the copies back on every call."""
+    ``inout`` ones now and writes the copies back on every call.  Output-only
+    buffers are recomputed from the inputs on every call; restoring them
+    would only charge each candidate for its number of outputs."""
     pristine = [(array, array.copy())
-                for buf, array in zip(params, work) if buf.writable]
+                for buf, array in zip(params, work) if buf.kind == "inout"]
 
     def restore() -> None:
         for array, original in pristine:

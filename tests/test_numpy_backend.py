@@ -315,18 +315,18 @@ class TestNumPyKernel:
         assert len(samples) == 3
         assert all(s > 0 for s in samples)
 
-    def test_pristine_restore_rewrites_only_writable_buffers(self):
+    def test_pristine_restore_rewrites_only_inout_buffers(self):
         from repro.timing import pristine_restore
         params = [Buffer("a", 1, 2, "in"), Buffer("b", 1, 2, "inout"),
-                  Buffer("t", 1, 2, "temp")]
+                  Buffer("c", 1, 2, "out"), Buffer("t", 1, 2, "temp")]
         work = [np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                np.array([5.0, 6.0])]
+                np.array([5.0, 6.0]), np.array([7.0, 8.0])]
         restore = pristine_restore(params, work)
         for array in work:
             array[:] = -1.0
         restore()
         assert [array.tolist() for array in work] == [
-            [-1.0, -1.0], [3.0, 4.0], [5.0, 6.0]]
+            [-1.0, -1.0], [3.0, 4.0], [-1.0, -1.0], [-1.0, -1.0]]
 
     def test_kernel_is_callable(self):
         case, result = generate("potrf", 4)
