@@ -199,11 +199,6 @@ class Program:
     def outputs(self) -> List[Operand]:
         return [op for op in self.operands.values() if op.is_output]
 
-    def temporaries(self) -> List[Operand]:
-        """Output operands that only exist to hold intermediate values."""
-        return [op for op in self.operands.values()
-                if op.io is IOType.OUT and op.overwrites is None]
-
     def hlacs(self) -> List[Statement]:
         return [s for s in self.flat_statements() if s.is_hlac()]
 
@@ -284,10 +279,6 @@ class Program:
                         f"input operand {view.operand.name!r} is written; "
                         f"declare it Out or InOut")
                 written.add(view.operand.name)
-        for op in self.outputs():
-            if op.io is IOType.INOUT:
-                continue
-        # all checks passed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lines = [f"Program {self.name!r}:"]

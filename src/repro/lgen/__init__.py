@@ -1,6 +1,6 @@
 """LGen-style sBLAC compiler: normalization, nu-BLACs, tiling, lowering."""
 
-from .compiler import CompileStats, lower_program, lower_program_with_stats
+from .compiler import lower_program
 from .lowering import Lowerer, LoweringOptions
 from .normalize import (CanonicalOp, MatMulOp, Normalizer, ScalarAssignOp,
                         ScalarCoeff, ScaleCopyOp, TempAllocator,
@@ -9,8 +9,7 @@ from .nu_blacs import NU_BLACS, NuBlac
 from .tiling import CodegenVariant, candidate_variants, dedupe_resolved
 
 __all__ = [
-    "CompileStats", "lower_program", "lower_program_with_stats",
-    "Lowerer", "LoweringOptions",
+    "lower_program", "Lowerer", "LoweringOptions",
     "CanonicalOp", "MatMulOp", "Normalizer", "ScalarAssignOp", "ScalarCoeff",
     "ScaleCopyOp", "TempAllocator", "push_down_transposes",
     "NU_BLACS", "NuBlac",

@@ -8,7 +8,6 @@ and lowers them to C-IR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..cir.builder import CIRBuilder
@@ -17,18 +16,6 @@ from ..errors import LoweringError
 from ..ir.program import Assign, Program
 from .lowering import Lowerer, LoweringOptions
 from .normalize import Normalizer, TempAllocator
-
-
-@dataclass
-class CompileStats:
-    """Bookkeeping about one lowering run (used by tests and reports)."""
-
-    statements: int = 0
-    canonical_ops: int = 0
-    temporaries: int = 0
-    matmuls: int = 0
-    copies: int = 0
-    scalar_ops: int = 0
 
 
 def lower_program(program: Program,
@@ -40,18 +27,6 @@ def lower_program(program: Program,
     Raises :class:`~repro.errors.LoweringError` if the program still
     contains HLAC statements.
     """
-    function, _ = lower_program_with_stats(program, options, function_name,
-                                           annotate)
-    return function
-
-
-def lower_program_with_stats(program: Program,
-                             options: Optional[LoweringOptions] = None,
-                             function_name: Optional[str] = None,
-                             annotate: bool = True):
-    """Like :func:`lower_program` but also returns :class:`CompileStats`."""
-    from .normalize import MatMulOp, ScalarAssignOp, ScaleCopyOp
-
     options = options or LoweringOptions()
     if not program.is_basic():
         raise LoweringError(
@@ -62,7 +37,6 @@ def lower_program_with_stats(program: Program,
                          vector_width=options.vector_width)
     normalizer = Normalizer(TempAllocator())
     lowerer = Lowerer(builder, options)
-    stats = CompileStats()
 
     body: List[CStmt] = []
     for statement in program.unrolled_statements():
@@ -70,19 +44,8 @@ def lower_program_with_stats(program: Program,
             raise LoweringError(
                 f"unsupported statement kind {type(statement).__name__} in "
                 f"basic program")
-        stats.statements += 1
         if annotate:
             body.append(Comment(repr(statement)))
         for op in normalizer.normalize(statement):
-            stats.canonical_ops += 1
-            if isinstance(op, MatMulOp):
-                stats.matmuls += 1
-            elif isinstance(op, ScaleCopyOp):
-                stats.copies += 1
-            elif isinstance(op, ScalarAssignOp):
-                stats.scalar_ops += 1
             lowerer.lower(op, body)
-    stats.temporaries = len(normalizer.temps.operands)
-
-    function = builder.finish(body)
-    return function, stats
+    return builder.finish(body)

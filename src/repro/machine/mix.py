@@ -20,7 +20,7 @@ occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,
@@ -106,30 +106,6 @@ class InstructionMix:
     @property
     def issues_excluding_memory(self) -> float:
         return self.total_issues - self.load_issues - self.store_issues
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def scaled(self, factor: float) -> "InstructionMix":
-        result = InstructionMix(vector_width=self.vector_width)
-        for f in fields(self):
-            if f.name == "vector_width":
-                continue
-            setattr(result, f.name, getattr(self, f.name) * factor)
-        return result
-
-    def __add__(self, other: "InstructionMix") -> "InstructionMix":
-        result = InstructionMix(vector_width=max(self.vector_width,
-                                                 other.vector_width))
-        for f in fields(self):
-            if f.name == "vector_width":
-                continue
-            setattr(result, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
-        return result
-
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "vector_width"}
 
 
 class _Issued:

@@ -28,7 +28,6 @@ from typing import Dict
 from ..cir.nodes import Function
 from ..cir.passes import PassReport
 from ..ir.program import Program
-from ..lgen.compiler import CompileStats
 from ..slingen.rewrite import RewriteReport
 from ..slingen.stage1 import Stage1Result
 
@@ -72,7 +71,6 @@ class LoweredFunction:
     key: str
     digest: str
     function: Function
-    stats: CompileStats = field(default_factory=CompileStats)
 
 
 @dataclass

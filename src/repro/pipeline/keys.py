@@ -60,7 +60,8 @@ from ..slingen.options import Options
 #: v3: ``score`` charges each distinct division/square root once per
 #: straight-line block; cached scores from the old count are stale.
 #: v4: scratch operands lower to temp buffers instead of parameters;
-#: cached lowered and optimized functions have the old signature.
+#: cached lowered and optimized functions have the old signature (and
+#: lowered artifacts lost their unread ``stats`` field).
 PHASE_SCHEMA_VERSION = 4
 
 #: The phases, in dataflow order.

@@ -48,7 +48,7 @@ from ..cir.nodes import Function
 from ..cir.passes import PassOptions, run_pipeline
 from ..cl1ck.database import AlgorithmDatabase
 from ..ir.program import Program
-from ..lgen.compiler import lower_program_with_stats
+from ..lgen.compiler import lower_program
 from ..lgen.lowering import LoweringOptions
 from ..machine.microarch import MicroArchitecture
 from ..machine.roofline import PerformanceEstimate
@@ -145,11 +145,10 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
         return artifact
     options = LoweringOptions(vector_width=vector_width,
                               use_shuffle_transpose=use_shuffle_transpose)
-    function, stats = lower_program_with_stats(
-        rewritten.program, options, function_name=function_name,
-        annotate=annotate)
+    function = lower_program(rewritten.program, options,
+                             function_name=function_name, annotate=annotate)
     artifact = LoweredFunction(key=key, digest=function_digest(function),
-                               function=function, stats=stats)
+                               function=function)
     _gate("lower", function, analysis)
     if cache is not None:
         cache.put("lower", key, artifact)

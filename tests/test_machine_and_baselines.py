@@ -31,12 +31,6 @@ class TestInstructionMix:
         assert mix.vector_stores == 4
         assert mix.flops == 4 * 4
 
-    def test_mix_addition_and_scaling(self):
-        mix = InstructionMix(vector_add=2, scalar_div=1, vector_width=4)
-        double = mix + mix
-        assert double.vector_add == 4
-        assert mix.scaled(3).scalar_div == 3
-
     def test_peak_performance_of_machine(self):
         assert SANDY_BRIDGE.peak_flops_per_cycle == 8
 
