@@ -378,7 +378,16 @@ class TestCli:
         from repro.perf.__main__ import main
         return main(list(argv))
 
-    def test_full_cycle(self, tmp_path, capsys):
+    def test_full_cycle(self, tmp_path, capsys, monkeypatch):
+        # Both runs read a clock that advances one tick per reading, so
+        # every timed batch measures the same and host load cannot make
+        # the second run look like a regression.
+        import itertools
+        import types
+        from repro import timing
+        ticks = itertools.count()
+        monkeypatch.setattr(timing, "time", types.SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([
             {"kernel": "potrf:4", "backend": "interpreter", "repeats": 2}]))
