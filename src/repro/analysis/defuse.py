@@ -16,7 +16,7 @@ Two cooperating analyses:
   backend contract but almost always a lowering bug, so it is reported
   as a *warning*; ``in``/``inout`` buffers start fully defined.  Callers
   zero ``out`` buffers; ``temp`` buffers start zeroed in the interpreter
-  and NumPy, and in C when :func:`temps_read_before_written` names them.
+  and NumPy, and in C when :func:`classify_temps` says they must.
 
 The same concrete walk powers the double-write lint in
 :mod:`repro.analysis.liveness` -- both consume :func:`element_events`.
@@ -146,24 +146,30 @@ def element_events(fn: Function,
     return events(fn.body, {}, [limit]), status
 
 
-def temps_read_before_written(fn: Function) -> Set[str]:
-    """Names of the temp buffers with an element read before any write
-    to it, which must therefore start zeroed.  A truncated walk proves no
-    temp clean, so it names them all."""
+def classify_temps(fn: Function) -> Tuple[Set[str], Set[str]]:
+    """``(zeroed, unread)`` names of temp buffers: those with an element
+    read before any write to it, which must start zeroed, and those never
+    read at all, whose stores are dead.  A truncated walk proves nothing,
+    so it zeroes every temp and finds none unread."""
     temps = {buf.name for buf in fn.temps}
     if not temps:
-        return set()
+        return set(), set()
     stream, status = element_events(fn)
     written: Dict[str, Set[int]] = {name: set() for name in temps}
     zeroed: Set[str] = set()
+    read: Set[str] = set()
     for kind, name, at, _stmt in stream:
-        if name not in temps or name in zeroed:
+        if name not in temps:
             continue
         if kind == "write":
             written[name].add(at)
-        elif at not in written[name]:
-            zeroed.add(name)
-    return zeroed if status.complete else temps
+        else:
+            read.add(name)
+            if at not in written[name]:
+                zeroed.add(name)
+    if not status.complete:
+        return temps, set()
+    return zeroed, temps - read
 
 
 def check_element_defuse(fn: Function) -> List[Diagnostic]:

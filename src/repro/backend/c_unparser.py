@@ -28,6 +28,7 @@ from ..cir.nodes import (Affine, Assign, BinOp, CExpr, Comment, CStmt,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
                          VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,
                          VStore, VUnpack, VZero)
+from ..analysis.defuse import classify_temps
 from ..errors import BackendError
 
 # GCC parses the system headers anew for every kernel: <immintrin.h>
@@ -271,6 +272,8 @@ class CUnparser:
 
     def unparse(self) -> str:
         """Return the complete single-source C translation unit."""
+        # A temp nothing reads is neither declared nor stored to.
+        self._zeroed, self._unread = classify_temps(self.function)
         # The body and declarations go first: they discover the mask
         # constants and the intrinsics that the prelude defines.
         body_lines = self._unparse_body()
@@ -300,11 +303,10 @@ class CUnparser:
     def _temp_declarations(self) -> List[str]:
         # The interpreter and the NumPy backend zero temps; C zeroes only
         # the ones that read an element before writing it.
-        from ..analysis.defuse import temps_read_before_written
-        zeroed = temps_read_before_written(self.function)
         return [f"double {buf.name}[{buf.size}]"
-                f"{' = {0}' if buf.name in zeroed else ''};"
-                for buf in self.function.temps]
+                f"{' = {0}' if buf.name in self._zeroed else ''};"
+                for buf in self.function.temps
+                if buf.name not in self._unread]
 
     def _register_declarations(self) -> List[str]:
         scalars: Set[str] = set()
@@ -366,6 +368,9 @@ class CUnparser:
             elif isinstance(stmt, Assign):
                 lines.append(f"{pad}{stmt.dest.name} = "
                              f"{self._expr(stmt.value)};")
+            elif isinstance(stmt, (Store, VStore)) \
+                    and stmt.buffer.name in self._unread:
+                continue
             elif isinstance(stmt, Store):
                 lines.append(f"{pad}{stmt.buffer.name}[{self._affine(stmt.index)}]"
                              f" = {self._expr(stmt.value)};")

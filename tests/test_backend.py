@@ -99,18 +99,21 @@ class TestSignatureContract:
 def _temp_read_before_write_function():
     """``y[0] = t[0] + t[1]`` after writing only ``t[0]``, and ``y[1] =
     u[0]`` after writing ``u[0]``: ``t`` needs its implicit zero, ``u``
-    does not."""
+    does not, and ``w`` is written but never read."""
     x = Buffer("x", 1, 2, "in")
     y = Buffer("y", 1, 2, "out")
     t = Buffer("t", 1, 2, "temp")
     u = Buffer("u", 1, 1, "temp")
-    body = [Store(t, Affine.constant(0), Load(x, Affine.constant(0))),
+    w = Buffer("w", 1, 1, "temp")
+    body = [Store(w, Affine.constant(0), Load(x, Affine.constant(1))),
+            Store(t, Affine.constant(0), Load(x, Affine.constant(0))),
             Store(y, Affine.constant(0),
                   BinOp("add", Load(t, Affine.constant(0)),
                         Load(t, Affine.constant(1)))),
             Store(u, Affine.constant(0), Load(x, Affine.constant(1))),
             Store(y, Affine.constant(1), Load(u, Affine.constant(0)))]
-    return Function("zeroed_temp", [x, y], [t, u], body, vector_width=1)
+    return Function("zeroed_temp", [x, y], [t, u, w], body,
+                    vector_width=1)
 
 
 class TestTempInitialization:
@@ -118,6 +121,10 @@ class TestTempInitialization:
         code = unparse_function(_temp_read_before_write_function())
         assert "double t[2] = {0};" in code
         assert "double u[1];" in code
+
+    def test_unread_temps_are_neither_declared_nor_stored(self):
+        code = unparse_function(_temp_read_before_write_function())
+        assert not re.search(r"\bw\b", code)
 
     @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
     def test_c_interpreter_and_numpy_agree(self, monkeypatch):
