@@ -18,8 +18,10 @@ load whose lanes are all known is then rebuilt from registers:
   round-trip through L1 on the modeled machine only when few lanes are
   needed, so this fallback is only applied for masked loads).
 
-Stores themselves are kept: the buffer may be a function output.  Dead
-temporary stores are cleaned up by later passes when provably unused.
+Stores themselves are kept: the buffer may be a function output, and no
+later pass removes a store either (:mod:`~repro.cir.passes.dce` removes
+only dead register assignments).  The C unparser leaves out a temporary
+that nothing reads and its stores.
 """
 
 from __future__ import annotations
