@@ -8,7 +8,10 @@ every child runs the complete :class:`~repro.service.server.KernelServer`
 handler stack, ``accept``-ing from the *inherited* socket.  The kernel
 hands each new connection to exactly one blocked worker, so load spreads
 across processes with no userspace balancer, no extra port, and no
-change to the wire protocol.
+change to the wire protocol.  It balances connections, not requests:
+:class:`~repro.service.client.ServiceClient` keeps one connection per
+thread for its POSTs, which stay on one worker, and opens a fresh one
+per GET, so repeated ``/stats`` calls sample every worker.
 
 Each worker builds its own :class:`~repro.service.service.KernelService`
 **after** the fork (``service_factory``), so no locks, stats, or hot
@@ -23,10 +26,11 @@ Lifecycle, run by the parent's monitor loop:
   and a replacement is forked within one poll interval -- the pool heals
   itself and ``restarts`` counts the incidents;
 * ``shutdown()`` (SIGTERM/SIGINT under the CLI) drains gracefully:
-  every worker gets SIGTERM, stops accepting, finishes its in-flight
-  requests (handler threads are joined), and exits 0; workers still
-  alive after ``grace_s`` are SIGKILLed so a wedged handler cannot block
-  shutdown forever.
+  every worker gets SIGTERM, stops accepting, closes its idle
+  kept-alive connections, finishes its in-flight requests (handler
+  threads are joined), and exits 0; workers still alive after
+  ``grace_s`` are SIGKILLed so a wedged handler cannot block shutdown
+  forever.
 
 Workers are forked (``multiprocessing`` ``"fork"`` context): the
 listening socket and the warm module state are inherited for free.  On

@@ -25,7 +25,7 @@ does.  Endpoints:
     nested lists; missing operands are synthesized from ``"seed"``).
     Executes the kernel and returns the outputs as nested lists.
 
-Concurrency: every request is handled on its own thread; identical
+Concurrency: every connection is handled on its own thread; identical
 concurrent ``/generate`` misses coalesce into one pipeline run via the
 service's single-flight layer.  A bounded admission semaphore caps how
 many POSTs generate/execute at once -- beyond it the daemon answers
@@ -34,15 +34,23 @@ unboundedly, so a load spike degrades to fast retries, not to memory
 exhaustion.  ``KernelServer.shutdown()`` (or SIGINT/SIGTERM under the
 CLI) stops accepting connections, lets in-flight handlers finish, and
 returns from :meth:`KernelServer.serve_forever`.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves every
+request a connection carries.  Once the accept loop stops, the drain
+shuts the read side of every open connection, so an idle one ends at
+once while an in-flight request still finishes and answers; a
+connection left idle for :data:`IDLE_TIMEOUT_S` is closed, so an
+abandoned one does not hold its thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -54,6 +62,10 @@ from .service import GenerationRequest, KernelService, ServiceResponse
 #: this.  Bounding it keeps a misbehaving client from ballooning the
 #: process.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it.
+IDLE_TIMEOUT_S = 30.0
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8177
@@ -128,6 +140,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-kernel-service/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # Headers and body go out in two sends; with Nagle on, a kept-alive
+    # connection holds the body until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -234,6 +250,44 @@ class _Handler(BaseHTTPRequestHandler):
             server.release()
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Tracks its open connections so the drain can end idle ones.
+
+    Handler threads are non-daemon and :meth:`server_close` joins them,
+    so the graceful-shutdown promise (in-flight requests finish) is real
+    rather than racing process exit."""
+
+    daemon_threads = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        # Called once the accept loop has stopped.  A handler blocked
+        # reading the next request sees EOF and ends; one mid-request
+        # still writes its answer.  The lock keeps a handler from closing
+        # a socket (and freeing its descriptor) under the loop.
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        super().server_close()
+
+
 class KernelServer:
     """A :class:`KernelService` wrapped in a threaded HTTP daemon.
 
@@ -275,7 +329,7 @@ class KernelServer:
             # fill the fields server_bind would have set.  getfqdn is
             # deliberately avoided (it can stall on DNS in a worker).
             address = listen_socket.getsockname()
-            self.httpd = ThreadingHTTPServer(
+            self.httpd = _HTTPServer(
                 address[:2], _Handler, bind_and_activate=False)
             self.httpd.socket.close()
             self.httpd.socket = listen_socket
@@ -283,11 +337,7 @@ class KernelServer:
             self.httpd.server_name = str(address[0])
             self.httpd.server_port = int(address[1])
         else:
-            self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        # Non-daemon handler threads: server_close() joins them, so the
-        # graceful-shutdown promise (in-flight requests finish) is real
-        # rather than racing process exit.
-        self.httpd.daemon_threads = False
+            self.httpd = _HTTPServer((host, port), _Handler)
         self.httpd.kernel_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
@@ -340,8 +390,9 @@ class KernelServer:
         }
         if self.worker_info is not None:
             # Pre-forked pool: counters above are *this worker's*.  The
-            # kernel balances accepted connections, so repeated GETs
-            # sample the pool; sum per-pid samples for pool totals.
+            # kernel balances accepted connections and ServiceClient
+            # opens a fresh one per GET, so repeated GETs sample the
+            # pool; sum per-pid samples for pool totals.
             doc["worker"] = self.worker_info
         leases = getattr(self.service, "leases", None)
         if leases is not None:
@@ -429,7 +480,8 @@ class KernelServer:
         return self
 
     def shutdown(self) -> None:
-        """Stop the accept loop; in-flight handlers run to completion."""
+        """Stop the accept loop and close idle connections; in-flight
+        handlers run to completion."""
         self.httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10)

@@ -3,12 +3,9 @@ over the whole fuzz corpus, the fix bank, the verifier, the driver loop,
 service/tuner wiring, and the client's jittered busy backoff."""
 
 import dataclasses
-import io
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -399,11 +396,9 @@ class TestVerifiedWiring:
 
 
 def _always_busy(monkeypatch, sleeps):
-    def fake_urlopen(request, timeout=None):
-        raise urllib.error.HTTPError(
-            request.full_url, 503, "server busy", hdrs=None,
-            fp=io.BytesIO(b'{"error": "server busy"}'))
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    def fake_send(self, method, path, data):
+        return 503, "Service Unavailable", b'{"error": "server busy"}'
+    monkeypatch.setattr(ServiceClient, "_send", fake_send)
     monkeypatch.setattr(time, "sleep", sleeps.append)
 
 

@@ -14,8 +14,10 @@ shape as ``python -m repro.service serve --workers N``:
 * **torture** -- concurrent processes put/get/delete the same shards of a
   bounded store; no torn record, every surviving entry loads, and the
   entry bound still holds afterwards.
-* **pool**    -- a SIGKILLed worker is replaced automatically; the CLI
-  ``serve --workers 2`` drains cleanly on SIGTERM.
+* **pool**    -- a SIGKILLed worker is replaced automatically, and a
+  client whose kept connection it held resends on a fresh one; repeated
+  ``/stats`` GETs reach every worker; the CLI ``serve --workers 2``
+  drains cleanly on SIGTERM, idle kept connections included.
 """
 
 import hashlib
@@ -386,6 +388,47 @@ class TestWorkerPool:
                 assert isinstance(leases[counter], int)
                 assert leases[counter] >= 0
 
+    def test_kept_connection_of_a_sigkilled_worker_is_retried(
+            self, tmp_path):
+        """The worker holding a client's kept connection dies between
+        two POSTs: the second is resent once on a fresh connection."""
+        pool = WorkerPool(_pool_factory(str(tmp_path / "cache")),
+                          workers=2, port=0, quiet=True)
+        with pool, ServiceClient(pool.url) as client:
+            client.wait_healthy(timeout=30)
+            client.generate(spec=SPEC, include_code=False)
+            # Ask over the kept connection itself which worker holds it.
+            conn = client._connection()
+            conn.request("GET", "/healthz")
+            with conn.getresponse() as reply:
+                holder = json.loads(reply.read())["worker"]["pid"]
+            os.kill(holder, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while holder in pool.worker_pids():
+                assert time.monotonic() < deadline, "worker never died"
+                time.sleep(0.05)
+            doc = client.generate(spec=SPEC, include_code=False)
+            assert doc["cache_hit"]
+            conn.request("GET", "/healthz")
+            with conn.getresponse() as reply:
+                assert json.loads(reply.read())["worker"]["pid"] != holder
+        assert pool.shutdown()["killed"] == 0
+
+    def test_repeated_stats_reach_every_worker(self, tmp_path):
+        """Each GET takes a fresh connection, so /stats samples the whole
+        pool while POSTs stay on one kept connection."""
+        pool = WorkerPool(_pool_factory(str(tmp_path / "cache")),
+                          workers=2, port=0, quiet=True)
+        with pool, ServiceClient(pool.url) as client:
+            client.wait_healthy(timeout=30)
+            client.generate(spec=SPEC, include_code=False)
+            seen = set()
+            for _ in range(100):
+                seen.add(client.stats()["worker"]["pid"])
+                if len(seen) == 2:
+                    break
+            assert seen == set(pool.worker_pids())
+
     def test_rejects_zero_workers(self, tmp_path):
         from repro.errors import ServiceError
         with pytest.raises(ServiceError, match="workers must be"):
@@ -394,8 +437,9 @@ class TestWorkerPool:
 
     def test_cli_serve_workers_drains_cleanly_on_sigterm(self, tmp_path):
         """The CLI pool path end to end: boot ``serve --workers 2``,
-        check health over HTTP, SIGTERM, and require exit code 0 (every
-        worker drained within the grace budget)."""
+        check health over HTTP, leave a kept POST connection idle,
+        SIGTERM, and require exit code 0 (every worker drained within
+        the grace budget, none waiting on the idle connection)."""
         repo_root = os.path.dirname(os.path.dirname(
             os.path.abspath(__file__)))
         env = dict(os.environ)
@@ -419,11 +463,16 @@ class TestWorkerPool:
                     pytest.fail(f"serve exited early: {proc.returncode}")
             assert url, "never saw the listening banner"
             assert "workers=2" in line
-            ServiceClient(url).wait_healthy(timeout=30)
+            client = ServiceClient(url)
+            client.wait_healthy(timeout=30)
+            client.generate(spec=SPEC, include_code=False)
+            assert client._connection().sock is not None
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
             tail = proc.stdout.read()
             assert "exit codes [0, 0]" in tail
+            assert "0 killed after grace" in tail
+            client.close()
         finally:
             if proc.poll() is None:
                 proc.kill()

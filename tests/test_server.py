@@ -1,7 +1,10 @@
 """Tests for the HTTP serving layer: a live ``ThreadingHTTPServer`` on an
 ephemeral port, exercised through :class:`ServiceClient` and raw urllib."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -10,6 +13,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro.service.server as server_module
 from repro.errors import ServiceError
 from repro.service import (KernelServer, KernelService, MemoryKernelStore,
                            ServiceClient)
@@ -29,7 +33,8 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(server.url, timeout=60.0)
+    with ServiceClient(server.url, timeout=60.0) as live:
+        yield live
 
 
 class TestEndpoints:
@@ -207,8 +212,6 @@ class TestErrorPaths:
         # A negative length must never reach rfile.read (read(-1) blocks
         # until EOF, pinning the handler thread); malformed ones must not
         # crash the handler.  Either way: a 400, then the socket closes.
-        import socket
-
         raw = (f"POST /generate HTTP/1.1\r\nHost: t\r\n"
                f"Content-Length: {length}\r\n\r\n").encode()
         with socket.create_connection((server.host, server.port),
@@ -278,8 +281,6 @@ class TestAdmission:
     def test_rejected_post_keeps_keepalive_connection_framed(self, server):
         # A 503 must drain the unread body, or the next request on the
         # same HTTP/1.1 connection would be parsed mid-payload.
-        import http.client
-
         body = json.dumps({"spec": "potrf:4"})
         headers = {"Content-Type": "application/json"}
         conn = http.client.HTTPConnection(server.host, server.port,
@@ -353,3 +354,152 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="max_inflight"):
             KernelServer(KernelService(store=MemoryKernelStore()),
                          port=0, max_inflight=0)
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Counts the connections every server in the test accepts (one
+    handler instance, hence one ``setup``, per connection)."""
+    opened = []
+    setup = server_module._Handler.setup
+
+    def counting_setup(handler):
+        opened.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
+    return opened
+
+
+def _new_server(port=0):
+    service = KernelService(store=MemoryKernelStore(), options=_options())
+    return KernelServer(service, port=port, quiet=True).start_background()
+
+
+class TestKeepAlive:
+    def test_posts_of_one_client_share_one_connection(self, server,
+                                                      connections):
+        client = ServiceClient(server.url)
+        client.generate(spec="potrf:4", include_code=False)
+        client.run(spec="potrf:4")
+        client.generate(spec="potrf:4", include_code=False)
+        assert len(connections) == 1
+        client.close()
+
+    def test_each_thread_of_a_shared_client_has_its_own_connection(
+            self, server, connections):
+        client = ServiceClient(server.url)
+        client.generate(spec="potrf:4", include_code=False)
+        threads = 3
+        barrier = threading.Barrier(threads)
+        local_ports = []
+
+        def work():
+            barrier.wait()
+            for _ in range(2):
+                client.generate(spec="potrf:4", include_code=False)
+            local_ports.append(
+                client._connection().sock.getsockname()[1])
+            barrier.wait()  # every connection stays open until all ran
+
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert len(connections) == 1 + threads
+        assert len(set(local_ports)) == threads
+        client.close()
+
+    def test_sequential_hits_on_one_connection_are_fast(self, server,
+                                                        connections):
+        # The reply goes out as two sends (headers, body); without
+        # TCP_NODELAY on the server each hit waits ~40 ms for the
+        # client's delayed ACK.
+        client = ServiceClient(server.url)
+        client.generate(spec="potrf:4", include_code=False)
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            assert client.generate(spec="potrf:4",
+                                   include_code=False)["cache_hit"]
+            latencies.append(time.perf_counter() - started)
+        assert len(connections) == 1
+        assert statistics.median(latencies) < 0.020
+        client.close()
+
+    def test_stats_and_healthz_take_a_fresh_connection_each(
+            self, server, connections):
+        client = ServiceClient(server.url)
+        client.healthz()
+        client.stats()
+        client.stats()
+        assert len(connections) == 3
+
+    def test_stale_connection_to_a_restarted_server_is_retried_once(
+            self, monkeypatch, connections):
+        first = _new_server()
+        port = first.port
+        client = ServiceClient(first.url)
+        client.generate(spec="potrf:4", include_code=False)
+        first.shutdown()
+        second = _new_server(port=port)
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn):
+            connects.append(conn)
+            connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            counting_connect)
+        try:
+            doc = client.generate(spec="potrf:4", include_code=False)
+            assert doc["key"]
+            # The kept connection was stale: one fresh connect, no more.
+            assert len(connects) == 1
+            assert len(connections) == 2
+        finally:
+            client.close()
+            second.shutdown()
+
+    def test_failed_fresh_connect_raises_without_retry(self, monkeypatch):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn):
+            connects.append(conn)
+            connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            counting_connect)
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5)
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.generate(spec="potrf:4")
+        assert len(connects) == 1
+
+    def test_close_and_context_manager_release_connections(self, server):
+        with ServiceClient(server.url) as client:
+            client.generate(spec="potrf:4", include_code=False)
+            conn = client._connection()
+            assert conn.sock is not None
+        assert conn.sock is None
+        # Still usable: the next POST connects afresh.
+        assert client.generate(spec="potrf:4", include_code=False)["key"]
+        client.close()
+
+
+class TestDrain:
+    def test_shutdown_is_prompt_with_an_idle_kept_connection(self):
+        server = _new_server()
+        client = ServiceClient(server.url)
+        client.generate(spec="potrf:4", include_code=False)
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.generate(spec="potrf:4", include_code=False)
