@@ -24,10 +24,11 @@ The same concrete walk powers the double-write lint in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
-from ..cir.nodes import (Assign, Comment, CStmt, For, Function, If, Load,
-                         Store, VLoad, VStore, walk_expressions)
+from ..cir.nodes import (Affine, Assign, CExpr, Comment, CStmt, For,
+                         Function, If, Load, Store, VLoad, VStore)
 from .cfg import build_cfg
 from .dataflow import MustDefined, expr_registers, solve, stmt_def
 from .diagnostics import Diagnostic
@@ -81,8 +82,46 @@ class WalkStatus:
         self.complete = True
 
 
+#: One buffer access of a simple statement: kind, buffer, index
+#: expression, and the lane offsets it touches from that index.
+_Access = Tuple[str, str, Affine, Tuple[int, ...]]
+
+
+def _lanes(width: int, mask: Optional[Tuple[bool, ...]]) -> Tuple[int, ...]:
+    if mask is None:
+        return tuple(range(width))
+    return tuple(lane for lane, keep in enumerate(mask) if keep)
+
+
+def _reads(expr: CExpr, found: List[_Access]) -> None:
+    """Append the loads under ``expr`` in pre-order."""
+    if isinstance(expr, Load):
+        found.append(("read", expr.buffer.name, expr.index, (0,)))
+    elif isinstance(expr, VLoad):
+        found.append(("read", expr.buffer.name, expr.index,
+                      _lanes(expr.width, expr.mask)))
+    else:
+        for child in expr.children():
+            _reads(child, found)
+
+
+def _accesses(stmt: CStmt) -> List[_Access]:
+    """The accesses of a simple statement in event order: its reads,
+    then its write."""
+    found: List[_Access] = []
+    if isinstance(stmt, (Assign, Store, VStore)):
+        _reads(stmt.value, found)
+    if isinstance(stmt, Store):
+        found.append(("write", stmt.buffer.name, stmt.index, (0,)))
+    elif isinstance(stmt, VStore):
+        found.append(("write", stmt.buffer.name, stmt.index,
+                      _lanes(stmt.width, stmt.mask)))
+    return found
+
+
 def element_events(fn: Function,
-                   limit: int = ELEMENT_WALK_LIMIT
+                   limit: int = ELEMENT_WALK_LIMIT,
+                   only: Optional[AbstractSet[str]] = None
                    ) -> Tuple[Iterator[Tuple[str, str, int, CStmt]],
                               WalkStatus]:
     """Iterate ``(kind, buffer, element, stmt)`` access events in order.
@@ -94,8 +133,32 @@ def element_events(fn: Function,
     returned :class:`WalkStatus` reports (once the stream is fully
     drained) whether the walk stayed within ``limit`` simple statements;
     callers must treat a truncated stream as inconclusive, not clean.
+
+    ``only`` restricts the stream to the named buffers: statements and
+    whole loops that access none of them are skipped, and do not count
+    against ``limit``.
     """
     status = WalkStatus()
+    plans: Dict[int, List[_Access]] = {}
+    loops: Dict[int, bool] = {}
+
+    def plan(stmt: CStmt) -> List[_Access]:
+        found = plans.get(id(stmt))
+        if found is None:
+            found = plans[id(stmt)] = [
+                access for access in _accesses(stmt)
+                if only is None or access[1] in only]
+        return found
+
+    def touches(stmt: CStmt) -> bool:
+        if isinstance(stmt, For):
+            hit = loops.get(id(stmt))
+            if hit is None:
+                hit = loops[id(stmt)] = any(map(touches, stmt.body))
+            return hit
+        if isinstance(stmt, If):
+            return any(map(touches, [*stmt.then_body, *stmt.else_body]))
+        return not isinstance(stmt, Comment) and bool(plan(stmt))
 
     def events(stmts: Sequence[CStmt], bindings: Dict[str, int],
                budget: List[int]) -> Iterator[Tuple[str, str, int, CStmt]]:
@@ -104,6 +167,8 @@ def element_events(fn: Function,
                 status.complete = False
                 return
             if isinstance(stmt, For):
+                if only is not None and not touches(stmt):
+                    continue
                 for value in stmt.iterations():
                     inner = dict(bindings)
                     inner[stmt.var] = value
@@ -115,33 +180,15 @@ def element_events(fn: Function,
                 taken = stmt.evaluate(bindings)
                 yield from events(stmt.then_body if taken else
                                   stmt.else_body, bindings, budget)
-            elif isinstance(stmt, Comment):
-                continue
-            else:
+            elif not isinstance(stmt, Comment):
+                accesses = plan(stmt)
+                if only is not None and not accesses:
+                    continue
                 budget[0] -= 1
-                for expr in walk_expressions(stmt):
-                    for node in expr.walk():
-                        if isinstance(node, Load):
-                            at = node.index.evaluate(bindings)
-                            yield "read", node.buffer.name, at, stmt
-                        elif isinstance(node, VLoad):
-                            base = node.index.evaluate(bindings)
-                            mask = (node.mask if node.mask is not None
-                                    else (True,) * node.width)
-                            for lane, keep in enumerate(mask):
-                                if keep:
-                                    yield ("read", node.buffer.name,
-                                           base + lane, stmt)
-                if isinstance(stmt, Store):
-                    at = stmt.index.evaluate(bindings)
-                    yield "write", stmt.buffer.name, at, stmt
-                elif isinstance(stmt, VStore):
-                    base = stmt.index.evaluate(bindings)
-                    mask = (stmt.mask if stmt.mask is not None
-                            else (True,) * stmt.width)
-                    for lane, keep in enumerate(mask):
-                        if keep:
-                            yield "write", stmt.buffer.name, base + lane, stmt
+                for kind, name, index, lanes in accesses:
+                    base = index.evaluate(bindings)
+                    for lane in lanes:
+                        yield kind, name, base + lane, stmt
 
     return events(fn.body, {}, [limit]), status
 
@@ -149,18 +196,17 @@ def element_events(fn: Function,
 def classify_temps(fn: Function) -> Tuple[Set[str], Set[str]]:
     """``(zeroed, unread)`` names of temp buffers: those with an element
     read before any write to it, which must start zeroed, and those never
-    read at all, whose stores are dead.  A truncated walk proves nothing,
-    so it zeroes every temp and finds none unread."""
+    read at all, whose stores are dead.  Only statements that access a
+    temp are walked.  A truncated walk proves nothing, so it zeroes every
+    temp and finds none unread."""
     temps = {buf.name for buf in fn.temps}
     if not temps:
         return set(), set()
-    stream, status = element_events(fn)
+    stream, status = element_events(fn, only=temps)
     written: Dict[str, Set[int]] = {name: set() for name in temps}
     zeroed: Set[str] = set()
     read: Set[str] = set()
     for kind, name, at, _stmt in stream:
-        if name not in temps:
-            continue
         if kind == "write":
             written[name].add(at)
         else:

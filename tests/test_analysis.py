@@ -177,6 +177,52 @@ class TestFunctionPasses:
         # The full-default-limit passes still see this tiny function.
         assert check_element_defuse(fn) == []
 
+    def test_walk_restricted_to_buffers_skips_loops_without_them(self):
+        x = Buffer("x", 4, 1, "in")
+        y = Buffer("y", 4, 1, "out")
+        t = Buffer("t", 1, 1, "temp")
+        fn = make_fn([For("i", 0, 4, 1,
+                          [Store(y, Affine.var("i"),
+                                 Load(x, Affine.var("i")))]),
+                      Store(t, Affine.constant(0), Load(x, Affine.constant(0))),
+                      Store(y, Affine.constant(0), Load(t, Affine.constant(0)))],
+                     [x, y], temps=[t])
+        stream, status = element_events(fn, limit=2, only={"t"})
+        assert [(kind, name, at) for kind, name, at, _ in stream] == [
+            ("write", "t", 0), ("read", "t", 0)]
+        assert status.complete
+
+
+def _classify_temps_by_full_walk(fn):
+    """``classify_temps`` as the unrestricted element walk computes it."""
+    temps = {buf.name for buf in fn.temps}
+    stream, status = element_events(fn)
+    written = {name: set() for name in temps}
+    zeroed, read = set(), set()
+    for kind, name, at, _stmt in stream:
+        if name not in temps:
+            continue
+        if kind == "write":
+            written[name].add(at)
+        else:
+            read.add(name)
+            if at not in written[name]:
+                zeroed.add(name)
+    if not status.complete:
+        return temps, set()
+    return zeroed, temps - read
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_classify_temps_matches_the_full_walk_on_the_registry(size):
+    from repro.analysis.defuse import classify_temps
+    from repro.service.registry import make_request, workload_names
+    for name in workload_names():
+        request = make_request(f"{name}:{size}")
+        fn = SLinGen(request.options, phase_cache=PhaseCache()
+                     ).generate_result(request.program).function
+        assert classify_temps(fn) == _classify_temps_by_full_walk(fn), name
+
 
 class TestStructurePasses:
     def test_structurally_zero_predicate(self):
