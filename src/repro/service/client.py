@@ -154,7 +154,7 @@ class ServiceClient:
 
     def close(self) -> None:
         """Close every thread's kept connection; a later request opens a
-        fresh one."""
+        fresh one.  A request in flight on another thread fails."""
         with self._kept_lock:
             kept = list(self._kept)
         for conn in kept:

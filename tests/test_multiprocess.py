@@ -477,3 +477,4 @@ class TestWorkerPool:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
