@@ -371,6 +371,21 @@ def connections(monkeypatch):
     return opened
 
 
+@pytest.fixture()
+def connects(monkeypatch):
+    """Counts the TCP connects every client in the test makes."""
+    made = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting_connect(conn):
+        made.append(conn)
+        connect(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        counting_connect)
+    return made
+
+
 def _new_server(port=0):
     service = KernelService(store=MemoryKernelStore(), options=_options())
     return KernelServer(service, port=port, quiet=True).start_background()
@@ -438,48 +453,52 @@ class TestKeepAlive:
         assert len(connections) == 3
 
     def test_stale_connection_to_a_restarted_server_is_retried_once(
-            self, monkeypatch, connections):
+            self, connections, connects):
         first = _new_server()
         port = first.port
         client = ServiceClient(first.url)
         client.generate(spec="potrf:4", include_code=False)
         first.shutdown()
         second = _new_server(port=port)
-        connects = []
-        connect = http.client.HTTPConnection.connect
-
-        def counting_connect(conn):
-            connects.append(conn)
-            connect(conn)
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect",
-                            counting_connect)
+        before = len(connects)
         try:
             doc = client.generate(spec="potrf:4", include_code=False)
             assert doc["key"]
             # The kept connection was stale: one fresh connect, no more.
-            assert len(connects) == 1
+            assert len(connects) == before + 1
             assert len(connections) == 2
         finally:
             client.close()
             second.shutdown()
 
-    def test_failed_fresh_connect_raises_without_retry(self, monkeypatch):
+    def test_failed_fresh_connect_raises_without_retry(self, connects):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        connects = []
-        connect = http.client.HTTPConnection.connect
-
-        def counting_connect(conn):
-            connects.append(conn)
-            connect(conn)
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect",
-                            counting_connect)
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.generate(spec="potrf:4")
+        assert len(connects) == 1
+
+    def test_fresh_connection_dropped_by_the_peer_is_not_retried(
+            self, connects):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+
+            def drop():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)  # the request, left unanswered
+
+            dropper = threading.Thread(target=drop, daemon=True)
+            dropper.start()
+            port = listener.getsockname()[1]
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=2)
+            with pytest.raises(ServiceError, match="cannot reach"):
+                client.generate(spec="potrf:4")
+            dropper.join(timeout=10)
+            assert not dropper.is_alive()
         assert len(connects) == 1
 
     def test_close_and_context_manager_release_connections(self, server):
