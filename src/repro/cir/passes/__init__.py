@@ -13,14 +13,14 @@ The default pipeline mirrors the paper's code-level optimizations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..nodes import Function
 from .cse import eliminate_redundant_loads
 from .dce import eliminate_dead_code
 from .loadstore import LoadStoreStats, forward_stores_to_loads
 from .simplify import simplify
-from .unroll import unroll_loops
+from .unroll import UnrollPlan, apply_unroll_plan, unroll_loops, unroll_plan
 
 
 @dataclass
@@ -46,8 +46,13 @@ class PassReport:
 
 
 def run_pipeline(function: Function,
-                 options: Optional[PassOptions] = None) -> PassReport:
-    """Run the Stage-3 pass pipeline on ``function`` in place."""
+                 options: Optional[PassOptions] = None,
+                 plan: Optional[Sequence[bool]] = None) -> PassReport:
+    """Run the Stage-3 pass pipeline on ``function`` in place.
+
+    ``plan`` is the :func:`unroll_plan` to apply when ``options.unroll``
+    is on; by default it is made from ``options``' thresholds.
+    """
     options = options or PassOptions()
     report = PassReport()
     report.statements_before = function.statement_count()
@@ -56,8 +61,10 @@ def run_pipeline(function: Function,
     if options.algebraic_simplification:
         body = simplify(body)
     if options.unroll:
-        body = unroll_loops(body, options.max_unroll_trip_count,
-                            options.max_unroll_body)
+        if plan is None:
+            plan = unroll_plan(body, options.max_unroll_trip_count,
+                               options.max_unroll_body)
+        body = apply_unroll_plan(body, plan)
     if options.scalar_replacement:
         body = eliminate_redundant_loads(body)
     if options.load_store_analysis:
@@ -73,7 +80,8 @@ def run_pipeline(function: Function,
 
 
 __all__ = [
-    "PassOptions", "PassReport", "run_pipeline", "unroll_loops", "simplify",
+    "PassOptions", "PassReport", "run_pipeline", "unroll_loops",
+    "unroll_plan", "apply_unroll_plan", "UnrollPlan", "simplify",
     "eliminate_redundant_loads", "eliminate_dead_code",
     "forward_stores_to_loads", "LoadStoreStats",
 ]

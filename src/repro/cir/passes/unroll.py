@@ -9,19 +9,37 @@ shuffles/blends.
 The pass replaces any ``For`` whose trip count does not exceed a threshold
 by its unrolled body, substituting the induction variable with its constant
 value in every affine index.
+
+The decisions are made first, by :func:`unroll_plan`, as a tuple with one
+unroll/keep flag per loop; :func:`apply_unroll_plan` then rewrites the
+body.  The plan is a structural walk that reads no expressions, so the
+optimize phase keys its cache by it: threshold pairs that unroll a
+function alike share one pass pipeline.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
+from ...errors import CIRError
 from ..nodes import CStmt, For, If
 from ..transform import transform_block
 
+#: One unroll (``True``) or keep (``False``) decision per surviving
+#: ``For``, in post-order (inner loops before the loop around them).
+UnrollPlan = Tuple[bool, ...]
 
-def unroll_loops(stmts: List[CStmt], max_trip_count: int = 8,
-                 max_body_statements: int = 64) -> List[CStmt]:
-    """Unroll loops with small, known trip counts.
+
+def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
+                max_body_statements: int = 64) -> UnrollPlan:
+    """The decisions :func:`unroll_loops` makes on ``simplify(stmts)``.
+
+    The walk drops what :func:`~repro.cir.passes.simplify.simplify`
+    drops -- a ``For`` with no iterations or an empty body, an ``If``
+    with both bodies empty -- so the plan of a lowered body equals the
+    plan of its simplified body.  An unrolled loop counts ``trip *
+    len(body)`` statements toward the loop around it; a kept loop and an
+    ``If`` count one.
 
     Parameters
     ----------
@@ -31,26 +49,84 @@ def unroll_loops(stmts: List[CStmt], max_trip_count: int = 8,
         Safety valve: loops whose unrolled size would exceed this many
         statements are kept even if the trip count is small.
     """
-    result: List[CStmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, For):
-            body = unroll_loops(stmt.body, max_trip_count,
-                                max_body_statements)
-            trip = stmt.trip_count
-            if (trip <= max_trip_count
-                    and trip * len(body) <= max_body_statements):
-                for value in stmt.iterations():
-                    result.extend(transform_block(body,
-                                                  index_subst={stmt.var: value}))
+    plan: List[bool] = []
+
+    def size(block: List[CStmt]) -> int:
+        # Statements ``block`` holds after simplify and unrolling.  A
+        # dropped statement adds no decision: a zero-trip loop is skipped
+        # before its body is walked, and an empty body added none.
+        count = 0
+        for stmt in block:
+            if isinstance(stmt, For):
+                trip = stmt.trip_count
+                if trip <= 0:
+                    continue
+                body = size(stmt.body)
+                if not body:
+                    continue
+                unrolled = (trip <= max_trip_count
+                            and trip * body <= max_body_statements)
+                plan.append(unrolled)
+                count += trip * body if unrolled else 1
+            elif isinstance(stmt, If):
+                if size(stmt.then_body) + size(stmt.else_body):
+                    count += 1
             else:
-                result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
-                                  body))
-        elif isinstance(stmt, If):
-            result.append(If(stmt.lhs, stmt.op, stmt.rhs,
-                             unroll_loops(stmt.then_body, max_trip_count,
-                                          max_body_statements),
-                             unroll_loops(stmt.else_body, max_trip_count,
-                                          max_body_statements)))
-        else:
-            result.append(stmt)
+                count += 1
+        return count
+
+    size(stmts)
+    return tuple(plan)
+
+
+def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
+    """Unroll the loops ``plan`` marks, keeping the others.
+
+    Loops and branches :func:`unroll_plan` drops are dropped here too, so
+    a plan lines up with the body it was made from and with that body
+    simplified.  Raises :class:`~repro.errors.CIRError` when the plan has
+    more or fewer decisions than the body has loops.
+    """
+    decisions = iter(plan)
+
+    def walk(block: List[CStmt]) -> List[CStmt]:
+        result: List[CStmt] = []
+        for stmt in block:
+            if isinstance(stmt, For):
+                if stmt.trip_count <= 0:
+                    continue
+                body = walk(stmt.body)
+                if not body:
+                    continue
+                unrolled = next(decisions, None)
+                if unrolled is None:
+                    raise CIRError("unroll plan is shorter than the loops")
+                if unrolled:
+                    for value in stmt.iterations():
+                        result.extend(transform_block(
+                            body, index_subst={stmt.var: value}))
+                else:
+                    result.append(For(stmt.var, stmt.start, stmt.stop,
+                                      stmt.step, body))
+            elif isinstance(stmt, If):
+                then_body = walk(stmt.then_body)
+                else_body = walk(stmt.else_body)
+                if then_body or else_body:
+                    result.append(If(stmt.lhs, stmt.op, stmt.rhs, then_body,
+                                     else_body))
+            else:
+                result.append(stmt)
+        return result
+
+    result = walk(stmts)
+    if next(decisions, None) is not None:
+        raise CIRError("unroll plan is longer than the loops")
     return result
+
+
+def unroll_loops(stmts: List[CStmt], max_trip_count: int = 8,
+                 max_body_statements: int = 64) -> List[CStmt]:
+    """Unroll loops with small, known trip counts (see :func:`unroll_plan`
+    for the thresholds)."""
+    return apply_unroll_plan(
+        stmts, unroll_plan(stmts, max_trip_count, max_body_statements))

@@ -30,6 +30,13 @@ Resolution notes (why the raw field lives where it does):
   phase as the effective conjunction ``options.<axis> and
   codegen.<axis>``, exactly what :class:`~repro.cir.passes.PassOptions`
   receives.
+* ``unroll`` / ``unroll_trip_count`` / ``unroll_body_limit`` key the
+  optimize phase as the resolved *plan*
+  (:func:`~repro.cir.passes.unroll.unroll_plan`): one unroll/keep
+  decision per loop of the lowered function, or ``None`` with
+  ``unroll`` off.  Threshold pairs that unroll a function alike build
+  the same optimized function, so they share one pass pipeline and, as
+  the score key chains from the optimize key, one score.
 * The search-control axes (``autotune``, ``max_variants``,
   ``stage1_variants``) decide *which* phase calls happen, never what any
   one phase computes: ``stage1_variants`` resolves into the
@@ -62,7 +69,8 @@ from ..slingen.options import Options
 #: v4: scratch operands lower to temp buffers instead of parameters;
 #: cached lowered and optimized functions have the old signature (and
 #: lowered artifacts lost their unread ``stats`` field).
-PHASE_SCHEMA_VERSION = 4
+#: v5: optimize keyed by the unroll plan instead of the raw thresholds.
+PHASE_SCHEMA_VERSION = 5
 
 #: The phases, in dataflow order.
 PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",
@@ -256,18 +264,17 @@ def lower_key(program: str, vector_width: int, use_shuffle_transpose: bool,
     })
 
 
-def optimize_key(function: str, unroll: bool, unroll_trip_count: int,
-                 unroll_body_limit: int, scalar_replacement: bool,
-                 load_store_analysis: bool) -> str:
+def optimize_key(function: str, unroll_plan: Optional[Sequence[bool]],
+                 scalar_replacement: bool, load_store_analysis: bool) -> str:
     """Key of the Stage-3 pass pipeline: the :func:`function_digest` of
-    the lowered function plus the effective pass toggles."""
+    the lowered function, its unroll plan (``None`` with unrolling off)
+    and the effective pass toggles."""
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "optimize",
         "function": function,
-        "unroll": bool(unroll),
-        "unroll_trip_count": int(unroll_trip_count),
-        "unroll_body_limit": int(unroll_body_limit),
+        "unroll_plan": (None if unroll_plan is None
+                        else [bool(d) for d in unroll_plan]),
         "scalar_replacement": bool(scalar_replacement),
         "load_store_analysis": bool(load_store_analysis),
     })

@@ -45,7 +45,7 @@ import time
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from ..cir.nodes import Function
-from ..cir.passes import PassOptions, run_pipeline
+from ..cir.passes import PassOptions, run_pipeline, unroll_plan
 from ..cl1ck.database import AlgorithmDatabase
 from ..ir.program import Program
 from ..lgen.compiler import lower_program
@@ -164,23 +164,26 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
 
     The shell has its own parameter and temporary lists and shares the
     lowered body, which the passes read but never mutate; the pipeline
-    then binds the optimized body to the shell.
+    then binds the optimized body to the shell.  The key holds the
+    unroll plan, not the thresholds, and the pipeline applies that same
+    plan, so unroll thresholds that decide alike share one artifact.
     """
     started = time.perf_counter()
-    key = optimize_key(lowered.digest, pass_options.unroll,
-                       pass_options.max_unroll_trip_count,
-                       pass_options.max_unroll_body,
+    source = lowered.function
+    plan = (unroll_plan(source.body, pass_options.max_unroll_trip_count,
+                        pass_options.max_unroll_body)
+            if pass_options.unroll else None)
+    key = optimize_key(lowered.digest, plan,
                        pass_options.scalar_replacement,
                        pass_options.load_store_analysis)
     artifact = cache.get("optimize", key) if cache is not None else None
     if artifact is not None:
         _finish(timings, "optimize", started, hit=True)
         return artifact
-    source = lowered.function
     function = Function(source.name, list(source.params),
                         list(source.temps), source.body,
                         source.vector_width)
-    report = run_pipeline(function, pass_options)
+    report = run_pipeline(function, pass_options, plan)
     artifact = OptimizedFunction(key=key, function=function,
                                  pass_report=report)
     _gate("optimize", function, analysis)

@@ -10,10 +10,10 @@ from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
                        UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
                        VLoad, VPermute2f128, VReduceAdd, VSet, VStore, VUnpack,
                        VZero, run_function)
-from repro.cir.passes import (PassOptions, eliminate_dead_code,
-                              eliminate_redundant_loads,
+from repro.cir.passes import (PassOptions, apply_unroll_plan,
+                              eliminate_dead_code, eliminate_redundant_loads,
                               forward_stores_to_loads, run_pipeline, simplify,
-                              unroll_loops)
+                              unroll_loops, unroll_plan)
 from repro.cir.transform import map_expression, transform_block
 from repro.errors import CIRError, InterpreterError
 
@@ -175,6 +175,48 @@ class TestPasses:
         assert not any(isinstance(s, For) for s in func.body)
         after = run_function(func, {"a": data})
         np.testing.assert_allclose(before["out"], after["out"])
+
+    def test_unroll_plan_follows_simplify(self):
+        # The plan of a lowered body must be the plan of its simplified
+        # body: simplify drops an empty loop, a zero-trip loop and an If
+        # with both bodies empty, so none of them holds a decision or
+        # counts toward the size of the loop around it.
+        buf = Buffer("y", 1, 8, "out")
+        store = Store(buf, Affine.var("i"), FloatConst(1.0))
+        empty_if = If(Affine.var("i"), "<", Affine.constant(2), [], [])
+        bodies = {
+            "empty loop": [For("i", 0, 4, 1, [store,
+                                              For("j", 0, 2, 1, [])])],
+            "zero-trip loop": [For("i", 0, 4, 1, [
+                store, For("j", 3, 3, 1, [For("k", 0, 2, 1, [store])])])],
+            "empty If": [For("i", 0, 4, 1, [store, empty_if])],
+        }
+        for name, body in bodies.items():
+            # A body limit of 4 unrolls the outer loop only if it holds
+            # one statement after simplify.
+            plan = unroll_plan(body, 8, 4)
+            assert plan == unroll_plan(simplify(body), 8, 4) == (True,), name
+            assert apply_unroll_plan(body, plan) == \
+                unroll_loops(simplify(body), 8, 4), name
+            assert len(apply_unroll_plan(body, plan)) == 4, name
+
+    def test_unroll_plan_counts_unrolled_and_kept_loops(self):
+        buf = Buffer("y", 4, 4, "out")
+        store = Store(buf, Affine.var("i", 4) + Affine.var("j"),
+                      FloatConst(1.0))
+        body = [For("i", 0, 4, 1, [For("j", 0, 4, 1, [store])])]
+        # Inner first (post-order); the unrolled inner loop counts 4
+        # statements, so the outer one would unroll to 16.
+        assert unroll_plan(body, 8, 16) == (True, True)
+        assert unroll_plan(body, 8, 15) == (True, False)
+        assert unroll_plan(body, 3, 64) == (False, False)
+        # A kept inner loop counts one statement.
+        assert unroll_plan(body, 8, 3) == (False, False)
+        assert unroll_plan(body, 4, 4) == (True, False)
+        with pytest.raises(CIRError):
+            apply_unroll_plan(body, (True,))
+        with pytest.raises(CIRError):
+            apply_unroll_plan(body, (True, True, True))
 
     def test_dce_removes_dead_assignment(self):
         func, *_ = self._sum_kernel()

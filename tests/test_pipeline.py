@@ -20,6 +20,8 @@ import pickle
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.machine.microarch import default_machine
@@ -108,9 +110,14 @@ class TestKeyPartition:
         assert keys.lower_key(pa, 8, True, "kernel", False) != la
         fa = keys.function_digest(_function("kernel"))
         fb = keys.function_digest(_function("other"))
-        oa = keys.optimize_key(fa, True, 8, 64, True, True)
-        assert keys.optimize_key(fb, True, 8, 64, True, True) != oa
-        assert keys.optimize_key(fa, False, 8, 64, True, True) != oa
+        oa = keys.optimize_key(fa, (True,), True, True)
+        assert keys.optimize_key(fb, (True,), True, True) != oa
+        assert keys.optimize_key(fa, None, True, True) != oa
+        assert keys.optimize_key(fa, (), True, True) != \
+            keys.optimize_key(fa, None, True, True)
+        assert keys.optimize_key(fa, (False,), True, True) != oa
+        assert keys.optimize_key(fa, (True,), False, True) != oa
+        assert keys.optimize_key(fa, (True,), True, False) != oa
         machine = keys.machine_digest(default_machine())
         sa = keys.score_key(oa, machine, 10.0)
         assert keys.score_key(oa, machine, 20.0) != sa
@@ -273,11 +280,12 @@ class TestCrossVariantReuse:
         assert phases["stage1"]["misses"] == 1
         assert phases["stage1"]["hits"] == len(variants) - 1
         # One rewrite too (same axes).  Optimize runs once per distinct
-        # (lowered function, pass toggles): both shuffle settings lower
-        # potrf:4 to one function, so the two pairs of variants that
-        # differ only in shuffle share their pass pipeline -- 6 of 8.
+        # (lowered function, unroll plan, sr, lsa): both shuffle settings
+        # lower potrf:4 to one function, and the default, u4 and u16
+        # thresholds all unroll its every loop, so only the three
+        # (sr, lsa) settings remain -- 3 of 8.
         assert phases["rewrite"]["misses"] == 1
-        assert phases["optimize"]["misses"] == 6
+        assert phases["optimize"]["misses"] == 3
 
     def test_builder_memo_is_thread_safe(self):
         case = make_case()
@@ -475,6 +483,8 @@ class TestContentKeys:
 
     def test_each_distinct_input_builds_once(self, monkeypatch):
         from repro.backend.c_unparser import CUnparser
+        from repro.cir.nodes import Function
+        from repro.cir.passes import simplify, unroll_loops
         from repro.pipeline import phases
         from repro.service.keys import canonical_program
         builder = full_space(make_case("gemm:4"), Options(), PhaseCache())
@@ -491,11 +501,25 @@ class TestContentKeys:
             return lower(rewritten, *args, **kwargs)
 
         def record_optimize(lowered, pass_options, **kwargs):
+            # The pass pipeline reads the lowered function, the body the
+            # unroll pass hands on, and the sr/lsa toggles (the other two
+            # toggles are always on).
             function = lowered.function
             buffers = tuple((b.name, b.rows, b.cols, b.kind)
                             for b in function.buffers())
+            body = simplify(function.body)
+            if pass_options.unroll:
+                body = unroll_loops(body, pass_options.max_unroll_trip_count,
+                                    pass_options.max_unroll_body)
+            unrolled = Function(function.name, function.params,
+                                function.temps, body, function.vector_width)
+            assert pass_options.algebraic_simplification
+            assert pass_options.dead_code_elimination
             optimizing.add((CUnparser(function).unparse(), buffers,
-                            function.vector_width, repr(pass_options)))
+                            function.vector_width,
+                            CUnparser(unrolled).unparse(),
+                            pass_options.scalar_replacement,
+                            pass_options.load_store_analysis))
             return optimize(lowered, pass_options, **kwargs)
 
         monkeypatch.setattr(phases, "lower", record_lower)
@@ -511,6 +535,81 @@ class TestContentKeys:
         assert stats["lower"]["misses"] == len(lowering)
         assert stats["optimize"]["misses"] == len(optimizing)
         assert stats["score"]["misses"] == len(optimizing)
+
+
+_LOWERED = {}
+
+
+def _registry_lowered():
+    """The lowered function of every registry spec at n=4 and n=8, in
+    vector and scalar form (built once per session)."""
+    if not _LOWERED:
+        from repro.pipeline import phases
+        from repro.service.registry import workload_names
+        for name in workload_names():
+            for size in (4, 8):
+                program = make_case(f"{name}:{size}").program
+                rewritten = phases.rewrite(
+                    phases.stage1(program, Options().effective_block_size,
+                                  {}), True, ())
+                for width in (4, 1):
+                    _LOWERED[f"{name}:{size}/w{width}"] = phases.lower(
+                        rewritten, width, True, "kernel", False)
+    return _LOWERED
+
+
+class TestUnrollPlanKey:
+    """The optimize key holds the unroll plan made from the *lowered*
+    body, while the pass pipeline unrolls the *simplified* body; a plan
+    that missed one of simplify's drops would let two threshold pairs
+    share a key yet optimize differently -- a wrong-code cache hit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equal_plans_optimize_to_one_function(self, data):
+        from repro.cir.nodes import Function
+        from repro.cir.passes import (PassOptions, run_pipeline, simplify,
+                                      unroll_plan)
+        lowered = _registry_lowered()
+        spec = data.draw(st.sampled_from(sorted(lowered)), label="spec")
+        source = lowered[spec].function
+        thresholds = data.draw(st.lists(
+            st.tuples(st.integers(0, 17), st.integers(0, 260)),
+            min_size=2, max_size=4), label="thresholds")
+        digests = {}
+        simplified = simplify(source.body)
+        for trip, limit in thresholds:
+            plan = unroll_plan(source.body, trip, limit)
+            assert plan == unroll_plan(simplified, trip, limit)
+            function = Function(source.name, list(source.params),
+                                list(source.temps), source.body,
+                                source.vector_width)
+            run_pipeline(function, PassOptions(
+                max_unroll_trip_count=trip, max_unroll_body=limit))
+            digest = keys.function_digest(function)
+            assert digests.setdefault(plan, digest) == digest, \
+                (spec, trip, limit)
+
+    def test_unroll_variants_share_one_optimize_and_one_score(self):
+        # The default, -u4 and -u16 variants unroll every loop of
+        # potrf:4 alike: one pass pipeline and one score between them.
+        case, cache = make_case("potrf:4"), PhaseCache()
+        builder = CandidateBuilder(case.program,
+                                   Options(vectorize=True,
+                                           annotate_code=False),
+                                   default_machine(), [{}],
+                                   sweep_variants(3),
+                                   nominal_flops=case.nominal_flops,
+                                   phase_cache=cache)
+        assert [(v.unroll_trip_count, v.unroll_body_limit)
+                for v in builder.codegen_variants] == \
+            [(8, 64), (4, 32), (16, 128)]
+        candidates = [builder.candidate(point)
+                      for point in builder.space().points()]
+        phases = cache.stats()["phases"]
+        assert phases["optimize"]["misses"] == 1
+        assert phases["score"]["misses"] == 1
+        assert len({c.label for c in candidates}) == 3
 
 
 class TestApiFacade:
