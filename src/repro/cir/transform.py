@@ -7,7 +7,6 @@ node kinds it cares about.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .nodes import (Affine, Assign, BinOp, CExpr, CStmt, For, If, Load,
@@ -15,6 +14,11 @@ from .nodes import (Affine, Assign, BinOp, CExpr, CStmt, For, If, Load,
                     VPermute2f128, VReduceAdd, VSet, VStore, VUnpack)
 
 ExprFn = Callable[[CExpr], CExpr]
+
+# Nodes are rebuilt as ``type(node)(**{**node.__dict__, **changes})``:
+# ``dataclasses.replace`` without its per-field checks.  Every C-IR node
+# field is an init field held in the instance ``__dict__``
+# (``tests/test_cir.py`` asserts this for every node class).
 
 
 #: The fields holding child expressions, per composite expression type
@@ -48,7 +52,7 @@ def map_expression(expr: CExpr, fn: ExprFn) -> CExpr:
             if mapped is not child:
                 changed[name] = mapped
         if changed:
-            expr = dataclasses.replace(expr, **changed)
+            expr = type(expr)(**{**expr.__dict__, **changed})
     elif isinstance(expr, VSet):
         elements = tuple(map_expression(e, fn) for e in expr.elements)
         if any(new is not old for new, old in zip(elements, expr.elements)):
@@ -64,7 +68,7 @@ def map_statement_expressions(stmt: CStmt, fn: ExprFn) -> CStmt:
     if isinstance(stmt, (Assign, Store, VStore)):
         value = map_expression(stmt.value, fn)
         if value is not stmt.value:
-            return dataclasses.replace(stmt, value=value)
+            return type(stmt)(**{**stmt.__dict__, "value": value})
     return stmt
 
 
@@ -87,7 +91,7 @@ def transform_block(stmts: List[CStmt], expr_fn: Optional[ExprFn] = None,
         if index_subst and isinstance(expr, (Load, VLoad)):
             index = fix_affine(expr.index)
             if index is not expr.index:
-                expr = dataclasses.replace(expr, index=index)
+                expr = type(expr)(**{**expr.__dict__, "index": index})
         if expr_fn is not None:
             expr = expr_fn(expr)
         return expr
@@ -107,7 +111,8 @@ def transform_block(stmts: List[CStmt], expr_fn: Optional[ExprFn] = None,
             index = fix_affine(stmt.index)
             value = map_expression(stmt.value, fix_expr)
             if index is not stmt.index or value is not stmt.value:
-                stmt = dataclasses.replace(stmt, index=index, value=value)
+                stmt = type(stmt)(**{**stmt.__dict__, "index": index,
+                                      "value": value})
             result.append(stmt)
         else:
             result.append(map_statement_expressions(stmt, fix_expr))

@@ -10,6 +10,7 @@ from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
                        UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
                        VLoad, VPermute2f128, VReduceAdd, VSet, VStore, VUnpack,
                        VZero, run_function)
+from repro.cir import nodes
 from repro.cir.passes import (PassOptions, apply_unroll_plan,
                               eliminate_dead_code, eliminate_redundant_loads,
                               forward_stores_to_loads, run_pipeline, simplify,
@@ -322,6 +323,35 @@ class TestImmutableSharing:
             for field in dataclasses.fields(stmt):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(stmt, field.name, getattr(stmt, field.name))
+
+    def test_every_node_field_lives_in_the_instance_dict(self):
+        # transform.py rebuilds a node as
+        # ``type(node)(**{**node.__dict__, **changes})``, which is only
+        # ``dataclasses.replace`` if every field is an init field and the
+        # instance dict holds exactly the fields.
+        buf = Buffer("A", 4, 4, "in")
+        v = VLoad(buf, Affine.constant(0), mask=(True, True, False, False))
+        samples = [
+            FloatConst(1.0), ScalarVar("x"), VecVar("v"),
+            Load(buf, Affine.var("i")), v, VBroadcast(FloatConst(2.0)),
+            VSet((FloatConst(1.0), FloatConst(2.0))), VZero(),
+            BinOp("add", ScalarVar("x"), FloatConst(1.0)),
+            UnOp("sqrt", ScalarVar("x")), VBinOp("mul", v, v),
+            VReduceAdd(v), VExtract(v, 1), VBlend(v, VZero(), 0b0101),
+            VPermute2f128(v, v, 0x21), VUnpack(v, v, True),
+        ] + self._statements()
+        node_classes = {
+            cls for cls in vars(nodes).values()
+            if isinstance(cls, type) and issubclass(cls, (nodes.CExpr,
+                                                          nodes.CStmt))
+            and dataclasses.is_dataclass(cls)}
+        assert {type(node) for node in samples} == node_classes
+        for node in samples:
+            fields = dataclasses.fields(node)
+            assert all(field.init for field in fields), type(node)
+            assert set(vars(node)) == {field.name for field in fields}, \
+                type(node)
+            assert type(node)(**vars(node)) == node
 
     def test_identity_map_returns_the_same_tree(self):
         buf = Buffer("A", 4, 4, "in")
