@@ -107,15 +107,14 @@ def check_bounds(fn: Function) -> List[Diagnostic]:
                     _check(diags, stmt.buffer, stmt.index,
                            _mask_lanes(stmt.width, stmt.mask), ranges,
                            guards, location, "vstore")
-                for expr in walk_expressions(stmt):
-                    for node in expr.walk():
-                        if isinstance(node, Load):
-                            _check(diags, node.buffer, node.index, [0],
-                                   ranges, guards, location, "load")
-                        elif isinstance(node, VLoad):
-                            _check(diags, node.buffer, node.index,
-                                   _mask_lanes(node.width, node.mask),
-                                   ranges, guards, location, "vload")
+                for node in walk_expressions(stmt):
+                    if isinstance(node, Load):
+                        _check(diags, node.buffer, node.index, [0],
+                               ranges, guards, location, "load")
+                    elif isinstance(node, VLoad):
+                        _check(diags, node.buffer, node.index,
+                               _mask_lanes(node.width, node.mask),
+                               ranges, guards, location, "vload")
 
     visit(fn.body, {}, ())
     return diags

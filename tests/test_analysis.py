@@ -111,6 +111,20 @@ class TestFunctionPasses:
         assert any("x" in d.message for d in diags)
         assert any("y" in d.message for d in diags)
 
+    def test_bounds_reports_a_nested_load_once(self):
+        # The load sits two operators deep; each node of the value is
+        # visited once, so the violation is one error, not one per
+        # ancestor expression.
+        from repro.analysis.bounds import check_bounds
+        x = Buffer("x", 4, 1, "in")
+        y = Buffer("y", 1, 1, "out")
+        value = BinOp("add", BinOp("mul", Load(x, Affine.constant(9)),
+                                   FloatConst(1.0)), FloatConst(2.0))
+        fn = make_fn([Store(y, Affine.constant(0), value)], [x, y])
+        errors = [d.message for d in check_bounds(fn)
+                  if d.severity == "error"]
+        assert len(errors) == 1 and errors[0].startswith("load x[9]"), errors
+
     def test_in_bounds_version_is_clean(self):
         x = Buffer("x", 4, 1, "in")
         y = Buffer("y", 4, 1, "out")
