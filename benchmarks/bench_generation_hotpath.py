@@ -15,9 +15,13 @@ of them share one Stage-1 artifact) twice against one
 * **warm** -- a second builder over the same cache; every phase must
   hit.
 
-Asserts the warm sweep is at least 5x cheaper than the cold one and
-that the cold sweep misses Stage 1 exactly once, then writes
-``results/generation_hotpath.txt``.  Run with::
+Asserts the warm sweep is at least 5x cheaper than the cold one, that
+the cold sweep misses Stage 1 exactly once, and that it misses the
+optimize and score phases once per distinct input of the pass pipeline:
+a (lowered function, unrolled body, scalar replacement, load/store
+analysis) tuple, counted here by running ``unroll_loops`` directly
+rather than through the unroll plan the optimize key holds.  Then it
+writes ``results/generation_hotpath.txt``.  Run with::
 
     python benchmarks/bench_generation_hotpath.py
 """
@@ -62,6 +66,38 @@ def _codegen_variants():
     return variants
 
 
+def _distinct_optimize_inputs(case, options, variants) -> int:
+    """How many distinct (lowered digest, unrolled-body digest, sr, lsa)
+    tuples the variants hand the pass pipeline."""
+    from repro.cir.nodes import Function
+    from repro.cir.passes import simplify, unroll_loops
+    from repro.pipeline import phases
+    from repro.pipeline.keys import function_digest
+
+    rewritten = phases.rewrite(
+        phases.stage1(case.program, options.effective_block_size, {}),
+        options.rewrite_rules, options.verified_rewrites)
+    inputs = set()
+    for variant in variants:
+        lowered = phases.lower(
+            rewritten, variant.vector_width, variant.use_shuffle_transpose,
+            options.function_name or f"{case.program.name}_kernel",
+            options.annotate_code)
+        function = lowered.function
+        body = simplify(function.body)
+        if options.unroll:
+            body = unroll_loops(body, variant.unroll_trip_count,
+                                variant.unroll_body_limit)
+        unrolled = function_digest(Function(
+            function.name, function.params, function.temps, body,
+            function.vector_width))
+        inputs.add((lowered.digest, unrolled,
+                    options.scalar_replacement and variant.scalar_replacement,
+                    options.load_store_analysis
+                    and variant.load_store_analysis))
+    return len(inputs)
+
+
 def _sweep(builder) -> float:
     started = time.perf_counter()
     for point in builder.space().points():
@@ -98,6 +134,7 @@ def run(write_results: bool = True) -> int:
     warm_stats = cache.stats()["phases"]
 
     speedup = cold_s / max(warm_s, 1e-9)
+    distinct = _distinct_optimize_inputs(case, options, variants)
     lines = [
         f"# Phase-cache hot path: exhaustive {len(variants)}-variant "
         f"codegen sweep on {SPEC}",
@@ -119,6 +156,8 @@ def run(write_results: bool = True) -> int:
             f"{stats['optimize']['misses']:>13d} "
             f"{stats['score']['misses']:>10d}")
     lines.append("")
+    lines.append(f"distinct pass-pipeline inputs: {distinct} "
+                 f"(assert == cold optimize and score misses)")
     lines.append(f"warm speedup: {speedup:.1f}x (assert >= "
                  f"{MIN_SPEEDUP:.0f}x)")
 
@@ -128,6 +167,12 @@ def run(write_results: bool = True) -> int:
             f"FAIL: cold sweep built Stage 1 "
             f"{cold_stats['stage1']['misses']} times (expected exactly 1 "
             f"across {len(variants)} variants)")
+    for phase in ("optimize", "score"):
+        if cold_stats[phase]["misses"] != distinct:
+            failures.append(
+                f"FAIL: cold sweep missed {phase} "
+                f"{cold_stats[phase]['misses']} times (expected {distinct}, "
+                f"once per distinct pass-pipeline input)")
     warm_misses = sum(stats["misses"] for stats in warm_stats.values())
     if warm_misses:
         failures.append(f"FAIL: warm sweep missed the phase cache "
