@@ -20,7 +20,7 @@ from .cse import eliminate_redundant_loads
 from .dce import eliminate_dead_code
 from .loadstore import LoadStoreStats, forward_stores_to_loads
 from .simplify import simplify
-from .unroll import UnrollPlan, apply_unroll_plan, unroll_loops, unroll_plan
+from .unroll import apply_unroll_plan, unroll_loops, unroll_plan
 
 
 @dataclass
@@ -81,7 +81,7 @@ def run_pipeline(function: Function,
 
 __all__ = [
     "PassOptions", "PassReport", "run_pipeline", "unroll_loops",
-    "unroll_plan", "apply_unroll_plan", "UnrollPlan", "simplify",
+    "unroll_plan", "apply_unroll_plan", "simplify",
     "eliminate_redundant_loads", "eliminate_dead_code",
     "forward_stores_to_loads", "LoadStoreStats",
 ]

@@ -25,14 +25,12 @@ from ...errors import CIRError
 from ..nodes import CStmt, For, If
 from ..transform import transform_block
 
-#: One unroll (``True``) or keep (``False``) decision per surviving
-#: ``For``, in post-order (inner loops before the loop around them).
-UnrollPlan = Tuple[bool, ...]
-
 
 def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
-                max_body_statements: int = 64) -> UnrollPlan:
-    """The decisions :func:`unroll_loops` makes on ``simplify(stmts)``.
+                max_body_statements: int = 64) -> Tuple[bool, ...]:
+    """The decisions :func:`unroll_loops` makes on ``simplify(stmts)``:
+    unroll (``True``) or keep (``False``) for each loop that survives,
+    inner loops before the loop around them.
 
     The walk drops what :func:`~repro.cir.passes.simplify.simplify`
     drops -- a ``For`` with no iterations or an empty body, an ``If``

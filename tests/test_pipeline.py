@@ -537,25 +537,23 @@ class TestContentKeys:
         assert stats["score"]["misses"] == len(optimizing)
 
 
-_LOWERED = {}
-
-
-def _registry_lowered():
+@pytest.fixture(scope="module")
+def registry_lowered():
     """The lowered function of every registry spec at n=4 and n=8, in
-    vector and scalar form (built once per session)."""
-    if not _LOWERED:
-        from repro.pipeline import phases
-        from repro.service.registry import workload_names
-        for name in workload_names():
-            for size in (4, 8):
-                program = make_case(f"{name}:{size}").program
-                rewritten = phases.rewrite(
-                    phases.stage1(program, Options().effective_block_size,
-                                  {}), True, ())
-                for width in (4, 1):
-                    _LOWERED[f"{name}:{size}/w{width}"] = phases.lower(
-                        rewritten, width, True, "kernel", False)
-    return _LOWERED
+    vector and scalar form."""
+    from repro.pipeline import phases
+    from repro.service.registry import workload_names
+    lowered = {}
+    for name in workload_names():
+        for size in (4, 8):
+            program = make_case(f"{name}:{size}").program
+            rewritten = phases.rewrite(
+                phases.stage1(program, Options().effective_block_size, {}),
+                True, ())
+            for width in (4, 1):
+                lowered[f"{name}:{size}/w{width}"] = phases.lower(
+                    rewritten, width, True, "kernel", False)
+    return lowered
 
 
 class TestUnrollPlanKey:
@@ -566,13 +564,14 @@ class TestUnrollPlanKey:
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_equal_plans_optimize_to_one_function(self, data):
+    def test_equal_plans_optimize_to_one_function(self, registry_lowered,
+                                                  data):
         from repro.cir.nodes import Function
         from repro.cir.passes import (PassOptions, run_pipeline, simplify,
                                       unroll_plan)
-        lowered = _registry_lowered()
-        spec = data.draw(st.sampled_from(sorted(lowered)), label="spec")
-        source = lowered[spec].function
+        spec = data.draw(st.sampled_from(sorted(registry_lowered)),
+                         label="spec")
+        source = registry_lowered[spec].function
         thresholds = data.draw(st.lists(
             st.tuples(st.integers(0, 17), st.integers(0, 260)),
             min_size=2, max_size=4), label="thresholds")
