@@ -65,6 +65,11 @@ class Affine:
 
     def __add__(self, other: Union["Affine", int, str]) -> "Affine":
         other = Affine.of(other)
+        # Either side constant: the other's terms are already canonical.
+        if not other.terms:
+            return Affine(self.terms, self.const + other.const)
+        if not self.terms:
+            return Affine(other.terms, self.const + other.const)
         coeffs: Dict[str, int] = dict(self.terms)
         for name, coef in other.terms:
             coeffs[name] = coeffs.get(name, 0) + coef
