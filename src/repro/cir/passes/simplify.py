@@ -12,7 +12,7 @@ from typing import List
 
 from ..nodes import (BinOp, CExpr, CStmt, FloatConst, For, If, UnOp, VBinOp,
                      VBlend, VZero)
-from ..transform import transform_block
+from ..transform import map_statement_expressions
 
 
 def _is_zero(expr: CExpr) -> bool:
@@ -77,13 +77,18 @@ def simplify_expression(expr: CExpr) -> CExpr:
 
 
 def simplify(stmts: List[CStmt]) -> List[CStmt]:
-    """Simplify expressions everywhere and drop empty loops/branches."""
-    simplified = transform_block(stmts, expr_fn=simplify_expression)
+    """Simplify expressions everywhere and drop empty loops/branches.
+
+    One walk: each leaf statement's expressions are simplified once, and
+    each ``For``/``If`` body is recursed into once.
+    """
     result: List[CStmt] = []
-    for stmt in simplified:
+    for stmt in stmts:
         if isinstance(stmt, For):
+            if stmt.trip_count <= 0:
+                continue
             body = simplify(stmt.body)
-            if body and stmt.trip_count > 0:
+            if body:
                 result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
                                   body))
         elif isinstance(stmt, If):
@@ -93,5 +98,6 @@ def simplify(stmts: List[CStmt]) -> List[CStmt]:
                 result.append(If(stmt.lhs, stmt.op, stmt.rhs, then_body,
                                  else_body))
         else:
-            result.append(stmt)
+            result.append(map_statement_expressions(stmt,
+                                                    simplify_expression))
     return result

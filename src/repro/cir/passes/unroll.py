@@ -12,18 +12,19 @@ value in every affine index.
 
 The decisions are made first, by :func:`unroll_plan`, as a tuple with one
 unroll/keep flag per loop; :func:`apply_unroll_plan` then rewrites the
-body.  The plan is a structural walk that reads no expressions, so the
-optimize phase keys its cache by it: threshold pairs that unroll a
-function alike share one pass pipeline.
+body, rebuilding each emitted statement once with the values of all the
+unrolled loops around it.  The plan is a structural walk that reads no
+expressions, so the optimize phase keys its cache by it: threshold pairs
+that unroll a function alike share one pass pipeline.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ...errors import CIRError
 from ..nodes import CStmt, For, If
-from ..transform import transform_block
+from ..transform import substitute_indices
 
 
 def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
@@ -87,39 +88,60 @@ def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
     """
     decisions = iter(plan)
 
-    def walk(block: List[CStmt]) -> List[CStmt]:
-        result: List[CStmt] = []
+    def decide(block: List[CStmt]) -> List[tuple]:
+        # The statements of ``block`` that survive, each loop with its
+        # decision and each loop or branch with its decided bodies.
+        kept: List[tuple] = []
         for stmt in block:
             if isinstance(stmt, For):
                 if stmt.trip_count <= 0:
                     continue
-                body = walk(stmt.body)
+                body = decide(stmt.body)
                 if not body:
                     continue
                 unrolled = next(decisions, None)
                 if unrolled is None:
                     raise CIRError("unroll plan is shorter than the loops")
+                kept.append((stmt, unrolled, body))
+            elif isinstance(stmt, If):
+                then_body = decide(stmt.then_body)
+                else_body = decide(stmt.else_body)
+                if then_body or else_body:
+                    kept.append((stmt, then_body, else_body))
+            else:
+                kept.append((stmt,))
+        return kept
+
+    def emit(kept: List[tuple], bindings: Dict[str, int]) -> List[CStmt]:
+        # ``bindings`` holds the value of every enclosing unrolled loop's
+        # variable, so each emitted statement is rebuilt once.
+        result: List[CStmt] = []
+        for entry in kept:
+            stmt = entry[0]
+            if isinstance(stmt, For):
+                _, unrolled, body = entry
                 if unrolled:
                     for value in stmt.iterations():
-                        result.extend(transform_block(
-                            body, index_subst={stmt.var: value}))
+                        result.extend(emit(body, {**bindings,
+                                                  stmt.var: value}))
                 else:
                     result.append(For(stmt.var, stmt.start, stmt.stop,
-                                      stmt.step, body))
+                                      stmt.step, emit(body, bindings)))
             elif isinstance(stmt, If):
-                then_body = walk(stmt.then_body)
-                else_body = walk(stmt.else_body)
-                if then_body or else_body:
-                    result.append(If(stmt.lhs, stmt.op, stmt.rhs, then_body,
-                                     else_body))
+                _, then_body, else_body = entry
+                result.append(If(stmt.lhs.substitute(bindings), stmt.op,
+                                 stmt.rhs.substitute(bindings),
+                                 emit(then_body, bindings),
+                                 emit(else_body, bindings)))
             else:
-                result.append(stmt)
+                result.append(substitute_indices(stmt, bindings)
+                              if bindings else stmt)
         return result
 
-    result = walk(stmts)
+    kept = decide(stmts)
     if next(decisions, None) is not None:
         raise CIRError("unroll plan is longer than the loops")
-    return result
+    return emit(kept, {})
 
 
 def unroll_loops(stmts: List[CStmt], max_trip_count: int = 8,

@@ -7,11 +7,11 @@ node kinds it cares about.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from .nodes import (Affine, Assign, BinOp, CExpr, CStmt, For, If, Load,
-                    Store, UnOp, VBinOp, VBlend, VBroadcast, VExtract, VLoad,
-                    VPermute2f128, VReduceAdd, VSet, VStore, VUnpack)
+from .nodes import (Assign, BinOp, CExpr, CStmt, Load, Store, UnOp, VBinOp,
+                    VBlend, VBroadcast, VExtract, VLoad, VPermute2f128,
+                    VReduceAdd, VSet, VStore, VUnpack)
 
 ExprFn = Callable[[CExpr], CExpr]
 
@@ -72,48 +72,26 @@ def map_statement_expressions(stmt: CStmt, fn: ExprFn) -> CStmt:
     return stmt
 
 
-def transform_block(stmts: List[CStmt], expr_fn: Optional[ExprFn] = None,
-                    index_subst: Optional[Dict[str, int]] = None) -> List[CStmt]:
-    """A new statement list with an expression transform and/or an
-    index-variable substitution applied.
+def substitute_indices(stmt: CStmt, bindings: Dict[str, int]) -> CStmt:
+    """``stmt`` with ``bindings`` substituted for index variables in every
+    affine index of a leaf statement (loop unrolling uses this).
 
-    ``index_subst`` replaces index variables with constants in every affine
-    index (loop unrolling uses this).  Statements and expressions the
-    transform leaves unchanged are shared with ``stmts``, not copied;
-    ``For``/``If`` are always rebuilt around new body lists.
+    Returns ``stmt`` itself when no index changes, and shares every
+    unchanged expression.  Does not recurse into the bodies of
+    ``For``/``If``.
     """
-    def fix_affine(affine: Affine) -> Affine:
-        if not index_subst:
-            return affine
-        return affine.substitute(index_subst)
-
-    def fix_expr(expr: CExpr) -> CExpr:
-        if index_subst and isinstance(expr, (Load, VLoad)):
-            index = fix_affine(expr.index)
+    def fix_load(expr: CExpr) -> CExpr:
+        if isinstance(expr, (Load, VLoad)):
+            index = expr.index.substitute(bindings)
             if index is not expr.index:
-                expr = type(expr)(**{**expr.__dict__, "index": index})
-        if expr_fn is not None:
-            expr = expr_fn(expr)
+                return type(expr)(**{**expr.__dict__, "index": index})
         return expr
 
-    result: List[CStmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, For):
-            result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
-                              transform_block(stmt.body, expr_fn, index_subst)))
-        elif isinstance(stmt, If):
-            result.append(If(fix_affine(stmt.lhs), stmt.op, fix_affine(stmt.rhs),
-                             transform_block(stmt.then_body, expr_fn,
-                                             index_subst),
-                             transform_block(stmt.else_body, expr_fn,
-                                             index_subst)))
-        elif isinstance(stmt, (Store, VStore)):
-            index = fix_affine(stmt.index)
-            value = map_expression(stmt.value, fix_expr)
-            if index is not stmt.index or value is not stmt.value:
-                stmt = type(stmt)(**{**stmt.__dict__, "index": index,
-                                      "value": value})
-            result.append(stmt)
-        else:
-            result.append(map_statement_expressions(stmt, fix_expr))
-    return result
+    if isinstance(stmt, (Store, VStore)):
+        index = stmt.index.substitute(bindings)
+        value = map_expression(stmt.value, fix_load)
+        if index is not stmt.index or value is not stmt.value:
+            return type(stmt)(**{**stmt.__dict__, "index": index,
+                                 "value": value})
+        return stmt
+    return map_statement_expressions(stmt, fix_load)

@@ -1,6 +1,7 @@
 """Tests for the C-IR: affine expressions, interpreter semantics, passes."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.cir.passes import (PassOptions, apply_unroll_plan,
                               eliminate_dead_code, eliminate_redundant_loads,
                               forward_stores_to_loads, run_pipeline, simplify,
                               unroll_loops, unroll_plan)
-from repro.cir.transform import map_expression, transform_block
+from repro.cir.transform import map_expression, substitute_indices
 from repro.errors import CIRError, InterpreterError
 
 
@@ -152,6 +153,48 @@ class TestInterpreter:
         assert np.isnan(result["out"][0, 0])
 
 
+def _nested_unroll(stmts, plan):
+    """The unroll pass before it carried its bindings down: every
+    unrolled loop substitutes its own variable through the whole body it
+    emits, so a statement is rebuilt once per enclosing unrolled loop."""
+    decisions = iter(plan)
+
+    def substitute(block, bindings):
+        out = []
+        for stmt in block:
+            if isinstance(stmt, For):
+                out.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
+                               substitute(stmt.body, bindings)))
+            elif isinstance(stmt, If):
+                out.append(If(stmt.lhs.substitute(bindings), stmt.op,
+                              stmt.rhs.substitute(bindings),
+                              substitute(stmt.then_body, bindings),
+                              substitute(stmt.else_body, bindings)))
+            else:
+                out.append(substitute_indices(stmt, bindings))
+        return out
+
+    def walk(block):
+        out = []
+        for stmt in block:
+            if isinstance(stmt, For):
+                body = walk(stmt.body)
+                if next(decisions):
+                    for value in stmt.iterations():
+                        out.extend(substitute(body, {stmt.var: value}))
+                else:
+                    out.append(For(stmt.var, stmt.start, stmt.stop,
+                                   stmt.step, body))
+            elif isinstance(stmt, If):
+                out.append(If(stmt.lhs, stmt.op, stmt.rhs,
+                              walk(stmt.then_body), walk(stmt.else_body)))
+            else:
+                out.append(stmt)
+        return out
+
+    return walk(stmts)
+
+
 class TestPasses:
     def _sum_kernel(self):
         a = Buffer("a", 1, 8, "in")
@@ -218,6 +261,50 @@ class TestPasses:
             apply_unroll_plan(body, (True,))
         with pytest.raises(CIRError):
             apply_unroll_plan(body, (True, True, True))
+
+    def test_unroll_substitutes_like_nested_unrolling(self):
+        # i and j unroll, k is kept (trip 4 > 2); the If and the kept
+        # loop sit inside both unrolled loops.
+        x = Buffer("x", 1, 8, "in")
+        y = Buffer("y", 8, 8, "out")
+        i, j, k = Affine.var("i"), Affine.var("j"), Affine.var("k")
+        acc = ScalarVar("acc")
+        body = [For("i", 0, 2, 1, [For("j", 0, 2, 1, [
+            Assign(acc, BinOp("mul", Load(x, i + j), Load(x, j + 2))),
+            For("k", 0, 4, 1, [
+                Store(y, i * 16 + j * 4 + k,
+                      BinOp("add", acc, Load(x, k + i)))]),
+            If(j, "<", i, [Store(y, i * 8 + j + 40, Load(x, i + 4))],
+               [VStore(y, i * 8 + j * 4 + 48, VLoad(x, j * 4))]),
+        ])])]
+        plan = unroll_plan(body, 2, 64)
+        assert plan == (False, True, True)
+        unrolled = apply_unroll_plan(body, plan)
+        assert unrolled == _nested_unroll(body, plan)
+        assert [type(s).__name__ for s in unrolled] == \
+            ["Assign", "For", "If"] * 4
+        data = {"x": np.arange(1.0, 9.0).reshape(1, 8)}
+        np.testing.assert_array_equal(
+            run_function(_make_function(body, [x, y]), data)["y"],
+            run_function(_make_function(unrolled, [x, y]), data)["y"])
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_simplify_maps_each_node_once(self, depth, monkeypatch):
+        module = importlib.import_module("repro.cir.passes.simplify")
+        original, calls = module.simplify_expression, []
+
+        def counted(expr):
+            calls.append(expr)
+            return original(expr)
+
+        monkeypatch.setattr(module, "simplify_expression", counted)
+        buf = Buffer("y", 1, 4, "out")
+        value = BinOp("add", Load(buf, Affine.constant(0)), FloatConst(2.0))
+        block = [Store(buf, Affine.constant(1), value)]
+        for var in "ijkl"[:depth]:
+            block = [For(var, 0, 2, 1, block)]
+        simplify(block)
+        assert len(calls) == len(list(value.walk()))
 
     def test_dce_removes_dead_assignment(self):
         func, *_ = self._sum_kernel()
@@ -368,6 +455,6 @@ class TestImmutableSharing:
         buf = Buffer("A", 4, 4, "inout")
         fixed = Store(buf, Affine.constant(1), FloatConst(1.0))
         moving = Store(buf, Affine.var("i"), FloatConst(2.0))
-        out = transform_block([fixed, moving], index_subst={"i": 3})
-        assert out[0] is fixed
-        assert out[1] == Store(buf, Affine.constant(3), FloatConst(2.0))
+        assert substitute_indices(fixed, {"i": 3}) is fixed
+        assert substitute_indices(moving, {"i": 3}) == \
+            Store(buf, Affine.constant(3), FloatConst(2.0))
