@@ -16,7 +16,9 @@ of them share one Stage-1 artifact) twice against one
   hit.
 
 Asserts the warm sweep is at least 5x cheaper than the cold one, that
-the cold sweep misses Stage 1 exactly once, and that it misses the
+the cold sweep misses Stage 1 exactly once, that it misses lowering once
+per distinct lowered function (the variants' lowerings, told apart by
+:func:`~repro.pipeline.keys.function_digest`), and that it misses the
 optimize and score phases once per distinct input of the pass pipeline:
 a (lowered function, unrolled body, scalar replacement, load/store
 analysis) tuple, counted here by running ``unroll_loops`` directly
@@ -66,9 +68,10 @@ def _codegen_variants():
     return variants
 
 
-def _distinct_optimize_inputs(case, options, variants) -> int:
-    """How many distinct (lowered digest, unrolled-body digest, sr, lsa)
-    tuples the variants hand the pass pipeline."""
+def _distinct_inputs(case, options, variants):
+    """How many distinct functions the variants lower to, and how many
+    distinct (lowered digest, unrolled-body digest, sr, lsa) tuples they
+    hand the pass pipeline."""
     from repro.cir.nodes import Function
     from repro.cir.passes import simplify, unroll_loops
     from repro.pipeline import phases
@@ -77,13 +80,14 @@ def _distinct_optimize_inputs(case, options, variants) -> int:
     rewritten = phases.rewrite(
         phases.stage1(case.program, options.effective_block_size, {}),
         options.rewrite_rules, options.verified_rewrites)
-    inputs = set()
+    functions, inputs = set(), set()
     for variant in variants:
         lowered = phases.lower(
             rewritten, variant.vector_width, variant.use_shuffle_transpose,
             options.function_name or f"{case.program.name}_kernel",
             options.annotate_code)
         function = lowered.function
+        functions.add(function_digest(function))
         body = simplify(function.body)
         if options.unroll:
             body = unroll_loops(body, variant.unroll_trip_count,
@@ -95,7 +99,7 @@ def _distinct_optimize_inputs(case, options, variants) -> int:
                     options.scalar_replacement and variant.scalar_replacement,
                     options.load_store_analysis
                     and variant.load_store_analysis))
-    return len(inputs)
+    return len(functions), len(inputs)
 
 
 def _sweep(builder) -> float:
@@ -134,7 +138,7 @@ def run(write_results: bool = True) -> int:
     warm_stats = cache.stats()["phases"]
 
     speedup = cold_s / max(warm_s, 1e-9)
-    distinct = _distinct_optimize_inputs(case, options, variants)
+    lowerings, distinct = _distinct_inputs(case, options, variants)
     lines = [
         f"# Phase-cache hot path: exhaustive {len(variants)}-variant "
         f"codegen sweep on {SPEC}",
@@ -156,6 +160,8 @@ def run(write_results: bool = True) -> int:
             f"{stats['optimize']['misses']:>13d} "
             f"{stats['score']['misses']:>10d}")
     lines.append("")
+    lines.append(f"distinct lowered functions: {lowerings} "
+                 f"(assert == cold lower misses)")
     lines.append(f"distinct pass-pipeline inputs: {distinct} "
                  f"(assert == cold optimize and score misses)")
     lines.append(f"warm speedup: {speedup:.1f}x (assert >= "
@@ -167,6 +173,11 @@ def run(write_results: bool = True) -> int:
             f"FAIL: cold sweep built Stage 1 "
             f"{cold_stats['stage1']['misses']} times (expected exactly 1 "
             f"across {len(variants)} variants)")
+    if cold_stats["lower"]["misses"] != lowerings:
+        failures.append(
+            f"FAIL: cold sweep missed lower "
+            f"{cold_stats['lower']['misses']} times (expected {lowerings}, "
+            f"once per distinct lowered function)")
     for phase in ("optimize", "score"):
         if cold_stats[phase]["misses"] != distinct:
             failures.append(

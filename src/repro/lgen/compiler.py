@@ -8,7 +8,7 @@ and lowers them to C-IR.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..cir.builder import CIRBuilder
 from ..cir.nodes import Comment, CStmt, Function
@@ -27,6 +27,17 @@ def lower_program(program: Program,
     Raises :class:`~repro.errors.LoweringError` if the program still
     contains HLAC statements.
     """
+    return lower_program_with_shuffle_use(program, options, function_name,
+                                          annotate)[0]
+
+
+def lower_program_with_shuffle_use(
+        program: Program, options: Optional[LoweringOptions] = None,
+        function_name: Optional[str] = None,
+        annotate: bool = True) -> Tuple[Function, bool]:
+    """:func:`lower_program`, and whether any operation reached the
+    decision ``options.use_shuffle_transpose`` steers.  When none did,
+    the function is the same under either value of the flag."""
     options = options or LoweringOptions()
     if not program.is_basic():
         raise LoweringError(
@@ -48,4 +59,4 @@ def lower_program(program: Program,
             body.append(Comment(repr(statement)))
         for op in normalizer.normalize(statement):
             lowerer.lower(op, body)
-    return builder.finish(body)
+    return builder.finish(body), lowerer.read_shuffle_transpose

@@ -83,6 +83,9 @@ class Lowerer:
     def __init__(self, builder: CIRBuilder, options: Optional[LoweringOptions] = None):
         self.builder = builder
         self.options = options or LoweringOptions()
+        # Whether any op reached the decision ``use_shuffle_transpose``
+        # steers; if none did, the flag's value cannot change the output.
+        self.read_shuffle_transpose = False
 
     # -- public API -------------------------------------------------------------
 
@@ -364,10 +367,12 @@ class Lowerer:
         m, n = op.dest.shape
         width = self.options.vector_width
 
-        if op.trans and width == 4 and self.options.use_shuffle_transpose \
-                and op.alpha.is_one and op.accumulate == 0 and m >= 4 and n >= 4:
-            self._transposed_copy_tiled(op, m, n, stmts)
-            return
+        if op.trans and width == 4 and op.alpha.is_one \
+                and op.accumulate == 0 and m >= 4 and n >= 4:
+            self.read_shuffle_transpose = True
+            if self.options.use_shuffle_transpose:
+                self._transposed_copy_tiled(op, m, n, stmts)
+                return
 
         if not op.trans and width > 1:
             src_cols_contig = stride_along_cols(self.builder, op.src, False) == 1

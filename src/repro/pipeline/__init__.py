@@ -10,8 +10,8 @@ This package makes each phase an explicitly keyed, cacheable step:
 ``rewrite`` sound R0/R1 + CEGIS-verified rewrites
             (+ rewrite_rules, verified_rewrites)
 ``lower``   lowering to C-IR
-            (rewritten-program digest, resolved vector width, shuffle
-            transpose, name, annotate)
+            (name-free rewritten-program digest, resolved vector
+            width, shuffle transpose when read, name, annotate)
 ``optimize`` the Stage-3 pass pipeline
             (lowered-function digest, unroll axes, effective
             scalar-replacement / load-store)

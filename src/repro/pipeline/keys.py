@@ -26,6 +26,10 @@ Resolution notes (why the raw field lives where it does):
   *default* of ``effective_block_size`` -- that influence is captured
   because the Stage-1 key stores the resolved block-size integer, not
   the raw fields.
+* ``use_shuffle_transpose`` keys lowering, but a lowering that never
+  reached the one decision the flag steers is filed under both of its
+  values, so the ``-noshuf`` variant shares the default's lowering
+  unless the program holds an unscaled transposed copy of at least 4x4.
 * ``scalar_replacement`` / ``load_store_analysis`` key the optimize
   phase as the effective conjunction ``options.<axis> and
   codegen.<axis>``, exactly what :class:`~repro.cir.passes.PassOptions`
@@ -70,7 +74,9 @@ from ..slingen.options import Options
 #: cached lowered and optimized functions have the old signature (and
 #: lowered artifacts lost their unread ``stats`` field).
 #: v5: optimize keyed by the unroll plan instead of the raw thresholds.
-PHASE_SCHEMA_VERSION = 5
+#: v6: lower keyed by the program without its name, and a lowering that
+#: never read ``use_shuffle_transpose`` filed under both of its values.
+PHASE_SCHEMA_VERSION = 6
 
 #: The phases, in dataflow order.
 PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",
@@ -151,11 +157,17 @@ def _digest(doc: Dict[str, object]) -> str:
 
 
 def program_digest(program: Program) -> str:
-    """SHA-256 of the canonical text of an LA program (what lowering
-    consumes of a :class:`~repro.pipeline.artifacts.RewrittenProgram`)."""
-    from ..service.keys import canonical_program
+    """SHA-256 of the canonical text of an LA program without its name
+    (what lowering consumes of a
+    :class:`~repro.pipeline.artifacts.RewrittenProgram`).
+
+    Lowering names the function from the lower key's ``function_name``
+    and never reads ``Program.name``, so Stage-1 programs that differ
+    only in their name share one lowering.
+    """
+    from ..service.keys import canonical_contents
     return hashlib.sha256(
-        canonical_program(program).encode("utf-8")).hexdigest()
+        canonical_contents(program).encode("utf-8")).hexdigest()
 
 
 #: Field values encoded by ``repr``, which round-trips them.
@@ -252,7 +264,13 @@ def rewrite_key(stage1: str, rewrite_rules: bool,
 def lower_key(program: str, vector_width: int, use_shuffle_transpose: bool,
               function_name: str, annotate: bool) -> str:
     """Key of lowering to C-IR: the :func:`program_digest` of the
-    rewritten program plus the resolved vector width and emission axes."""
+    rewritten program plus the resolved vector width and emission axes.
+
+    ``use_shuffle_transpose`` steers one decision, the lowering of an
+    unscaled transposed copy of at least 4x4 at width 4.  A lowering
+    that reaches no such copy is filed under both values of the flag
+    (:func:`repro.pipeline.phases.lower`).
+    """
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "lower",

@@ -47,8 +47,9 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 from ..cir.nodes import Function
 from ..cir.passes import PassOptions, run_pipeline, unroll_plan
 from ..cl1ck.database import AlgorithmDatabase
+from ..errors import ConfigurationError
 from ..ir.program import Program
-from ..lgen.compiler import lower_program
+from ..lgen.compiler import lower_program_with_shuffle_use
 from ..lgen.lowering import LoweringOptions
 from ..machine.microarch import MicroArchitecture
 from ..machine.roofline import PerformanceEstimate
@@ -135,7 +136,16 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
           cache: Optional[PhaseCache] = None,
           timings: Optional[PhaseTimings] = None,
           analysis: str = "off") -> LoweredFunction:
-    """Lower the rewritten basic program to a C-IR function."""
+    """Lower the rewritten basic program to a C-IR function.
+
+    ``function_name`` must be non-empty: the key leaves out the
+    program's name, so lowering must never fall back to it.  A lowering
+    that reached no decision ``use_shuffle_transpose`` steers is filed
+    under both values of the flag; the artifact records the key it was
+    built under.
+    """
+    if not function_name:
+        raise ConfigurationError("lowering needs a non-empty function_name")
     started = time.perf_counter()
     key = lower_key(rewritten.digest, vector_width, use_shuffle_transpose,
                     function_name, annotate)
@@ -145,13 +155,18 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
         return artifact
     options = LoweringOptions(vector_width=vector_width,
                               use_shuffle_transpose=use_shuffle_transpose)
-    function = lower_program(rewritten.program, options,
-                             function_name=function_name, annotate=annotate)
+    function, read_shuffle = lower_program_with_shuffle_use(
+        rewritten.program, options, function_name=function_name,
+        annotate=annotate)
     artifact = LoweredFunction(key=key, digest=function_digest(function),
                                function=function)
     _gate("lower", function, analysis)
     if cache is not None:
         cache.put("lower", key, artifact)
+        if not read_shuffle:
+            cache.put("lower", lower_key(
+                rewritten.digest, vector_width, not use_shuffle_transpose,
+                function_name, annotate), artifact)
     _finish(timings, "lower", started, hit=False)
     return artifact
 

@@ -108,9 +108,15 @@ def canonical_program(program: Program) -> str:
     Declaration and statement order are preserved (they are part of the
     program's identity); constants are emitted sorted by name.
     """
-    parts = [f"program({program.name})"]
-    for name in sorted(program.constants):
-        parts.append(f"const {name}={program.constants[name]}")
+    return "\n".join(filter(None, [f"program({program.name})",
+                                   canonical_contents(program)]))
+
+
+def canonical_contents(program: Program) -> str:
+    """:func:`canonical_program` without its ``program(<name>)`` line:
+    the constants, declarations and statements."""
+    parts = [f"const {name}={program.constants[name]}"
+             for name in sorted(program.constants)]
     for op in program.operands.values():
         parts.append(f"decl {_canonical_operand(op)}")
     for stmt in program.statements:

@@ -486,19 +486,22 @@ class TestContentKeys:
         from repro.cir.nodes import Function
         from repro.cir.passes import simplify, unroll_loops
         from repro.pipeline import phases
-        from repro.service.keys import canonical_program
         builder = full_space(make_case("gemm:4"), Options(), PhaseCache())
         points = list(builder.space().points())
 
-        # Distinct inputs of an uncached run, told apart by their full
-        # text rather than by the digests under test.
+        # What an uncached run builds: the distinct lowered functions,
+        # and the distinct pass-pipeline inputs told apart by their full
+        # text rather than by the digests under test.  Lowering must run
+        # once per distinct function it yields, so its inputs may differ
+        # in whatever it does not read (the program's name, an unread
+        # shuffle flag).
         lowering, optimizing = set(), set()
         lower, optimize = phases.lower, phases.optimize
 
         def record_lower(rewritten, *args, **kwargs):
-            lowering.add((canonical_program(rewritten.program),) + args
-                         + (kwargs["function_name"], kwargs["annotate"]))
-            return lower(rewritten, *args, **kwargs)
+            lowered = lower(rewritten, *args, **kwargs)
+            lowering.add(keys.function_digest(lowered.function))
+            return lowered
 
         def record_optimize(lowered, pass_options, **kwargs):
             # The pass pipeline reads the lowered function, the body the
@@ -609,6 +612,72 @@ class TestUnrollPlanKey:
         assert phases["optimize"]["misses"] == 1
         assert phases["score"]["misses"] == 1
         assert len({c.label for c in candidates}) == 3
+
+
+def _copy_program(name, transposed):
+    """A rewritten basic program that copies 4x4 ``A`` (or ``A^T``)
+    into ``B``."""
+    from repro.ir import Assign, IOType, Matrix, Program, Transpose, ref
+    from repro.pipeline.artifacts import RewrittenProgram
+    program = Program(name)
+    a = program.declare(Matrix("A", 4, 4, IOType.IN))
+    b = program.declare(Matrix("B", 4, 4, IOType.OUT))
+    program.add(Assign(b.full_view(),
+                       Transpose(ref(a)) if transposed else ref(a)))
+    program.validate()
+    return RewrittenProgram(key=name, digest=keys.program_digest(program),
+                            program=program)
+
+
+class TestLowerKey:
+    """Lowering is keyed by what it reads: not the program's name, and
+    the shuffle flag only when an op reached the decision it steers."""
+
+    def test_programs_differing_in_name_share_one_lowering(self):
+        from repro.pipeline import phases
+        cache = PhaseCache()
+        first = phases.lower(_copy_program("p_v0", False), 4, True,
+                             "kernel", False, cache=cache)
+        second = phases.lower(_copy_program("p_v1", False), 4, True,
+                              "kernel", False, cache=cache)
+        assert second is first
+        assert cache.stats()["phases"]["lower"]["misses"] == 1
+
+    def test_lowering_needs_a_function_name(self):
+        from repro.pipeline import phases
+        with pytest.raises(ConfigurationError):
+            phases.lower(_copy_program("p", False), 4, True, "", False)
+
+    @pytest.mark.parametrize("transposed", (True, False))
+    def test_shuffle_flag_keys_only_the_lowerings_that_read_it(
+            self, transposed):
+        from repro.lgen.compiler import lower_program
+        from repro.lgen.lowering import LoweringOptions
+        from repro.pipeline import phases
+        rewritten, cache = _copy_program("p", transposed), PhaseCache()
+        lowered = {flag: phases.lower(rewritten, 4, flag, "kernel", False,
+                                      cache=cache)
+                   for flag in (True, False)}
+        fresh = {flag: keys.function_digest(lower_program(
+                     rewritten.program, LoweringOptions(4, flag),
+                     "kernel", False))
+                 for flag in (True, False)}
+        assert {flag: a.digest for flag, a in lowered.items()} == fresh
+        misses = cache.stats()["phases"]["lower"]["misses"]
+        if transposed:
+            # The 4x4 shuffle codelet against the scalar copy.
+            assert fresh[True] != fresh[False]
+            assert misses == 2 and lowered[True] is not lowered[False]
+        else:
+            assert misses == 1 and lowered[True] is lowered[False]
+
+
+class TestPassWalks:
+    def test_simplify_is_idempotent(self, registry_lowered):
+        from repro.cir.passes import simplify
+        for spec, lowered in registry_lowered.items():
+            once = simplify(lowered.function.body)
+            assert simplify(once) == once, spec
 
 
 class TestApiFacade:
