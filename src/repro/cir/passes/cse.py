@@ -9,6 +9,7 @@ loads from that buffer; loop and branch boundaries invalidate everything.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Tuple
 
 from ..nodes import (Assign, CExpr, CStmt, For, If, Load, ScalarVar, Store,
@@ -16,11 +17,15 @@ from ..nodes import (Assign, CExpr, CStmt, For, If, Load, ScalarVar, Store,
 from ..transform import map_statement_expressions
 
 
+#: The registers this pass names; no other producer uses the prefix.
+_REGISTER = re.compile(r"sr_[sv](\d+)$")
+
+
 class _Counter:
     """Allocates register names for the pass (kept distinct from builder names)."""
 
-    def __init__(self) -> None:
-        self.count = 0
+    def __init__(self, start: int = 0) -> None:
+        self.count = start
 
     def scalar(self) -> ScalarVar:
         self.count += 1
@@ -29,6 +34,24 @@ class _Counter:
     def vector(self, width: int) -> VecVar:
         self.count += 1
         return VecVar(f"sr_v{self.count}", width)
+
+
+def _highest_register(stmts: List[CStmt]) -> int:
+    """The highest ``sr_`` index a block assigns (0 for none): a second
+    run numbers its registers after it, so it never reuses a name the
+    first run left live."""
+    highest = 0
+    for stmt in stmts:
+        if isinstance(stmt, For):
+            highest = max(highest, _highest_register(stmt.body))
+        elif isinstance(stmt, If):
+            highest = max(highest, _highest_register(stmt.then_body),
+                          _highest_register(stmt.else_body))
+        elif isinstance(stmt, Assign):
+            match = _REGISTER.match(stmt.dest.name)
+            if match:
+                highest = max(highest, int(match.group(1)))
+    return highest
 
 
 def _load_key(expr: CExpr):
@@ -57,7 +80,7 @@ def _count_loads(stmts: List[CStmt]) -> Dict[Tuple, int]:
 def eliminate_redundant_loads(stmts: List[CStmt],
                               _counter: _Counter | None = None) -> List[CStmt]:
     """Replace repeated loads of the same address with a single register load."""
-    counter = _counter or _Counter()
+    counter = _counter or _Counter(_highest_register(stmts))
     counts = _count_loads(stmts)
     available: Dict[Tuple, CExpr] = {}
     result: List[CStmt] = []

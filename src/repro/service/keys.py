@@ -136,18 +136,20 @@ def canonical_options(options: Options) -> Dict[str, object]:
     ``analysis``) are dropped: they decide whether an artifact is
     *admitted*, never what is generated, so requests differing only in
     gate mode must share one kernel-store entry (and keys minted before
-    the axes existed stay valid).
+    the axes existed stay valid).  The fields are read as they are, not
+    deep-copied: every one is a scalar, a tuple of strings or a flat
+    dict, which serialize to the JSON ``dataclasses.asdict`` would give.
     """
     from ..pipeline.keys import GATE_AXES
-    doc = dataclasses.asdict(options)
-    for axis in GATE_AXES:
-        doc.pop(axis, None)
-    return doc
+    return {field.name: getattr(options, field.name)
+            for field in dataclasses.fields(options)
+            if field.name not in GATE_AXES}
 
 
 def machine_fingerprint(machine: MicroArchitecture) -> Dict[str, object]:
     """All machine-model parameters as a plain JSON-able dict."""
-    return dataclasses.asdict(machine)
+    return {field.name: getattr(machine, field.name)
+            for field in dataclasses.fields(machine)}
 
 
 # ---------------------------------------------------------------------------

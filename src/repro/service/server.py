@@ -25,6 +25,18 @@ does.  Endpoints:
     nested lists; missing operands are synthesized from ``"seed"``).
     Executes the kernel and returns the outputs as nested lists.
 
+Repeated requests skip the per-request preparation: each server keeps
+the :class:`GenerationRequest` every distinct body resolves to (up to
+:data:`REQUEST_MEMO_ENTRIES`, keyed by exactly the body fields that
+address the program) and the loaded executor per content key and
+backend (up to :data:`EXECUTOR_MEMO_ENTRIES`), both LRU under one lock.
+A hit thus neither re-parses LA source nor reloads its kernel, and a
+``/run`` that supplies every input operand synthesizes none.
+``KernelService.generate`` still answers every request, so tuned and
+verified lookups, the stats and the store's recency see each one.  A
+content key names one kernel's code, so a kept executor never serves
+another key's.
+
 Concurrency: every connection is handled on its own thread; identical
 concurrent ``/generate`` misses coalesce into one pipeline run via the
 service's single-flight layer.  A bounded admission semaphore caps how
@@ -55,6 +67,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from ..errors import ReproError, ServiceError
+from ..ioutil import LruMap
 from .service import GenerationRequest, KernelService, ServiceResponse
 
 #: Largest accepted request body; a generation request is a few KB of LA
@@ -69,6 +82,22 @@ IDLE_TIMEOUT_S = 30.0
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8177
+
+#: Distinct program-addressing bodies whose resolved request one server
+#: keeps, and executors it keeps loaded per (content key, backend).
+REQUEST_MEMO_ENTRIES = 256
+EXECUTOR_MEMO_ENTRIES = 64
+
+#: The body fields :func:`_request_from_body` reads; with ``scalar`` (read
+#: by :func:`_effective_request_options`) they decide the request.
+_REQUEST_FIELDS = ("spec", "source", "constants", "name", "nominal_flops")
+
+
+def _request_memo_key(doc: Dict[str, object]) -> str:
+    """The memo key of the request a body resolves to."""
+    fields = [doc.get(field) for field in _REQUEST_FIELDS]
+    fields.append(bool(doc.get("scalar")))
+    return json.dumps(fields, sort_keys=True)
 
 
 def _request_from_body(doc: Dict[str, object],
@@ -324,6 +353,10 @@ class KernelServer:
         self.rejected = 0
         self._admission = threading.BoundedSemaphore(max_inflight)
         self._reject_lock = threading.Lock()
+        self._requests: LruMap[GenerationRequest] = LruMap(
+            REQUEST_MEMO_ENTRIES)
+        self._executors: LruMap[object] = LruMap(EXECUTOR_MEMO_ENTRIES)
+        self._memo_lock = threading.Lock()
         if listen_socket is not None:
             # Adopt: construct without binding, swap the socket in, and
             # fill the fields server_bind would have set.  getfqdn is
@@ -401,18 +434,14 @@ class KernelServer:
         return doc
 
     def handle_generate(self, doc: Dict[str, object]) -> Dict[str, object]:
-        options = _effective_request_options(self.service, doc)
-        request = _request_from_body(doc, options)
-        response = self.service.generate(request)
+        response = self._generate(doc)
         return _response_doc(
             response, include_code=bool(doc.get("include_code", True)))
 
     def handle_run(self, doc: Dict[str, object]) -> Dict[str, object]:
         backend = str(doc.get("backend") or "numpy")
-        options = _effective_request_options(self.service, doc)
-        request = _request_from_body(doc, options)
-        response = self.service.generate(request)
-        kernel = response.kernel(backend)
+        response = self._generate(doc)
+        kernel = self._executor(response, backend)
         function = response.result.function
         inputs = self._materialize_inputs(function, doc)
         outputs = kernel.run(inputs)
@@ -421,6 +450,37 @@ class KernelServer:
         answer["outputs"] = {name: np.asarray(value).tolist()
                              for name, value in sorted(outputs.items())}
         return answer
+
+    def _generate(self, doc: Dict[str, object]) -> ServiceResponse:
+        """Answer the body's program through the service.  The request a
+        body resolves to is memoized once the service has answered it, so
+        a malformed or failing body is resolved afresh every time."""
+        memo_key = _request_memo_key(doc)
+        with self._memo_lock:
+            request = self._requests.get(memo_key)
+        if request is not None:
+            return self.service.generate(request)
+        request = _request_from_body(
+            doc, _effective_request_options(self.service, doc))
+        response = self.service.generate(request)
+        with self._memo_lock:
+            self._requests.insert(memo_key, request)
+        return response
+
+    def _executor(self, response: ServiceResponse, backend: str):
+        """The response's kernel on ``backend``, loaded once per content
+        key.  The interpreter keeps per-run state on itself, so it is
+        never shared between requests."""
+        if backend == "interpreter":
+            return response.kernel(backend)
+        memo_key = f"{response.key}/{backend}"
+        with self._memo_lock:
+            kernel = self._executors.get(memo_key)
+        if kernel is None:
+            kernel = response.kernel(backend)
+            with self._memo_lock:
+                self._executors.insert(memo_key, kernel)
+        return kernel
 
     def _materialize_inputs(self, function, doc: Dict[str, object]
                             ) -> Dict[str, np.ndarray]:
@@ -432,31 +492,28 @@ class KernelServer:
             seed = 17 if raw_seed is None else int(raw_seed)
         except (TypeError, ValueError):
             raise ServiceError(f"bad 'seed' value {raw_seed!r}")
-        inputs = synthesize_inputs(function, seed=seed)
-        return self._apply_supplied_inputs(inputs, doc)
-
-    @staticmethod
-    def _apply_supplied_inputs(inputs: Dict[str, np.ndarray],
-                               doc: Dict[str, object]
-                               ) -> Dict[str, np.ndarray]:
         supplied = doc.get("inputs") or {}
         if not isinstance(supplied, dict):
             raise ServiceError("'inputs' must be an object of "
                                "operand name -> nested lists")
+        shapes = {buf.name: (buf.rows, buf.cols) for buf in function.params
+                  if buf.kind in ("in", "inout")}
+        inputs = ({} if supplied.keys() >= shapes.keys()
+                  else synthesize_inputs(function, seed=seed))
         for name, value in supplied.items():
-            if name not in inputs:
+            if name not in shapes:
                 raise ServiceError(
                     f"unknown input operand {name!r}; expected one of "
-                    f"{', '.join(sorted(inputs))}")
+                    f"{', '.join(sorted(shapes))}")
             try:
                 array = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ServiceError(f"input {name!r} is not a numeric "
                                    f"array: {exc}")
-            if array.shape != inputs[name].shape:
+            if array.shape != shapes[name]:
                 raise ServiceError(
                     f"input {name!r} has shape {array.shape}, expected "
-                    f"{inputs[name].shape}")
+                    f"{shapes[name]}")
             inputs[name] = array
         return inputs
 

@@ -679,6 +679,27 @@ class TestPassWalks:
             once = simplify(lowered.function.body)
             assert simplify(once) == once, spec
 
+    def test_a_second_pipeline_run_computes_the_same_function(
+            self, registry_lowered):
+        # Scalar replacement numbers its registers after those already
+        # present, so a second run cannot reuse a name the first left live.
+        from repro.cir.interpreter import Interpreter
+        from repro.cir.nodes import Function
+        from repro.cir.passes import run_pipeline
+        from repro.tuning.measure import synthesize_inputs
+        for spec, lowered in registry_lowered.items():
+            source = lowered.function
+            function = Function(source.name, list(source.params),
+                                list(source.temps), source.body,
+                                source.vector_width)
+            run_pipeline(function)
+            inputs = synthesize_inputs(function)
+            once = Interpreter(function).run(inputs)
+            run_pipeline(function)
+            twice = Interpreter(function).run(inputs)
+            for name, value in once.items():
+                assert (twice[name] == value).all(), (spec, name)
+
 
 class TestApiFacade:
     def test_every_public_name_resolves(self):

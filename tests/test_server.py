@@ -522,3 +522,160 @@ class TestDrain:
         assert time.monotonic() - started < 1.0
         with pytest.raises(ServiceError, match="cannot reach"):
             client.generate(spec="potrf:4", include_code=False)
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Counts LA parses, from registry specs and raw source alike."""
+    from repro.la.parser import Parser
+    made = []
+    parse = Parser.parse
+
+    def counting_parse(parser):
+        made.append(parser)
+        return parse(parser)
+
+    monkeypatch.setattr(Parser, "parse", counting_parse)
+    return made
+
+
+@pytest.fixture()
+def executors(monkeypatch):
+    """Counts the executors built, as (function name, backend) pairs."""
+    import repro.backend as backend_module
+    built = []
+    make = backend_module.make_executor
+
+    def counting_make(function, backend="auto", **kwargs):
+        built.append((function.name, backend))
+        return make(function, backend=backend, **kwargs)
+
+    monkeypatch.setattr(backend_module, "make_executor", counting_make)
+    return built
+
+
+_GEMV = """
+Mat A(n, n) <In>;
+Vec x(n) <In>;
+Vec y(n) <Out>;
+y = A * x;
+"""
+
+
+def _case_inputs(spec, seed):
+    """A case's seeded inputs as JSON lists, and its reference outputs."""
+    from repro.service import build_case, parse_spec
+    case = build_case(parse_spec(spec))
+    inputs = case.make_inputs(seed)
+    return ({name: value.tolist() for name, value in inputs.items()},
+            case.reference_outputs(inputs), case.checked_outputs)
+
+
+def _assert_matches_reference(outputs, expected, checked):
+    for name, mode in checked.items():
+        got, want = np.asarray(outputs[name]), expected[name]
+        if mode == "lower":
+            got, want = np.tril(got), np.tril(want)
+        elif mode == "upper":
+            got, want = np.triu(got), np.triu(want)
+        np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+class TestHotPath:
+    """A server keeps the request each body resolves to and the executor
+    of each (key, backend); the service still answers every request."""
+
+    def test_repeated_runs_parse_once_and_load_each_executor_once(
+            self, server, client, parses, executors):
+        inputs, expected, checked = _case_inputs("potrf:4", 3)
+        parses.clear()  # building the reference case parsed once
+        answers = [client.run(spec="potrf:4", backend=backend,
+                              inputs=inputs)
+                   for backend in ("numpy", "compiled") for _ in range(20)]
+        assert len(parses) == 1
+        assert sorted(executors) == [("potrf_4_kernel", "compiled"),
+                                     ("potrf_4_kernel", "numpy")]
+        assert sum(doc["cache_hit"] for doc in answers) == 39
+        assert server.service.stats.requests == 40
+        for doc in answers:
+            assert doc["outputs"] == answers[0]["outputs"]
+        _assert_matches_reference(answers[0]["outputs"], expected, checked)
+        assert (len(server._requests), len(server._executors)) == (1, 2)
+
+    def test_bodies_differing_in_name_constants_or_scalar_stay_apart(
+            self, server, client, parses):
+        base = {"source": _GEMV, "constants": {"n": 4}, "name": "gemv_a"}
+        bodies = [base, dict(base, name="gemv_b"),
+                  dict(base, constants={"n": 5}), dict(base, scalar=True)]
+        first = [client.generate(include_code=False, **body)
+                 for body in bodies]
+        again = [client.generate(include_code=False, **body)
+                 for body in bodies]
+        assert len(parses) == len(bodies)
+        assert len({doc["key"] for doc in first}) == len(bodies)
+        assert [doc["key"] for doc in again] == [doc["key"]
+                                                 for doc in first]
+        assert [doc["label"] for doc in again] == \
+            ["gemv_a", "gemv_b", "gemv_a", "gemv_a"]
+        assert len(server._requests) == len(bodies)
+
+    def test_a_malformed_body_is_not_memoized(self, server, client,
+                                              parses):
+        body = {"source": "Mat A(n, n) <In>;\nA = ;", "constants": {"n": 4}}
+        for _ in range(3):
+            with pytest.raises(ServiceError, match="400"):
+                client.generate(**body)
+        assert len(parses) == 3
+        assert len(server._requests) == 0
+
+    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
+    def test_threads_sharing_executors_each_get_their_own_answers(
+            self, server, backend):
+        specs = ("potrf:8", "gemm:8")
+        client = ServiceClient(server.url, timeout=60.0)
+        for spec in specs:
+            client.run(spec=spec, backend=backend)
+        threads, rounds = 4, 25
+        cases = {(thread, spec): _case_inputs(spec, 100 + thread)
+                 for thread in range(threads) for spec in specs}
+        answers = {key: [] for key in cases}
+        barrier = threading.Barrier(threads)
+
+        def work(thread):
+            barrier.wait()
+            for index in range(rounds):
+                spec = specs[index % len(specs)]
+                inputs = cases[thread, spec][0]
+                answers[thread, spec].append(client.run(
+                    spec=spec, backend=backend, inputs=inputs)["outputs"])
+
+        workers = [threading.Thread(target=work, args=(thread,))
+                   for thread in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        client.close()
+        assert sum(map(len, answers.values())) == threads * rounds
+        for key, outputs in answers.items():
+            _, expected, checked = cases[key]
+            for doc in outputs:
+                _assert_matches_reference(doc, expected, checked)
+        assert len(server._executors) == len(specs)
+
+    def test_an_omitted_operand_gets_the_seeded_synthesized_value(
+            self, server, client):
+        from repro.service import make_request
+        from repro.tuning.measure import synthesize_inputs
+        supplied = np.arange(16, dtype=np.float64).reshape(4, 4)
+        doc = client.run(spec="gemm:4", backend="numpy", seed=5,
+                         inputs={"A": supplied.tolist()})
+        response = server.service.generate(make_request("gemm:4"))
+        function = response.result.function
+        expected_inputs = synthesize_inputs(function, seed=5)
+        assert set(expected_inputs) == {"A", "B", "C"}
+        expected_inputs["A"] = supplied
+        expected = response.kernel("numpy").run(expected_inputs)
+        np.testing.assert_array_equal(np.asarray(doc["outputs"]["C"]),
+                                      expected["C"])

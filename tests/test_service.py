@@ -107,6 +107,27 @@ class TestKeys:
         assert canonical_program(program).startswith("program(gemv)")
         assert from_ir == cache_key(program, _options())
 
+    @pytest.mark.parametrize("options", [
+        Options(),
+        Options(verified_rewrites=("fuse_a", "fuse_b"),
+                stage1_variants={1: "blocked", 0: "unblocked"},
+                block_size=2, analysis="strict")])
+    def test_fingerprints_serialize_as_asdict_does(self, options):
+        # The fingerprints read fields shallowly; the JSON they hash must
+        # be the deep-copied dataclasses.asdict form's, or keys move.
+        import dataclasses
+        from repro.service.keys import canonical_options, machine_fingerprint
+
+        def blob(doc):
+            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+        expected = dataclasses.asdict(options)
+        expected.pop("analysis")
+        assert blob(canonical_options(options)) == blob(expected)
+        for machine in (default_machine(), HASWELL):
+            assert blob(machine_fingerprint(machine)) == \
+                blob(dataclasses.asdict(machine))
+
 
 # ---------------------------------------------------------------------------
 # Store
