@@ -70,8 +70,8 @@ def _codegen_variants():
 
 def _distinct_inputs(case, options, variants):
     """How many distinct functions the variants lower to, and how many
-    distinct (lowered digest, unrolled-body digest, sr, lsa) tuples they
-    hand the pass pipeline."""
+    distinct (lowered-function digest, unrolled-body digest, sr, lsa)
+    tuples they hand the pass pipeline."""
     from repro.cir.nodes import Function
     from repro.cir.passes import simplify, unroll_loops
     from repro.pipeline import phases
@@ -87,7 +87,8 @@ def _distinct_inputs(case, options, variants):
             options.function_name or f"{case.program.name}_kernel",
             options.annotate_code)
         function = lowered.function
-        functions.add(function_digest(function))
+        digest = function_digest(function)
+        functions.add(digest)
         body = simplify(function.body)
         if options.unroll:
             body = unroll_loops(body, variant.unroll_trip_count,
@@ -95,7 +96,7 @@ def _distinct_inputs(case, options, variants):
         unrolled = function_digest(Function(
             function.name, function.params, function.temps, body,
             function.vector_width))
-        inputs.add((lowered.digest, unrolled,
+        inputs.add((digest, unrolled,
                     options.scalar_replacement and variant.scalar_replacement,
                     options.load_store_analysis
                     and variant.load_store_analysis))

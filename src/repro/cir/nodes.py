@@ -43,13 +43,13 @@ class Affine:
 
     @staticmethod
     def constant(value: int) -> "Affine":
-        return Affine((), int(value))
+        return _affine((), int(value))
 
     @staticmethod
     def var(name: str, coef: int = 1) -> "Affine":
         if coef == 0:
-            return Affine((), 0)
-        return Affine(((name, int(coef)),), 0)
+            return _affine((), 0)
+        return _affine(((name, int(coef)),), 0)
 
     @staticmethod
     def of(value: Union["Affine", int, str]) -> "Affine":
@@ -64,17 +64,18 @@ class Affine:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: Union["Affine", int, str]) -> "Affine":
-        other = Affine.of(other)
+        if type(other) is not Affine:
+            other = Affine.of(other)
         # Either side constant: the other's terms are already canonical.
         if not other.terms:
-            return Affine(self.terms, self.const + other.const)
+            return _affine(self.terms, self.const + other.const)
         if not self.terms:
-            return Affine(other.terms, self.const + other.const)
+            return _affine(other.terms, self.const + other.const)
         coeffs: Dict[str, int] = dict(self.terms)
         for name, coef in other.terms:
             coeffs[name] = coeffs.get(name, 0) + coef
         terms = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
-        return Affine(terms, self.const + other.const)
+        return _affine(terms, self.const + other.const)
 
     def __radd__(self, other: Union[int, str]) -> "Affine":
         return self.__add__(other)
@@ -90,9 +91,9 @@ class Affine:
 
     def scaled(self, factor: int) -> "Affine":
         if factor == 0:
-            return Affine((), 0)
+            return _affine((), 0)
         terms = tuple((n, c * factor) for n, c in self.terms)
-        return Affine(terms, self.const * factor)
+        return _affine(terms, self.const * factor)
 
     # -- queries -------------------------------------------------------------
 
@@ -113,16 +114,17 @@ class Affine:
 
         Returns ``self`` when none of its variables is bound.
         """
-        if not any(name in bindings for name, _ in self.terms):
-            return self
         const = self.const
         terms = []
-        for name, coef in self.terms:
-            if name in bindings:
-                const += coef * bindings[name]
+        for term in self.terms:
+            value = bindings.get(term[0])
+            if value is None:
+                terms.append(term)
             else:
-                terms.append((name, coef))
-        return Affine(tuple(terms), const)
+                const += term[1] * value
+        if len(terms) == len(self.terms):
+            return self
+        return _affine(tuple(terms), const)
 
     def evaluate(self, bindings: Dict[str, int]) -> int:
         value = self.const
@@ -146,6 +148,15 @@ class Affine:
             parts.append(str(self.const))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _affine(terms: Tuple[Tuple[str, int], ...], const: int) -> Affine:
+    """``Affine(terms, const)`` for canonical ``terms``, without the
+    frozen dataclass ``__init__`` and its keyword handling."""
+    new = object.__new__(Affine)
+    object.__setattr__(new, "terms", terms)
+    object.__setattr__(new, "const", const)
+    return new
 
 
 # ---------------------------------------------------------------------------

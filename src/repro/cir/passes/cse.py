@@ -10,7 +10,7 @@ loads from that buffer; loop and branch boundaries invalidate everything.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..nodes import (Assign, CExpr, CStmt, For, If, Load, ScalarVar, Store,
                      VecVar, VLoad, VStore)
@@ -54,26 +54,37 @@ def _highest_register(stmts: List[CStmt]) -> int:
     return highest
 
 
-def _load_key(expr: CExpr):
-    """A hashable key identifying a load's address, or None."""
-    if isinstance(expr, Load):
-        return ("load", expr.buffer.name, expr.index)
-    if isinstance(expr, VLoad):
-        return ("vload", expr.buffer.name, expr.index, expr.width, expr.mask)
+def _load_key(expr: CExpr) -> Optional[Tuple]:
+    """A key identifying a load's address, or None: the buffer name and
+    the index's terms and constant, plus width and mask for a vector
+    load.  A plain tuple of strings and ints hashes in C, where the
+    frozen dataclass ``__hash__`` of an ``Affine`` runs in Python."""
+    kind = type(expr)
+    if kind is Load:
+        index = expr.index
+        return (expr.buffer.name, index.terms, index.const)
+    if kind is VLoad:
+        index = expr.index
+        return (expr.buffer.name, index.terms, index.const, expr.width,
+                expr.mask)
     return None
+
+
+def _count_expression_loads(expr: CExpr, counts: Dict[Tuple, int]) -> None:
+    key = _load_key(expr)
+    if key is not None:
+        counts[key] = counts.get(key, 0) + 1
+        return
+    for child in expr.children():
+        _count_expression_loads(child, counts)
 
 
 def _count_loads(stmts: List[CStmt]) -> Dict[Tuple, int]:
     """Count load occurrences in a straight-line block (no recursion)."""
-    from ..nodes import walk_expressions
     counts: Dict[Tuple, int] = {}
     for stmt in stmts:
-        if isinstance(stmt, (For, If)):
-            continue
-        for expr in walk_expressions(stmt):
-            key = _load_key(expr)
-            if key is not None:
-                counts[key] = counts.get(key, 0) + 1
+        if isinstance(stmt, (Assign, Store, VStore)):
+            _count_expression_loads(stmt.value, counts)
     return counts
 
 
@@ -83,21 +94,23 @@ def eliminate_redundant_loads(stmts: List[CStmt],
     counter = _counter or _Counter(_highest_register(stmts))
     counts = _count_loads(stmts)
     available: Dict[Tuple, CExpr] = {}
+    # buffer name -> the keys of ``available`` loading from it
+    by_buffer: Dict[str, List[Tuple]] = {}
     result: List[CStmt] = []
 
     def invalidate_buffer(buffer_name: str) -> None:
-        for key in list(available):
-            if key[1] == buffer_name:
-                del available[key]
+        for key in by_buffer.pop(buffer_name, ()):
+            del available[key]
 
     for stmt in stmts:
-        if isinstance(stmt, For):
+        if isinstance(stmt, (For, If)):
             available.clear()
+            by_buffer.clear()
+        if isinstance(stmt, For):
             result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
                               eliminate_redundant_loads(stmt.body, counter)))
             continue
         if isinstance(stmt, If):
-            available.clear()
             result.append(If(stmt.lhs, stmt.op, stmt.rhs,
                              eliminate_redundant_loads(stmt.then_body, counter),
                              eliminate_redundant_loads(stmt.else_body, counter)))
@@ -112,10 +125,11 @@ def eliminate_redundant_loads(stmts: List[CStmt],
             if key in available:
                 return available[key]
             if counts.get(key, 0) >= 2:
-                reg = (counter.vector(expr.width) if isinstance(expr, VLoad)
+                reg = (counter.vector(expr.width) if type(expr) is VLoad
                        else counter.scalar())
                 pending.append(Assign(reg, expr))
                 available[key] = reg
+                by_buffer.setdefault(key[0], []).append(key)
                 return reg
             return expr
 
@@ -123,7 +137,7 @@ def eliminate_redundant_loads(stmts: List[CStmt],
         result.extend(pending)
         result.append(new_stmt)
 
-        if isinstance(new_stmt, (Store, VStore)):
+        if type(new_stmt) is Store or type(new_stmt) is VStore:
             invalidate_buffer(new_stmt.buffer.name)
 
     return result

@@ -9,52 +9,54 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..nodes import (Assign, CStmt, For, If, ScalarVar, VecVar,
-                     walk_expressions)
+from ..nodes import (Assign, CExpr, CStmt, For, If, ScalarVar, Store, VecVar,
+                     VStore)
+
+
+def _collect_expression_registers(expr: CExpr, used: Set[str]) -> None:
+    kind = type(expr)
+    if kind is ScalarVar or kind is VecVar:
+        used.add(expr.name)
+        return
+    for child in expr.children():
+        _collect_expression_registers(child, used)
 
 
 def _collect_used_registers(stmts: List[CStmt], used: Set[str]) -> None:
     for stmt in stmts:
-        if isinstance(stmt, For):
+        kind = type(stmt)
+        if kind is For:
             _collect_used_registers(stmt.body, used)
-            continue
-        if isinstance(stmt, If):
+        elif kind is If:
             _collect_used_registers(stmt.then_body, used)
             _collect_used_registers(stmt.else_body, used)
-            continue
-        for expr in walk_expressions(stmt):
-            if isinstance(expr, (ScalarVar, VecVar)):
-                used.add(expr.name)
+        elif kind is Assign or kind is Store or kind is VStore:
+            _collect_expression_registers(stmt.value, used)
 
 
 def _remove_dead(stmts: List[CStmt], used: Set[str]) -> List[CStmt]:
+    """``stmts`` without the dead assignments; ``stmts`` itself when
+    there are none."""
     result: List[CStmt] = []
+    changed = False
     for stmt in stmts:
         if isinstance(stmt, Assign) and stmt.dest.name not in used:
+            changed = True
             continue
         if isinstance(stmt, For):
-            result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
-                              _remove_dead(stmt.body, used)))
-            continue
-        if isinstance(stmt, If):
-            result.append(If(stmt.lhs, stmt.op, stmt.rhs,
-                             _remove_dead(stmt.then_body, used),
-                             _remove_dead(stmt.else_body, used)))
-            continue
-        result.append(stmt)
-    return result
-
-
-def _count_statements(stmts: List[CStmt]) -> int:
-    total = 0
-    for stmt in stmts:
-        total += 1
-        if isinstance(stmt, For):
-            total += _count_statements(stmt.body)
+            body = _remove_dead(stmt.body, used)
+            if body is not stmt.body:
+                changed = True
+                stmt = For(stmt.var, stmt.start, stmt.stop, stmt.step, body)
         elif isinstance(stmt, If):
-            total += _count_statements(stmt.then_body)
-            total += _count_statements(stmt.else_body)
-    return total
+            then_body = _remove_dead(stmt.then_body, used)
+            else_body = _remove_dead(stmt.else_body, used)
+            if then_body is not stmt.then_body \
+                    or else_body is not stmt.else_body:
+                changed = True
+                stmt = If(stmt.lhs, stmt.op, stmt.rhs, then_body, else_body)
+        result.append(stmt)
+    return result if changed else stmts
 
 
 def eliminate_dead_code(stmts: List[CStmt], max_iterations: int = 10) -> List[CStmt]:
@@ -71,7 +73,7 @@ def eliminate_dead_code(stmts: List[CStmt], max_iterations: int = 10) -> List[CS
         used: Set[str] = set()
         _collect_used_registers(current, used)
         new = _remove_dead(current, used)
-        if _count_statements(new) == _count_statements(current):
-            return new
+        if new is current:
+            return current
         current = new
     return current

@@ -64,13 +64,22 @@ class _MemoryModel:
         self.vectors = {k: v for k, v in self.vectors.items() if k[0] != name}
 
     def kill_register(self, reg_name: str) -> None:
+        # Delete in place; the values recorded are almost always a
+        # ``ScalarVar`` or a ``VExtract`` of a ``VecVar``, checked by name.
         def references(expr: CExpr) -> bool:
-            return any(isinstance(e, (ScalarVar, VecVar)) and e.name == reg_name
-                       for e in expr.walk())
-        self.elements = {k: v for k, v in self.elements.items()
-                         if not references(v)}
-        self.vectors = {k: (r, m) for k, (r, m) in self.vectors.items()
-                        if r.name != reg_name}
+            kind = type(expr)
+            if kind is ScalarVar:
+                return expr.name == reg_name
+            if kind is VExtract and type(expr.vec) is VecVar:
+                return expr.vec.name == reg_name
+            return any(isinstance(e, (ScalarVar, VecVar))
+                       and e.name == reg_name for e in expr.walk())
+        for key in [key for key, value in self.elements.items()
+                    if references(value)]:
+            del self.elements[key]
+        for key in [key for key, (reg, _) in self.vectors.items()
+                    if reg.name == reg_name]:
+            del self.vectors[key]
 
     def record_scalar_store(self, buffer: str, index: int, value: CExpr) -> None:
         if isinstance(value, (ScalarVar, FloatConst, VExtract)):
@@ -181,11 +190,11 @@ def forward_stores_to_loads(stmts: List[CStmt],
             continue
 
         def replace(expr: CExpr) -> CExpr:
-            if isinstance(expr, VLoad):
+            if type(expr) is VLoad:
                 rebuilt = _try_rebuild_vload(expr, model, stats)
                 if rebuilt is not None:
                     return rebuilt
-            elif isinstance(expr, Load) and expr.index.is_constant:
+            elif type(expr) is Load and expr.index.is_constant:
                 known = model.elements.get((expr.buffer.name,
                                             expr.index.value()))
                 if known is not None and isinstance(known,

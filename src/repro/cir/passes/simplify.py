@@ -24,9 +24,15 @@ def _is_one(expr: CExpr) -> bool:
     return isinstance(expr, FloatConst) and expr.value == 1.0
 
 
+#: The node types :func:`simplify_expression` has rules for.
+_RULED = frozenset((BinOp, UnOp, VBinOp, VBlend))
+
+
 def simplify_expression(expr: CExpr) -> CExpr:
     """Apply local algebraic identities to a single node (children already
     simplified by the bottom-up driver)."""
+    if type(expr) not in _RULED:
+        return expr
     if isinstance(expr, BinOp):
         left, right = expr.left, expr.right
         if isinstance(left, FloatConst) and isinstance(right, FloatConst):

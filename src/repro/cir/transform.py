@@ -7,6 +7,7 @@ node kinds it cares about.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Dict, Tuple
 
 from .nodes import (Assign, BinOp, CExpr, CStmt, Load, Store, UnOp, VBinOp,
@@ -15,10 +16,32 @@ from .nodes import (Assign, BinOp, CExpr, CStmt, Load, Store, UnOp, VBinOp,
 
 ExprFn = Callable[[CExpr], CExpr]
 
-# Nodes are rebuilt as ``type(node)(**{**node.__dict__, **changes})``:
-# ``dataclasses.replace`` without its per-field checks.  Every C-IR node
-# field is an init field held in the instance ``__dict__``
-# (``tests/test_cir.py`` asserts this for every node class).
+
+#: Field names per node class, in order (filled on first rebuild).
+_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _rebuild(node, changes: Dict[str, object]):
+    """``node`` with ``changes`` to some of its fields.
+
+    The copy is made with ``object.__new__`` and its fields set one by
+    one with ``object.__setattr__``, skipping the frozen dataclass
+    ``__init__`` (and so ``__post_init__``): a rebuild changes only
+    child expressions, a statement's ``value`` or an ``index``, never a
+    field that ``__post_init__`` checks.  Neither node's ``__dict__`` is
+    touched: CPython keeps the fields of an instance whose ``__dict__``
+    was never asked for in a compact inline form that later attribute
+    reads are several times faster on.
+    """
+    kind = type(node)
+    names = _FIELDS.get(kind)
+    if names is None:
+        names = _FIELDS[kind] = tuple(f.name for f in fields(kind))
+    new = object.__new__(kind)
+    for name in names:
+        object.__setattr__(new, name, changes[name] if name in changes
+                           else getattr(node, name))
+    return new
 
 
 #: The fields holding child expressions, per composite expression type
@@ -35,6 +58,9 @@ _CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
     VUnpack: ("a", "b"),
 }
 
+#: The statement types that hold a value expression.
+_VALUE_STATEMENTS = frozenset((Assign, Store, VStore))
+
 
 def map_expression(expr: CExpr, fn: ExprFn) -> CExpr:
     """Rebuild ``expr`` bottom-up, applying ``fn`` to every node.
@@ -43,20 +69,22 @@ def map_expression(expr: CExpr, fn: ExprFn) -> CExpr:
     returns the (possibly new) node.  A node none of whose children changed
     is passed to ``fn`` as is, so an identity ``fn`` returns ``expr`` itself.
     """
-    fields = _CHILD_FIELDS.get(type(expr))
-    if fields is not None:
-        changed = {}
-        for name in fields:
+    child_fields = _CHILD_FIELDS.get(type(expr))
+    if child_fields is not None:
+        changed = None
+        for name in child_fields:
             child = getattr(expr, name)
             mapped = map_expression(child, fn)
             if mapped is not child:
+                if changed is None:
+                    changed = {}
                 changed[name] = mapped
-        if changed:
-            expr = type(expr)(**{**expr.__dict__, **changed})
-    elif isinstance(expr, VSet):
+        if changed is not None:
+            expr = _rebuild(expr, changed)
+    elif type(expr) is VSet:
         elements = tuple(map_expression(e, fn) for e in expr.elements)
         if any(new is not old for new, old in zip(elements, expr.elements)):
-            expr = VSet(elements)
+            expr = _rebuild(expr, {"elements": elements})
     return fn(expr)
 
 
@@ -65,10 +93,10 @@ def map_statement_expressions(stmt: CStmt, fn: ExprFn) -> CStmt:
     single statement.  Returns ``stmt`` itself when the value is unchanged,
     else a new statement.  Does not recurse into the bodies of
     ``For``/``If``."""
-    if isinstance(stmt, (Assign, Store, VStore)):
+    if type(stmt) in _VALUE_STATEMENTS:
         value = map_expression(stmt.value, fn)
         if value is not stmt.value:
-            return type(stmt)(**{**stmt.__dict__, "value": value})
+            return _rebuild(stmt, {"value": value})
     return stmt
 
 
@@ -81,17 +109,16 @@ def substitute_indices(stmt: CStmt, bindings: Dict[str, int]) -> CStmt:
     ``For``/``If``.
     """
     def fix_load(expr: CExpr) -> CExpr:
-        if isinstance(expr, (Load, VLoad)):
+        if type(expr) is Load or type(expr) is VLoad:
             index = expr.index.substitute(bindings)
             if index is not expr.index:
-                return type(expr)(**{**expr.__dict__, "index": index})
+                return _rebuild(expr, {"index": index})
         return expr
 
-    if isinstance(stmt, (Store, VStore)):
+    if type(stmt) is Store or type(stmt) is VStore:
         index = stmt.index.substitute(bindings)
         value = map_expression(stmt.value, fix_load)
         if index is not stmt.index or value is not stmt.value:
-            return type(stmt)(**{**stmt.__dict__, "index": index,
-                                 "value": value})
+            return _rebuild(stmt, {"index": index, "value": value})
         return stmt
     return map_statement_expressions(stmt, fix_load)

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,
                          If, Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
                          VBroadcast, VecVar, VExtract, VLoad, VPermute2f128,
-                         VReduceAdd, VSet, VStore, VUnpack, VZero)
+                         VReduceAdd, VSet, VStore, VUnpack)
 
 
 @dataclass
@@ -139,47 +139,52 @@ class _Issued:
                 del self.inputs[node]
 
 
-def _count_expression(expr: CExpr, mix: InstructionMix, weight: float,
+def _count_expression(node: CExpr, mix: InstructionMix, weight: float,
                       issued: _Issued) -> None:
-    for node in expr.walk():
-        if isinstance(node, Load):
-            mix.scalar_loads += weight
-        elif isinstance(node, VLoad):
-            mix.vector_loads += weight
-        elif isinstance(node, VBroadcast):
-            mix.broadcasts += weight
-        elif isinstance(node, BinOp):
-            if node.op in ("add", "sub", "max", "min"):
-                mix.scalar_add += weight
-            elif node.op == "mul":
-                mix.scalar_mul += weight
-            elif node.op == "div" and issued.first(node):
-                mix.scalar_div += weight
-        elif isinstance(node, UnOp):
-            if node.op != "sqrt":
-                mix.scalar_add += weight
-            elif issued.first(node):
-                mix.scalar_sqrt += weight
-        elif isinstance(node, VBinOp):
-            if node.op in ("add", "sub", "max", "min"):
-                mix.vector_add += weight
-            elif node.op == "mul":
-                mix.vector_mul += weight
-            elif node.op == "div" and issued.first(node):
-                mix.vector_div += weight
-        elif isinstance(node, VReduceAdd):
-            mix.reductions += weight
-        elif isinstance(node, VExtract):
-            mix.extracts += weight
-        elif isinstance(node, VBlend):
-            mix.blends += weight
-        elif isinstance(node, (VPermute2f128, VUnpack)):
-            mix.shuffles += weight
-        elif isinstance(node, (VSet, VZero)):
-            # vzeroall / set sequences: negligible, but VSet of k scalars
-            # costs about k-1 lane insertions (counted as shuffles).
-            if isinstance(node, VSet):
-                mix.shuffles += weight * max(0, len(node.elements) - 1)
+    # Pre-order, so a division is offered to ``issued`` before the ones
+    # inside it, as ``CExpr.walk`` would.
+    kind = type(node)
+    if kind is Load:
+        mix.scalar_loads += weight
+        return
+    if kind is VLoad:
+        mix.vector_loads += weight
+        return
+    if kind is BinOp:
+        if node.op in ("add", "sub", "max", "min"):
+            mix.scalar_add += weight
+        elif node.op == "mul":
+            mix.scalar_mul += weight
+        elif node.op == "div" and issued.first(node):
+            mix.scalar_div += weight
+    elif kind is VBinOp:
+        if node.op in ("add", "sub", "max", "min"):
+            mix.vector_add += weight
+        elif node.op == "mul":
+            mix.vector_mul += weight
+        elif node.op == "div" and issued.first(node):
+            mix.vector_div += weight
+    elif kind is UnOp:
+        if node.op != "sqrt":
+            mix.scalar_add += weight
+        elif issued.first(node):
+            mix.scalar_sqrt += weight
+    elif kind is VBroadcast:
+        mix.broadcasts += weight
+    elif kind is VReduceAdd:
+        mix.reductions += weight
+    elif kind is VExtract:
+        mix.extracts += weight
+    elif kind is VBlend:
+        mix.blends += weight
+    elif kind is VPermute2f128 or kind is VUnpack:
+        mix.shuffles += weight
+    elif kind is VSet:
+        # a set of k scalars costs about k-1 lane insertions (counted as
+        # shuffles); vzeroall is negligible
+        mix.shuffles += weight * max(0, len(node.elements) - 1)
+    for child in node.children():
+        _count_expression(child, mix, weight, issued)
 
 
 def _count_statements(stmts: Iterable[CStmt], mix: InstructionMix,

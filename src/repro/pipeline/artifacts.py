@@ -1,11 +1,11 @@
 """Typed artifacts of the staged generation pipeline.
 
 Each artifact is the pure output of one phase, stamped with its own
-content key.  An artifact names no parent: lowering and optimization are
-keyed by what they consume, so one artifact can serve several parents.
-:class:`RewrittenProgram` and :class:`LoweredFunction` carry the digest
-of their IR, computed once when they are built, which keys the next
-phase.  The score phase caches the roofline
+content key.  An artifact names no parent: lowering is keyed by the
+digest of the program it consumes, so one artifact can serve several
+parents.  :class:`RewrittenProgram` carries that digest, computed once
+when it is built; optimization is keyed by the
+:class:`LoweredFunction`'s own key.  The score phase caches the roofline
 :class:`~repro.machine.roofline.PerformanceEstimate` itself; the fully
 built :class:`~repro.slingen.generator.Candidate` that binds an
 optimized function to its estimate stays in the generator.
@@ -64,12 +64,13 @@ class RewrittenProgram:
 class LoweredFunction:
     """The C-IR function straight out of lowering, before Stage-3 passes.
 
-    ``digest`` is :func:`~repro.pipeline.keys.function_digest` of
-    ``function``, which keys the pass pipeline.
+    ``function`` is a pure function of ``key``, so ``key`` keys the pass
+    pipeline.  A lowering filed under both values of
+    ``use_shuffle_transpose`` is one artifact with one ``key``, the one
+    it was built under.
     """
 
     key: str
-    digest: str
     function: Function
 
 

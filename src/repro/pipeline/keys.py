@@ -6,9 +6,10 @@ roofline score -- each under a content hash of the *resolved inputs that
 phase actually consumes*: a digest of the artifact it reads plus the
 option axes assigned to it.  Keys do not chain through the option
 history: lowering is keyed by a digest of the rewritten program it
-lowers and optimization by a digest of the lowered function it
-optimizes, so two algorithmic variants that synthesize the same basic
-program share one lowering, one pass pipeline and one score.  The
+lowers and optimization by the key of the lowering it optimizes (a
+lowering is a pure function of its key), so two algorithmic variants
+that synthesize the same basic program share one lowering, one pass
+pipeline and one score.  The
 partition below is the correctness contract of the whole cache: an
 option axis leaking *out* of its phase key would let two requests that
 generate different code collide on one cached artifact -- a wrong-code
@@ -76,7 +77,9 @@ from ..slingen.options import Options
 #: v5: optimize keyed by the unroll plan instead of the raw thresholds.
 #: v6: lower keyed by the program without its name, and a lowering that
 #: never read ``use_shuffle_transpose`` filed under both of its values.
-PHASE_SCHEMA_VERSION = 6
+#: v7: optimize keyed by the lowering's key instead of a digest of the
+#: lowered function, which lowered artifacts no longer carry.
+PHASE_SCHEMA_VERSION = 7
 
 #: The phases, in dataflow order.
 PHASES: Tuple[str, ...] = ("stage1", "rewrite", "lower", "optimize",
@@ -217,7 +220,8 @@ def _encode_cir(value: object, out: List[str]) -> None:
 def function_digest(function: Function) -> str:
     """SHA-256 of everything the Stage-3 passes read of a C-IR function:
     its name, vector width, each parameter and temporary as (name, rows,
-    cols, kind), and its body."""
+    cols, kind), and its body.  No phase key holds it; tests and the
+    hot-path benchmark tell functions apart with it."""
     out = [json.dumps([
         function.name, function.vector_width,
         [[b.name, b.rows, b.cols, b.kind] for b in function.params],
@@ -282,15 +286,20 @@ def lower_key(program: str, vector_width: int, use_shuffle_transpose: bool,
     })
 
 
-def optimize_key(function: str, unroll_plan: Optional[Sequence[bool]],
+def optimize_key(lower: str, unroll_plan: Optional[Sequence[bool]],
                  scalar_replacement: bool, load_store_analysis: bool) -> str:
-    """Key of the Stage-3 pass pipeline: the :func:`function_digest` of
-    the lowered function, its unroll plan (``None`` with unrolling off)
-    and the effective pass toggles."""
+    """Key of the Stage-3 pass pipeline: the key of the lowering it
+    optimizes (``LoweredFunction.key``; the lowered function is a pure
+    function of it), the function's unroll plan (``None`` with unrolling
+    off) and the effective pass toggles.
+
+    Keying by the lowering rather than by a digest of its function saves
+    digesting every lowering; two lowerings with different keys that
+    happen to build one function optimize it twice."""
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "optimize",
-        "function": function,
+        "lower": lower,
         "unroll_plan": (None if unroll_plan is None
                         else [bool(d) for d in unroll_plan]),
         "scalar_replacement": bool(scalar_replacement),

@@ -6,9 +6,10 @@ Each driver computes its artifact's content key, consults the
 the artifact only on a miss -- recording wall-clock and hit/miss into a
 :class:`~repro.pipeline.cache.PhaseTimings`.  The drivers are *pure*:
 the artifact a driver returns is fully determined by its key.  Lowering
-and optimization are keyed by the digest of the artifact they consume
-(not by how it was produced), so algorithmic variants that reach the
-same basic program share everything downstream of it.  Two details make
+is keyed by the digest of the program it consumes (not by how it was
+produced), so algorithmic variants that reach the same basic program
+share everything downstream of it; optimization is keyed by the
+lowering's key, which determines the lowered function.  Two details make
 purity true:
 
 * Stage 1 synthesizes with a **fresh** algorithm database per call, so
@@ -58,8 +59,8 @@ from ..slingen.stage1 import synthesize_basic_program
 from .artifacts import (LoweredFunction, OptimizedFunction,
                         RewrittenProgram, Stage1Artifact)
 from .cache import PhaseCache, PhaseTimings
-from .keys import (function_digest, lower_key, optimize_key, program_digest,
-                   rewrite_key, score_key, stage1_key)
+from .keys import (lower_key, optimize_key, program_digest, rewrite_key,
+                   score_key, stage1_key)
 
 
 def _finish(timings: Optional[PhaseTimings], phase: str, started: float,
@@ -141,8 +142,8 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
     ``function_name`` must be non-empty: the key leaves out the
     program's name, so lowering must never fall back to it.  A lowering
     that reached no decision ``use_shuffle_transpose`` steers is filed
-    under both values of the flag; the artifact records the key it was
-    built under.
+    under both values of the flag as one artifact, which records the key
+    it was built under (and which keys its optimization).
     """
     if not function_name:
         raise ConfigurationError("lowering needs a non-empty function_name")
@@ -158,8 +159,7 @@ def lower(rewritten: RewrittenProgram, vector_width: int,
     function, read_shuffle = lower_program_with_shuffle_use(
         rewritten.program, options, function_name=function_name,
         annotate=annotate)
-    artifact = LoweredFunction(key=key, digest=function_digest(function),
-                               function=function)
+    artifact = LoweredFunction(key=key, function=function)
     _gate("lower", function, analysis)
     if cache is not None:
         cache.put("lower", key, artifact)
@@ -188,7 +188,7 @@ def optimize(lowered: LoweredFunction, pass_options: PassOptions,
     plan = (unroll_plan(source.body, pass_options.max_unroll_trip_count,
                         pass_options.max_unroll_body)
             if pass_options.unroll else None)
-    key = optimize_key(lowered.digest, plan,
+    key = optimize_key(lowered.key, plan,
                        pass_options.scalar_replacement,
                        pass_options.load_store_analysis)
     artifact = cache.get("optimize", key) if cache is not None else None

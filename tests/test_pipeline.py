@@ -102,22 +102,22 @@ class TestKeyPartition:
         rb = keys.rewrite_key(b, True, ())
         assert ra != rb                     # parent key chains through
         assert keys.rewrite_key(a, False, ()) != ra
-        # Lower and optimize take digests of what they consume.
+        # Lower takes a digest of the program it consumes, optimize the
+        # key of the lowering it consumes.
         pa = keys.program_digest(case.program)
         pb = keys.program_digest(make_case("potrf:8").program)
         la = keys.lower_key(pa, 4, True, "kernel", False)
-        assert keys.lower_key(pb, 4, True, "kernel", False) != la
+        lb = keys.lower_key(pb, 4, True, "kernel", False)
+        assert lb != la
         assert keys.lower_key(pa, 8, True, "kernel", False) != la
-        fa = keys.function_digest(_function("kernel"))
-        fb = keys.function_digest(_function("other"))
-        oa = keys.optimize_key(fa, (True,), True, True)
-        assert keys.optimize_key(fb, (True,), True, True) != oa
-        assert keys.optimize_key(fa, None, True, True) != oa
-        assert keys.optimize_key(fa, (), True, True) != \
-            keys.optimize_key(fa, None, True, True)
-        assert keys.optimize_key(fa, (False,), True, True) != oa
-        assert keys.optimize_key(fa, (True,), False, True) != oa
-        assert keys.optimize_key(fa, (True,), True, False) != oa
+        oa = keys.optimize_key(la, (True,), True, True)
+        assert keys.optimize_key(lb, (True,), True, True) != oa
+        assert keys.optimize_key(la, None, True, True) != oa
+        assert keys.optimize_key(la, (), True, True) != \
+            keys.optimize_key(la, None, True, True)
+        assert keys.optimize_key(la, (False,), True, True) != oa
+        assert keys.optimize_key(la, (True,), False, True) != oa
+        assert keys.optimize_key(la, (True,), True, False) != oa
         machine = keys.machine_digest(default_machine())
         sa = keys.score_key(oa, machine, 10.0)
         assert keys.score_key(oa, machine, 20.0) != sa
@@ -662,7 +662,8 @@ class TestLowerKey:
                      rewritten.program, LoweringOptions(4, flag),
                      "kernel", False))
                  for flag in (True, False)}
-        assert {flag: a.digest for flag, a in lowered.items()} == fresh
+        assert {flag: keys.function_digest(a.function)
+                for flag, a in lowered.items()} == fresh
         misses = cache.stats()["phases"]["lower"]["misses"]
         if transposed:
             # The 4x4 shuffle codelet against the scalar copy.
