@@ -149,6 +149,10 @@ class CIRBuilder:
         account.
         """
         buffer = self.buffer_for(view.operand)
+        if type(row) is int and type(col) is int:
+            # most addresses are constant: skip the affine algebra
+            return buffer, Affine.constant(
+                (row + view.row_off) * buffer.cols + col + view.col_off)
         index = buffer.index(Affine.of(row) + view.row_off,
                              Affine.of(col) + view.col_off)
         return buffer, index
