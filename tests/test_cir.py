@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import pickle
 
 import numpy as np
 import pytest
@@ -411,14 +412,12 @@ class TestImmutableSharing:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(stmt, field.name, getattr(stmt, field.name))
 
-    def test_every_node_field_lives_in_the_instance_dict(self):
-        # transform.py rebuilds a node as
-        # ``type(node)(**{**node.__dict__, **changes})``, which is only
-        # ``dataclasses.replace`` if every field is an init field and the
-        # instance dict holds exactly the fields.
+    @classmethod
+    def _samples(cls):
+        """One node of every C-IR node class."""
         buf = Buffer("A", 4, 4, "in")
         v = VLoad(buf, Affine.constant(0), mask=(True, True, False, False))
-        samples = [
+        return [
             FloatConst(1.0), ScalarVar("x"), VecVar("v"),
             Load(buf, Affine.var("i")), v, VBroadcast(FloatConst(2.0)),
             VSet((FloatConst(1.0), FloatConst(2.0))), VZero(),
@@ -426,7 +425,14 @@ class TestImmutableSharing:
             UnOp("sqrt", ScalarVar("x")), VBinOp("mul", v, v),
             VReduceAdd(v), VExtract(v, 1), VBlend(v, VZero(), 0b0101),
             VPermute2f128(v, v, 0x21), VUnpack(v, v, True),
-        ] + self._statements()
+        ] + cls._statements()
+
+    def test_every_node_field_lives_in_the_instance_dict(self):
+        # transform.py rebuilds a node by setting each dataclass field on
+        # an ``object.__new__`` shell, which is only
+        # ``dataclasses.replace`` if every field is an init field and the
+        # instance dict holds exactly the fields.
+        samples = self._samples()
         node_classes = {
             cls for cls in vars(nodes).values()
             if isinstance(cls, type) and issubclass(cls, (nodes.CExpr,
@@ -439,6 +445,69 @@ class TestImmutableSharing:
             assert set(vars(node)) == {field.name for field in fields}, \
                 type(node)
             assert type(node)(**vars(node)) == node
+
+    @staticmethod
+    def _assert_alike(fast, built):
+        """``fast`` equals, hashes, reprs and pickles like ``built``."""
+        assert type(fast) is type(built)
+        assert fast == built and built == fast
+        assert list(vars(fast)) == list(vars(built))
+        try:
+            expected = hash(built)
+        except TypeError:       # a For or If holds lists
+            with pytest.raises(TypeError):
+                hash(fast)
+        else:
+            assert hash(fast) == expected
+        assert repr(fast) == repr(built)
+        assert pickle.dumps(fast) == pickle.dumps(built)
+
+    def test_a_rebuilt_node_is_like_a_constructed_one(self):
+        from repro.cir.transform import _rebuild
+
+        def changed(value):
+            if isinstance(value, nodes.CExpr):
+                return FloatConst(7.0)
+            if isinstance(value, Affine):
+                return value + 1
+            if isinstance(value, tuple) and value \
+                    and isinstance(value[0], nodes.CExpr):
+                return value[::-1]
+            if isinstance(value, list):
+                return [Comment("changed")]
+            return value
+
+        for node in self._samples():
+            state = vars(node)
+            changes = {name: changed(value) for name, value in state.items()
+                       if changed(value) is not value}
+            if not changes:     # a leaf: rebuild it with its own first field
+                name = next(iter(state))
+                changes = {name: state[name]}
+            built = type(node)(**{**state, **changes})
+            self._assert_alike(_rebuild(node, changes), built)
+            self._assert_alike(_rebuild(built, {}), built)
+
+    def test_a_fast_affine_is_like_a_constructed_one(self):
+        terms = (("i", 2), ("j", -1))
+        self._assert_alike(nodes._affine(terms, 3), Affine(terms, 3))
+        self._assert_alike(nodes._affine((), 0), Affine())
+        i, j = Affine.var("i", 2), Affine.var("j", -1)
+        self._assert_alike(i, Affine((("i", 2),), 0))
+        self._assert_alike(Affine.var("i", 0), Affine((), 0))
+        self._assert_alike(Affine.constant(5), Affine((), 5))
+        self._assert_alike(i + j + 3, Affine(terms, 3))
+        self._assert_alike(i + 3, Affine((("i", 2),), 3))
+        self._assert_alike(Affine.constant(3) + i, Affine((("i", 2),), 3))
+        self._assert_alike((i + j + 3).scaled(2),
+                           Affine((("i", 4), ("j", -2)), 6))
+        self._assert_alike(i.scaled(0), Affine((), 0))
+        self._assert_alike((i + j + 3).substitute({"i": 1}),
+                           Affine((("j", -1),), 5))
+        self._assert_alike((i + j).substitute({"i": 1, "j": 4}),
+                           Affine((), -2))
+        unbound = i + j
+        assert unbound.substitute({"k": 1}) is unbound
 
     def test_identity_map_returns_the_same_tree(self):
         buf = Buffer("A", 4, 4, "in")
