@@ -9,11 +9,10 @@ history: lowering is keyed by a digest of the rewritten program it
 lowers and optimization by the key of the lowering it optimizes (a
 lowering is a pure function of its key), so two algorithmic variants
 that synthesize the same basic program share one lowering, one pass
-pipeline and one score.  The
-partition below is the correctness contract of the whole cache: an
-option axis leaking *out* of its phase key would let two requests that
-generate different code collide on one cached artifact -- a wrong-code
-bug.  ``tests/test_pipeline.py`` asserts the partition covers every
+pipeline and one score.  The partition below is the correctness
+contract of the whole cache: an option axis leaking *out* of its phase
+key would let two requests that generate different code collide on one
+cached artifact -- a wrong-code bug.  ``tests/test_pipeline.py`` asserts the partition covers every
 :class:`~repro.slingen.options.Options` field exactly once.
 
 Resolution notes (why the raw field lives where it does):
