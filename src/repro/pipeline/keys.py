@@ -237,14 +237,18 @@ def machine_digest(machine: MicroArchitecture) -> str:
 
 
 def stage1_key(program: Program, block_size: int,
-               variant_choices: Mapping[int, str]) -> str:
+               variant_choices: Mapping[int, str],
+               program_text: Optional[str] = None) -> str:
     """Key of one Stage-1 synthesis: (program, resolved block size,
-    algorithmic variant choices)."""
-    from ..service.keys import canonical_program
+    algorithmic variant choices).  ``program_text`` is
+    ``canonical_program(program)`` when the caller already has it."""
+    if program_text is None:
+        from ..service.keys import canonical_program
+        program_text = canonical_program(program)
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "stage1",
-        "program": canonical_program(program),
+        "program": program_text,
         "block_size": int(block_size),
         "variant_choices": sorted(
             (int(index), str(variant))

@@ -79,10 +79,12 @@ def stage1(program: Program, block_size: int,
            variant_choices: Mapping[int, str],
            cache: Optional[PhaseCache] = None,
            timings: Optional[PhaseTimings] = None,
-           analysis: str = "off") -> Stage1Artifact:
-    """Synthesize (or recall) the basic program for one variant choice."""
+           analysis: str = "off",
+           program_text: Optional[str] = None) -> Stage1Artifact:
+    """Synthesize (or recall) the basic program for one variant choice;
+    ``program_text`` as for :func:`~repro.pipeline.keys.stage1_key`."""
     started = time.perf_counter()
-    key = stage1_key(program, block_size, variant_choices)
+    key = stage1_key(program, block_size, variant_choices, program_text)
     artifact = cache.get("stage1", key) if cache is not None else None
     if artifact is not None:
         _finish(timings, "stage1", started, hit=True)

@@ -243,7 +243,8 @@ def build_candidate(program: Program, options: Options,
                     nominal_flops: Optional[float],
                     machine_key: str,
                     cache: Optional[PhaseCache] = None,
-                    timings: Optional[PhaseTimings] = None) -> Candidate:
+                    timings: Optional[PhaseTimings] = None,
+                    program_text: Optional[str] = None) -> Candidate:
     """Run Stages 1-3 for one (algorithmic, code-generation) variant pair
     and score the result on the machine model.
 
@@ -252,7 +253,9 @@ def build_candidate(program: Program, options: Options,
     call it.  ``block_size`` is the options default; a ``codegen`` with an
     explicit ``block_size`` overrides it for Stage-1 synthesis.
     ``machine_key`` is :func:`~repro.pipeline.keys.machine_digest` of
-    ``machine``, computed once per search.
+    ``machine``, and ``program_text``
+    :func:`~repro.service.keys.canonical_program` of ``program``, both
+    computed once per search.
 
     The stages run as the five memoized drivers of
     :mod:`repro.pipeline.phases`, each keyed by a digest of what it
@@ -265,7 +268,8 @@ def build_candidate(program: Program, options: Options,
     analysis = options.analysis
     stage1_art = pipeline_phases.stage1(
         program, codegen.block_size or block_size, variant_choices,
-        cache=cache, timings=timings, analysis=analysis)
+        cache=cache, timings=timings, analysis=analysis,
+        program_text=program_text)
     rewritten = pipeline_phases.rewrite(
         stage1_art, options.rewrite_rules, options.verified_rewrites,
         cache=cache, timings=timings, analysis=analysis)
@@ -341,6 +345,8 @@ class CandidateBuilder:
         self.timings = timings if timings is not None else PhaseTimings()
         self.block_size = options.effective_block_size
         self.machine_key = machine_digest(machine)
+        from ..service.keys import canonical_program
+        self.program_text = canonical_program(program)
         self.built: List[Candidate] = []
         self._memo: Dict[Tuple[int, int], Candidate] = {}
         self._lock = threading.Lock()
@@ -365,7 +371,8 @@ class CandidateBuilder:
                     self.stage1_choices[point.stage1],
                     self.codegen_variants[point.codegen],
                     self.block_size, self.nominal_flops, self.machine_key,
-                    cache=self.phase_cache, timings=self.timings)
+                    cache=self.phase_cache, timings=self.timings,
+                    program_text=self.program_text)
                 self._memo[key] = found
                 self.built.append(found)
         return found

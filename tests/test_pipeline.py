@@ -287,6 +287,34 @@ class TestCrossVariantReuse:
         assert phases["rewrite"]["misses"] == 1
         assert phases["optimize"]["misses"] == 3
 
+    def test_a_cold_build_renders_its_program_once(self, monkeypatch):
+        from repro.pipeline import phases
+        from repro.service import keys as service_keys
+        case = make_case("potrf:8")
+        rendered, stage1_keys = [], []
+        canonical, stage1 = service_keys.canonical_program, phases.stage1
+
+        def counting_canonical(program):
+            rendered.append(program.name)
+            return canonical(program)
+
+        def recording_stage1(program, block_size, variant_choices, **kw):
+            artifact = stage1(program, block_size, variant_choices, **kw)
+            stage1_keys.append((artifact.key, block_size,
+                                dict(variant_choices)))
+            return artifact
+
+        monkeypatch.setattr(service_keys, "canonical_program",
+                            counting_canonical)
+        monkeypatch.setattr(phases, "stage1", recording_stage1)
+        SLinGen(Options(), phase_cache=PhaseCache()).generate_result(
+            case.program, nominal_flops=case.nominal_flops)
+        monkeypatch.undo()
+        assert rendered == [case.program.name]
+        assert len(stage1_keys) > 1
+        for key, block_size, choices in stage1_keys:
+            assert key == keys.stage1_key(case.program, block_size, choices)
+
     def test_builder_memo_is_thread_safe(self):
         case = make_case()
         builder = CandidateBuilder(case.program,
