@@ -19,10 +19,11 @@ the escape hatch whenever the generator's semantics change.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..ir.expr import Const, Expr, Ref, _Binary, _Unary
 from ..ir.operands import Operand, View
@@ -199,3 +200,52 @@ def cache_key(program: Union[Program, str],
                               constants=constants)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class RequestKeys:
+    """The keys of one request whose program, machine and nominal flop
+    count never change: its :func:`cache_key` and the *(program, machine,
+    vectorize)* key under which the tuning DB and the fix bank file it
+    (:func:`repro.tuning.db.tuning_key`, which
+    :func:`repro.cegis.fixbank.fixbank_key` is by definition).
+
+    The lookup key is computed once per ``vectorize`` value.  The cache
+    key is reused only while the effective options compare equal, by
+    value, to a deep copy of the options it was computed from:
+    ``Options`` is a mutable dataclass, so a caller that mutates the
+    object it passes gets a fresh key, and a tuning record that changes
+    the effective options does too.  Nothing here can see the *program*
+    change, so keep an instance only where nothing mutates it (the HTTP
+    server's request memo builds each program itself and never hands it
+    out).  Threads may share an instance: each memo changes by a single
+    assignment, and a race only computes a key twice.
+    """
+
+    def __init__(self, program: Program, machine: MicroArchitecture,
+                 nominal_flops: Optional[float] = None):
+        self.program = program
+        self.machine = machine
+        self.nominal_flops = nominal_flops
+        self._lookup: Dict[bool, str] = {}
+        self._keyed: Optional[Tuple[Options, str]] = None
+
+    def lookup_key(self, vectorize: bool) -> str:
+        """The tuning-DB and fix-bank key of the request."""
+        vectorize = bool(vectorize)
+        key = self._lookup.get(vectorize)
+        if key is None:
+            from ..tuning.db import tuning_key
+            key = tuning_key(self.program, self.machine, vectorize=vectorize)
+            self._lookup[vectorize] = key
+        return key
+
+    def cache_key(self, options: Options) -> str:
+        """``cache_key(program, options, machine, nominal_flops)``."""
+        keyed = self._keyed
+        if keyed is not None and keyed[0] == options:
+            return keyed[1]
+        snapshot = copy.deepcopy(options)
+        key = cache_key(self.program, snapshot, self.machine,
+                        nominal_flops=self.nominal_flops)
+        self._keyed = (snapshot, key)
+        return key

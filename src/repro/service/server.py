@@ -26,16 +26,23 @@ does.  Endpoints:
     Executes the kernel and returns the outputs as nested lists.
 
 Repeated requests skip the per-request preparation: each server keeps
-the :class:`GenerationRequest` every distinct body resolves to (up to
+the :class:`GenerationRequest` every distinct body resolves to, with its
+:class:`~repro.service.keys.RequestKeys` (up to
 :data:`REQUEST_MEMO_ENTRIES`, keyed by exactly the body fields that
-address the program) and the loaded executor per content key and
+address the program), and the loaded executor per content key and
 backend (up to :data:`EXECUTOR_MEMO_ENTRIES`), both LRU under one lock.
 A hit thus neither re-parses LA source nor reloads its kernel, and a
 ``/run`` that supplies every input operand synthesizes none.
 ``KernelService.generate`` still answers every request, so tuned and
-verified lookups, the stats and the store's recency see each one.  A
-content key names one kernel's code, so a kept executor never serves
-another key's.
+verified lookups, the stats and the store's recency see each one.  Only
+the keys are reused: the tuning-DB/fix-bank lookup key always (it
+depends on the program, the machine and ``vectorize`` alone), and the
+content key while the request's effective options compare equal to a
+copy of those it was computed from -- a tuning record written since, or
+new fix-bank rewrites, change the options and so re-key.  Nothing
+outside the server sees a memoized request, so its program never
+changes.  A content key names one kernel's code, so a kept executor
+never serves another key's.
 
 Concurrency: every connection is handled on its own thread; identical
 concurrent ``/generate`` misses coalesce into one pipeline run via the
@@ -62,12 +69,13 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import ReproError, ServiceError
 from ..ioutil import LruMap
+from .keys import RequestKeys
 from .service import GenerationRequest, KernelService, ServiceResponse
 
 #: Largest accepted request body; a generation request is a few KB of LA
@@ -83,8 +91,9 @@ IDLE_TIMEOUT_S = 30.0
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8177
 
-#: Distinct program-addressing bodies whose resolved request one server
-#: keeps, and executors it keeps loaded per (content key, backend).
+#: Distinct program-addressing bodies whose resolved request (and its
+#: keys) one server keeps, and executors it keeps loaded per (content
+#: key, backend).
 REQUEST_MEMO_ENTRIES = 256
 EXECUTOR_MEMO_ENTRIES = 64
 
@@ -353,8 +362,8 @@ class KernelServer:
         self.rejected = 0
         self._admission = threading.BoundedSemaphore(max_inflight)
         self._reject_lock = threading.Lock()
-        self._requests: LruMap[GenerationRequest] = LruMap(
-            REQUEST_MEMO_ENTRIES)
+        self._requests: LruMap[Tuple[GenerationRequest, RequestKeys]] = \
+            LruMap(REQUEST_MEMO_ENTRIES)
         self._executors: LruMap[object] = LruMap(EXECUTOR_MEMO_ENTRIES)
         self._memo_lock = threading.Lock()
         if listen_socket is not None:
@@ -453,18 +462,20 @@ class KernelServer:
 
     def _generate(self, doc: Dict[str, object]) -> ServiceResponse:
         """Answer the body's program through the service.  The request a
-        body resolves to is memoized once the service has answered it, so
-        a malformed or failing body is resolved afresh every time."""
+        body resolves to, with its keys, is memoized once the service has
+        answered it, so a malformed or failing body is resolved afresh
+        every time."""
         memo_key = _request_memo_key(doc)
         with self._memo_lock:
-            request = self._requests.get(memo_key)
-        if request is not None:
-            return self.service.generate(request)
+            memo = self._requests.get(memo_key)
+        if memo is not None:
+            return self.service.generate(*memo)
         request = _request_from_body(
             doc, _effective_request_options(self.service, doc))
-        response = self.service.generate(request)
+        keys = self.service.request_keys(request)
+        response = self.service.generate(request, keys)
         with self._memo_lock:
-            self._requests.insert(memo_key, request)
+            self._requests.insert(memo_key, (request, keys))
         return response
 
     def _executor(self, response: ServiceResponse, backend: str):

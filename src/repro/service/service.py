@@ -31,7 +31,7 @@ from ..ir.program import Program
 from ..machine.microarch import MicroArchitecture, default_machine
 from ..slingen.generator import GenerationResult, SLinGen
 from ..slingen.options import Options
-from .keys import cache_key
+from .keys import RequestKeys
 from .store import DiskKernelStore, KernelStore
 
 
@@ -358,11 +358,25 @@ class KernelService:
             request = GenerationRequest(program=request, label=request.name)
         return request
 
-    def _effective_options(self, request: GenerationRequest
-                           ) -> "tuple[Options, bool, bool]":
-        """The options this request generates with, plus whether they came
-        from the tuning database and whether banked verified rewrites were
-        applied.
+    def request_keys(self, request: Union[GenerationRequest, Program]
+                     ) -> RequestKeys:
+        """A :class:`~repro.service.keys.RequestKeys` for ``request`` on
+        this service's machine, to pass back with the same request to
+        :meth:`generate` or :meth:`request_key`.  It reuses the request's
+        keys across calls, so keep it only while nothing mutates the
+        request's program or ``nominal_flops``."""
+        request = self._coerce(request)
+        return RequestKeys(request.program, self.machine,
+                           request.nominal_flops)
+
+    def _resolve(self, request: GenerationRequest,
+                 keys: Optional[RequestKeys]
+                 ) -> "tuple[Options, bool, bool, str]":
+        """The options this request generates with, whether they came from
+        the tuning database, whether banked verified rewrites were
+        applied, and the content key.  The tuning DB and the fix bank are
+        asked on every call; ``keys`` (fresh ones when None) supplies
+        their lookup key and the content key.
 
         Tuned options and banked rewrites participate in content
         addressing exactly like user-supplied ones (the key is computed
@@ -370,51 +384,49 @@ class KernelService:
         requests for the same program are distinct cache entries and
         results stay a pure function of the key.
         """
+        if keys is None:
+            keys = self.request_keys(request)
         options = (request.options or self.options).validate()
         tuned = False
         if self.tuning_db is not None:
-            from ..tuning.db import tuning_key
             best = self.tuning_db.best_options(
-                tuning_key(request.program, self.machine,
-                           vectorize=options.vectorize), base=options)
+                keys.lookup_key(options.vectorize), base=options)
             if best is not None:
                 options = best.validate()
                 tuned = True
         verified = False
         if self.fix_bank is not None:
-            from ..cegis.fixbank import fixbank_key
             banked = self.fix_bank.verified_options(
-                fixbank_key(request.program, self.machine,
-                            vectorize=options.vectorize), base=options)
+                keys.lookup_key(options.vectorize), base=options)
             if banked is not None and banked.verified_rewrites:
                 options = banked.validate()
                 verified = True
         if self.analysis is not None and options.analysis != self.analysis:
             options = replace(options, analysis=self.analysis)
-        return options, tuned, verified
+        return options, tuned, verified, keys.cache_key(options)
 
-    def request_key(self, request: Union[GenerationRequest, Program]) -> str:
-        """The content key this request resolves to (no generation)."""
-        request = self._coerce(request)
-        options, _, _ = self._effective_options(request)
-        return cache_key(request.program, options, self.machine,
-                         nominal_flops=request.nominal_flops)
+    def request_key(self, request: Union[GenerationRequest, Program],
+                    keys: Optional[RequestKeys] = None) -> str:
+        """The content key this request resolves to (no generation);
+        ``keys`` as for :meth:`generate`."""
+        return self._resolve(self._coerce(request), keys)[3]
 
     # -- single requests -----------------------------------------------------
 
-    def generate(self, request: Union[GenerationRequest, Program]
-                 ) -> ServiceResponse:
+    def generate(self, request: Union[GenerationRequest, Program],
+                 keys: Optional[RequestKeys] = None) -> ServiceResponse:
         """Answer one request, from the store when possible.
 
         Thread-safe.  Concurrent misses for the same content key coalesce
         into a single pipeline run (see the module docstring); the
-        followers' responses carry ``coalesced=True``.
+        followers' responses carry ``coalesced=True``.  ``keys``, from
+        :meth:`request_keys` for this same request, reuses its content
+        key while its effective options stay equal; without it the keys
+        are computed afresh.
         """
         request = self._coerce(request)
         started = time.perf_counter()
-        options, tuned, verified = self._effective_options(request)
-        key = cache_key(request.program, options, self.machine,
-                        nominal_flops=request.nominal_flops)
+        options, tuned, verified, key = self._resolve(request, keys)
         result = self.store.get(key)
         hit = result is not None
         coalesced = False
@@ -522,12 +534,10 @@ class KernelService:
         pending: Dict[str, List[int]] = {}
         for idx, request in enumerate(coerced):
             started[idx] = time.perf_counter()
-            options, tuned, verified = self._effective_options(request)
+            options, tuned, verified, key = self._resolve(request, None)
             effective.append(options)
             tuned_flags.append(tuned)
             verified_flags.append(verified)
-            key = cache_key(request.program, options, self.machine,
-                            nominal_flops=request.nominal_flops)
             keys.append(key)
             result = self.store.get(key)
             resolved.append(result)

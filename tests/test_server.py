@@ -602,6 +602,69 @@ class TestHotPath:
         _assert_matches_reference(answers[0]["outputs"], expected, checked)
         assert (len(server._requests), len(server._executors)) == (1, 2)
 
+    def test_repeated_hits_compute_the_content_key_once(
+            self, server, client, monkeypatch):
+        from repro.service import cache_key as fresh_key
+        from repro.service import keys as keys_mod
+        calls = []
+        monkeypatch.setattr(
+            keys_mod, "cache_key",
+            lambda *a, **k: calls.append(a) or fresh_key(*a, **k))
+        answers = [client.generate(spec="potrf:4", include_code=False)
+                   for _ in range(20)]
+        answers += [client.run(spec="potrf:4", backend="numpy")
+                    for _ in range(20)]
+        assert len(calls) == 1
+        assert sum(doc["cache_hit"] for doc in answers) == 39
+        request, _ = server._requests.get(
+            server_module._request_memo_key({"spec": "potrf:4"}))
+        assert {doc["key"] for doc in answers} == {fresh_key(
+            request.program, server.service.options, server.service.machine,
+            nominal_flops=request.nominal_flops)}
+
+    def test_mutating_a_memoized_requests_options_rekeys(self, server,
+                                                         client):
+        from repro.service import cache_key
+        body = {"spec": "potrf:4", "scalar": True, "include_code": False}
+        first = client.generate(**body)
+        assert client.generate(**body)["cache_hit"]
+        request, _ = server._requests.get(
+            server_module._request_memo_key(body))
+        request.options.unroll_trip_count = 4
+        mutated = client.generate(**body)
+        assert not mutated["cache_hit"] and mutated["key"] != first["key"]
+        assert mutated["key"] == cache_key(
+            request.program, request.options, server.service.machine,
+            nominal_flops=request.nominal_flops)
+
+    def test_a_tuning_record_written_after_a_hit_is_served(self, tmp_path):
+        from repro.service import cache_key, make_request
+        from repro.tuning import TuningDB, TuningRecord, tuning_key
+        db = TuningDB(root=str(tmp_path / "tuning"))
+        service = KernelService(store=MemoryKernelStore(), options=_options(),
+                                tuning_db=db)
+        with KernelServer(service, port=0, quiet=True) as live, \
+                ServiceClient(live.url, timeout=60.0) as client:
+            client.generate(spec="potrf:4", include_code=False)
+            plain = client.run(spec="potrf:4", backend="numpy")
+            assert plain["cache_hit"] and not plain["tuned"]
+            program = make_request("potrf:4").program
+            record = TuningRecord(
+                key="", program_name=program.name, label="potrf:4",
+                strategy="exhaustive", backend="model", unit="cycles",
+                budget=1, seed=0, evaluations=1, best_label="v0",
+                best_score=1.0, baseline_score=1.0,
+                options={"unroll_trip_count": 4}, stage1_variants={})
+            db.put(tuning_key(program, service.machine), record)
+            tuned = client.run(spec="potrf:4", backend="numpy")
+            assert tuned["tuned"] and tuned["key"] != plain["key"]
+            assert tuned["key"] == cache_key(
+                program, record.apply(_options()), service.machine,
+                nominal_flops=make_request("potrf:4").nominal_flops)
+            again = client.generate(spec="potrf:4", include_code=False)
+            assert again["cache_hit"] and again["tuned"]
+            assert again["key"] == tuned["key"]
+
     def test_bodies_differing_in_name_constants_or_scalar_stay_apart(
             self, server, client, parses):
         base = {"source": _GEMV, "constants": {"n": 4}, "name": "gemv_a"}

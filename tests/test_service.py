@@ -519,6 +519,93 @@ class TestStatsAccounting:
         assert service.stats.errors == 2
 
 
+class TestRequestKeys:
+    """``KernelService.request_keys`` reuses a request's keys across
+    calls; every reused key must be the one computed afresh."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_memoized_keys_equal_fresh_ones(self, name):
+        from repro.cegis import fixbank_key
+        from repro.tuning import tuning_key
+        service = KernelService(store=MemoryKernelStore(), options=_options())
+        machine = service.machine
+        for size in (4, 8):
+            request = make_request(f"{name}:{size}", options=_options())
+            keys = service.request_keys(request)
+            fresh = cache_key(request.program, _options(), machine,
+                              nominal_flops=request.nominal_flops)
+            assert [service.request_key(request, keys)
+                    for _ in range(3)] == [fresh] * 3
+            for vectorize in (True, False):
+                assert keys.lookup_key(vectorize) \
+                    == tuning_key(request.program, machine,
+                                  vectorize=vectorize) \
+                    == fixbank_key(request.program, machine,
+                                   vectorize=vectorize)
+
+    def test_repeated_hits_compute_the_key_once(self, monkeypatch):
+        from repro.service import keys as keys_mod
+        calls = []
+        real = keys_mod.cache_key
+        monkeypatch.setattr(keys_mod, "cache_key",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        service = KernelService(store=MemoryKernelStore(), options=_options())
+        request = make_request("potrf:4")
+        keys = service.request_keys(request)
+        responses = [service.generate(request, keys) for _ in range(10)]
+        assert len(calls) == 1
+        assert sum(r.cache_hit for r in responses) == 9
+        assert len({r.key for r in responses}) == 1
+
+    def test_mutated_options_give_the_new_key(self):
+        service = KernelService(store=MemoryKernelStore(), options=_options())
+        request = make_request("potrf:4", options=_options())
+        keys = service.request_keys(request)
+        first = service.generate(request, keys)
+        assert service.generate(request, keys).cache_hit
+        request.options.unroll_trip_count = 4
+        mutated = service.generate(request, keys)
+        assert not mutated.cache_hit
+        assert mutated.key != first.key
+        assert mutated.key == cache_key(
+            request.program, request.options, service.machine,
+            nominal_flops=request.nominal_flops)
+        # In-place edits of a field's container count too.
+        request.options.stage1_variants = {}
+        pinned = service.request_key(request, keys)
+        request.options.stage1_variants[0] = "unblocked"
+        assert service.request_key(request, keys) != pinned
+        assert service.request_key(request, keys) == cache_key(
+            request.program, request.options, service.machine,
+            nominal_flops=request.nominal_flops)
+
+    def test_a_tuning_record_written_after_a_hit_is_used(self, tmp_path):
+        from repro.tuning import TuningDB, tuning_key
+        from repro.tuning.db import TuningRecord
+        db = TuningDB(root=str(tmp_path / "tuning"))
+        service = KernelService(store=MemoryKernelStore(), options=_options(),
+                                tuning_db=db)
+        request = make_request("potrf:4")
+        keys = service.request_keys(request)
+        service.generate(request, keys)
+        plain = service.generate(request, keys)
+        assert plain.cache_hit and not plain.tuned
+        record = TuningRecord(
+            key="", program_name=request.program.name, label="potrf:4",
+            strategy="exhaustive", backend="model", unit="cycles",
+            budget=1, seed=0, evaluations=1, best_label="v0",
+            best_score=1.0, baseline_score=1.0,
+            options={"unroll_trip_count": 4}, stage1_variants={})
+        db.put(tuning_key(request.program, service.machine), record)
+        tuned = service.generate(request, keys)
+        assert tuned.tuned and tuned.key != plain.key
+        assert tuned.key == cache_key(
+            request.program, record.apply(_options()), service.machine,
+            nominal_flops=request.nominal_flops)
+        again = service.generate(request, keys)
+        assert again.cache_hit and again.tuned and again.key == tuned.key
+
+
 # ---------------------------------------------------------------------------
 # Single-flight coalescing (concurrent generate() races)
 # ---------------------------------------------------------------------------
