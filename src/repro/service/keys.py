@@ -231,7 +231,6 @@ class RequestKeys:
 
     def lookup_key(self, vectorize: bool) -> str:
         """The tuning-DB and fix-bank key of the request."""
-        vectorize = bool(vectorize)
         key = self._lookup.get(vectorize)
         if key is None:
             from ..tuning.db import tuning_key
