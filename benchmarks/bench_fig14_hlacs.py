@@ -1,67 +1,48 @@
 """Figure 14: HLAC benchmarks (potrf, trsyl, trlya, trtri).
 
-Each test regenerates one subplot: SLinGen-generated code vs. MKL,
-ReLAPACK, (RECSY for trsyl), Eigen, icc, clang+Polly and Cl1ck+MKL over a
-size sweep, reporting performance in flops/cycle.  The expected *shape*
-(asserted here) is the paper's: SLinGen-generated single-source code wins
-against both library-call-based and straightforward-C implementations, by
-factors comparable to those reported in the paper.
+Each test regenerates one subplot's SLinGen series over a size sweep, in
+flops/cycle.  The values are the machine model's roofline estimate of the
+generated code, and the table's one column is labelled ``slingen (model)``.
+The paper's measured library columns (MKL, ReLAPACK, RECSY, Eigen, icc,
+clang+Polly, Cl1ck+MKL) have no counterpart here: none of those libraries
+is on the host.
 """
 
 import pytest
 
-from conftest import write_series
+from conftest import check_modeled_series, write_series
 from repro.bench import generator_options, hlac_sizes, run_series
 
 
-def _run(case_name, benchmark, results_dir, service, baselines=None):
+def _run(case_name, benchmark, results_dir, service):
     sizes = hlac_sizes()
 
     def build():
         return run_series(case_name, sizes, options=generator_options(),
-                          validate=False, baselines=baselines,
                           service=service)
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)
     table = series.format_table()
     write_series(results_dir, f"fig14_{case_name}", table)
     print("\n" + table)
-    return series
+    check_modeled_series(series, sizes)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14a_potrf(benchmark, results_dir, kernel_service):
-    series = _run("potrf", benchmark, results_dir, kernel_service)
-    largest = series.points[-1].performance
-    # SLinGen beats MKL, Eigen and straightforward C (paper: ~2x, ~3.8x, ~4.2x).
-    assert largest["slingen"] > largest["mkl"]
-    assert largest["slingen"] > largest["eigen"]
-    assert largest["slingen"] > 1.5 * largest["icc"]
-    # Cl1ck+MKL tracks MKL (library-call bound), staying below SLinGen.
-    assert largest["slingen"] > largest["cl1ck-mkl-nb4"]
+    _run("potrf", benchmark, results_dir, kernel_service)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14b_trsyl(benchmark, results_dir, kernel_service):
-    series = _run("trsyl", benchmark, results_dir, kernel_service)
-    largest = series.points[-1].performance
-    assert largest["slingen"] > largest["mkl"]
-    assert largest["slingen"] > largest["recsy"]
-    assert largest["slingen"] > largest["icc"]
+    _run("trsyl", benchmark, results_dir, kernel_service)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14c_trlya(benchmark, results_dir, kernel_service):
-    series = _run("trlya", benchmark, results_dir, kernel_service)
-    largest = series.points[-1].performance
-    assert largest["slingen"] > largest["mkl"]
-    assert largest["slingen"] > largest["icc"]
+    _run("trlya", benchmark, results_dir, kernel_service)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14d_trtri(benchmark, results_dir, kernel_service):
-    series = _run("trtri", benchmark, results_dir, kernel_service)
-    largest = series.points[-1].performance
-    assert largest["slingen"] > largest["mkl"]
-    assert largest["slingen"] > largest["eigen"]
-    assert largest["slingen"] > largest["clang-polly"]
+    _run("trtri", benchmark, results_dir, kernel_service)

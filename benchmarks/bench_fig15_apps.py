@@ -1,65 +1,49 @@
-"""Figure 15: application benchmarks (Kalman filter, kf-28, GPR, L1-analysis)."""
+"""Figure 15: application benchmarks (Kalman filter, kf-28, GPR, L1-analysis).
+
+Each test regenerates one subplot's SLinGen series over a size sweep, in
+flops/cycle.  The values are the machine model's roofline estimate of the
+generated code, and the table's one column is labelled ``slingen (model)``.
+The paper's measured MKL, Eigen and icc columns have no counterpart here:
+none of those is on the host.
+"""
 
 import pytest
 
-from conftest import write_series
+from conftest import check_modeled_series, write_series
 from repro.applications import kf_case
 from repro.bench import (application_sizes, generator_options,
                          kf28_observation_sizes, run_series)
 
 
 def _run(case_name, benchmark, results_dir, service, sizes,
-         case_factory=None, baselines=None):
+         case_factory=None):
     def build():
         return run_series(case_name, sizes, case_factory=case_factory,
-                          options=generator_options(), validate=False,
-                          baselines=baselines, service=service)
+                          options=generator_options(), service=service)
 
     series = benchmark.pedantic(build, rounds=1, iterations=1)
     table = series.format_table()
     write_series(results_dir, f"fig15_{case_name.replace('-', '_')}", table)
     print("\n" + table)
-    return series
+    check_modeled_series(series, sizes)
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15a_kf(benchmark, results_dir, kernel_service):
-    series = _run("kf", benchmark, results_dir, kernel_service,
-                  application_sizes())
-    largest = series.points[-1].performance
-    # Paper: SLinGen ~1.4x MKL, ~3x Eigen, ~4x icc on average; gaps are larger
-    # at the small sizes typical for Kalman filters.
-    assert largest["slingen"] > largest["mkl"]
-    assert largest["slingen"] > largest["eigen"]
-    assert largest["slingen"] > largest["icc"]
-    smallest = series.points[0].performance
-    assert smallest["slingen"] > smallest["mkl"]
+    _run("kf", benchmark, results_dir, kernel_service, application_sizes())
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15b_kf28(benchmark, results_dir, kernel_service):
-    series = _run("kf-28", benchmark, results_dir, kernel_service,
-                  kf28_observation_sizes(),
-                  case_factory=lambda k: kf_case(28, k))
-    largest = series.points[-1].performance
-    assert largest["slingen"] > largest["mkl"]
+    _run("kf-28", benchmark, results_dir, kernel_service,
+         kf28_observation_sizes(), case_factory=lambda k: kf_case(28, k))
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15c_gpr(benchmark, results_dir, kernel_service):
-    series = _run("gpr", benchmark, results_dir, kernel_service,
-                  application_sizes())
-    largest = series.points[-1].performance
-    # Paper: roughly on par with MKL, ~1.7x over icc and Eigen.
-    assert largest["slingen"] > largest["icc"]
-    assert largest["slingen"] > 0.5 * largest["mkl"]
+    _run("gpr", benchmark, results_dir, kernel_service, application_sizes())
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15d_l1a(benchmark, results_dir, kernel_service):
-    series = _run("l1a", benchmark, results_dir, kernel_service,
-                  application_sizes())
-    largest = series.points[-1].performance
-    # Paper: ~1.6x MKL, ~1.3x Eigen, ~1.5x icc.
-    assert largest["slingen"] > largest["icc"]
-    assert largest["slingen"] > largest["mkl"]
+    _run("l1a", benchmark, results_dir, kernel_service, application_sizes())

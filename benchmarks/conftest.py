@@ -1,11 +1,12 @@
 """Shared fixtures for the benchmark suite (one target per paper figure/table).
 
 Each benchmark regenerates one figure/table of the paper's evaluation and
-writes the resulting series table to ``results/<name>.txt`` (flops/cycle vs.
-problem size for SLinGen and every baseline), in addition to the
-pytest-benchmark timing of the generator itself.
+writes the resulting table to ``results/<name>.txt`` (for the figures,
+the modeled flops/cycle of the generated code vs. problem size), in
+addition to the pytest-benchmark timing of the generator itself.
 """
 
+import math
 import os
 
 from _bootstrap import ensure_repro_importable
@@ -47,3 +48,11 @@ def write_series(results_dir: str, name: str, text: str) -> None:
     path = os.path.join(results_dir, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
+
+
+def check_modeled_series(series, sizes) -> None:
+    """A figure series covers ``sizes`` with a finite, positive f/c each."""
+    assert [point.size for point in series.points] == list(sizes)
+    for point in series.points:
+        assert math.isfinite(point.flops_per_cycle), point
+        assert point.flops_per_cycle > 0, point

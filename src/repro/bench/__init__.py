@@ -1,13 +1,11 @@
-"""Benchmark harness shared by the benchmarks/ directory and EXPERIMENTS.md."""
+"""Benchmark harness shared by the scripts in ``benchmarks/``."""
 
 from .harness import (Series, SeriesPoint, application_sizes,
-                      empirical_flops_per_cycle, full_sizes_requested,
-                      generator_options, hlac_sizes, kf28_observation_sizes,
-                      measure_kernel_seconds, measure_slingen, run_series)
+                      full_sizes_requested, generator_options, hlac_sizes,
+                      kf28_observation_sizes, measure_slingen, run_series)
 
 __all__ = [
-    "Series", "SeriesPoint", "application_sizes",
-    "empirical_flops_per_cycle", "full_sizes_requested",
+    "Series", "SeriesPoint", "application_sizes", "full_sizes_requested",
     "generator_options", "hlac_sizes", "kf28_observation_sizes",
-    "measure_kernel_seconds", "measure_slingen", "run_series",
+    "measure_slingen", "run_series",
 ]

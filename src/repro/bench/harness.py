@@ -1,10 +1,11 @@
-"""Benchmark harness: regenerates the rows/series of every figure and table.
+"""Benchmark harness: regenerates the series of the Fig. 14-15 tables.
 
 Each figure of the paper is a performance-vs-size plot (flops/cycle on the
-y-axis).  :func:`run_series` produces exactly that: for one benchmark case
-family and a list of sizes, it generates SLinGen code (measuring it with the
-machine model) and evaluates every baseline, returning a table that the
-benchmark scripts print in the same layout as the paper's plots.
+y-axis).  :func:`run_series` produces one series of it: for one benchmark
+case family and a list of sizes, it generates SLinGen code and reports the
+machine model's roofline estimate, in a table labelled as the model.  The
+paper's library columns (MKL, Eigen, icc, ...) were measured on its
+platform; none of those libraries is modeled here.
 
 Sizes default to a reduced grid so the full suite runs in minutes; set the
 environment variable ``REPRO_FULL_SIZES=1`` to use the paper's grid
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..applications.cases import BenchmarkCase, make_case
-from ..baselines.models import baseline_names, evaluate_baseline
 from ..machine.microarch import MicroArchitecture, default_machine
 from ..slingen.generator import SLinGen
 from ..slingen.options import Options
@@ -50,16 +50,17 @@ def kf28_observation_sizes() -> List[int]:
     return [4, 12, 20, 28]
 
 
+#: The one column of every figure table: the roofline estimate of the
+#: generated code, not a measurement.
+MODEL_COLUMN = "slingen (model)"
+
+
 @dataclass
 class SeriesPoint:
-    """Performance of every implementation at one problem size."""
+    """Modeled performance of the generated code at one problem size."""
 
     size: int
-    flops: float
-    performance: Dict[str, float]          # implementation -> flops/cycle
-    cycles: Dict[str, float]
-    bottleneck: str = ""
-    variant: str = ""
+    flops_per_cycle: float
     correct: Optional[bool] = None
 
 
@@ -70,40 +71,12 @@ class Series:
     name: str
     points: List[SeriesPoint] = field(default_factory=list)
 
-    def implementations(self) -> List[str]:
-        names: List[str] = []
-        for point in self.points:
-            for impl in point.performance:
-                if impl not in names:
-                    names.append(impl)
-        return names
-
-    def column(self, implementation: str) -> List[float]:
-        return [point.performance.get(implementation, float("nan"))
-                for point in self.points]
-
-    def speedup(self, over: str) -> List[float]:
-        """SLinGen speedup over a baseline at every size."""
-        values = []
-        for point in self.points:
-            ours = point.performance.get("slingen")
-            theirs = point.performance.get(over)
-            if ours and theirs:
-                values.append(ours / theirs)
-        return values
-
     def format_table(self) -> str:
         """Render the series as an aligned text table (paper-plot layout)."""
-        impls = self.implementations()
-        header = ["n"] + impls
-        rows = [header]
-        for point in self.points:
-            row = [str(point.size)]
-            for impl in impls:
-                value = point.performance.get(impl)
-                row.append(f"{value:.3f}" if value is not None else "-")
-            rows.append(row)
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        rows = [["n", MODEL_COLUMN]]
+        rows += [[str(point.size), f"{point.flops_per_cycle:.3f}"]
+                 for point in self.points]
+        widths = [max(len(row[i]) for row in rows) for i in range(2)]
         lines = [f"[{self.name}]  performance in flops/cycle vs. size"]
         for row in rows:
             lines.append("  ".join(cell.rjust(width)
@@ -117,61 +90,10 @@ def generator_options(vectorize: bool = True, autotune: bool = True,
                    max_variants=max_variants, annotate_code=False)
 
 
-def measure_kernel_seconds(generated, case: BenchmarkCase,
-                           executor: str = "numpy",
-                           repeats: int = 5, kernel=None) -> float:
-    """Median wall-clock seconds per call of a generated kernel.
-
-    ``executor`` names an execution backend (``"numpy"``, ``"compiled"``,
-    ``"interpreter"``, or ``"auto"``); the kernel runs on the case's own
-    input distribution so timings reflect realistic operand values.
-    ``kernel`` (an already-built executor kernel) skips the build, letting
-    callers time and validate with one artifact.
-    """
-    from ..timing import median_and_mad
-
-    if kernel is None:
-        kernel = generated.kernel(executor)
-    samples = kernel.time(case.make_inputs(seed=17), repeats=repeats)
-    median, _ = median_and_mad(samples)
-    return median
-
-
-def empirical_flops_per_cycle(seconds: float, flops: float,
-                              machine: MicroArchitecture) -> float:
-    """Measured performance in the figures' unit (flops/cycle), converting
-    wall-clock seconds at the machine model's nominal frequency."""
-    if seconds <= 0.0:
-        return float("nan")
-    return flops / (seconds * machine.frequency_ghz * 1e9)
-
-
-def _performance_and_kernel(generated, case: BenchmarkCase,
-                            executor: Optional[str],
-                            cache_key: Optional[str],
-                            machine: MicroArchitecture):
-    """The reported performance of one generated case, and the executor
-    kernel that produced it (None for the model path).
-
-    The single place the model-vs-measured switch lives: with no
-    ``executor`` (or ``"model"``) the roofline estimate is reported; a
-    backend name builds exactly one kernel -- content-addressed by the
-    service ``cache_key`` when available -- which timing and validation
-    then share.
-    """
-    if executor is None or executor == "model":
-        return generated.performance.flops_per_cycle, None
-    kernel = generated.kernel(executor, cache_key=cache_key)
-    seconds = measure_kernel_seconds(generated, case, kernel=kernel)
-    return empirical_flops_per_cycle(
-        seconds, case.nominal_flops, machine), kernel
-
-
 def measure_slingen(case: BenchmarkCase, options: Optional[Options] = None,
                     machine: Optional[MicroArchitecture] = None,
-                    validate: bool = False, service=None, tuner=None,
-                    executor: Optional[str] = None):
-    """Generate code for one case and return (result, f/c, correct?).
+                    validate: bool = False, service=None, tuner=None):
+    """Generate code for one case and return (result, modeled f/c, correct?).
 
     With a :class:`~repro.service.service.KernelService` as ``service``,
     generation goes through the persistent kernel cache (the service's
@@ -183,34 +105,23 @@ def measure_slingen(case: BenchmarkCase, options: Optional[Options] = None,
     and generation uses the tuned-best options, so a figure can report the
     model-picked and the measurement-picked kernel side by side.
 
-    ``executor`` switches the reported performance from the machine-model
-    estimate (the default, the paper's methodology) to an actual timed
-    execution on the named backend -- ``executor="numpy"`` produces the
-    figure series on machines with no C compiler.  Validation also runs
-    on that backend.
+    The reported f/c is the roofline estimate of the generated code.
     """
     if tuner is not None:
         _check_tuner_machine(tuner, service, machine)
         options = tuner.tuned_options_for_case(
             case, options or generator_options())
-    cache_key = None
     if service is not None:
         from ..service.service import GenerationRequest
-        response = service.generate(GenerationRequest.from_case(
-            case, options=options or generator_options()))
-        generated = response.result
-        cache_key = response.key
-        machine = service.machine
+        generated = service.generate(GenerationRequest.from_case(
+            case, options=options or generator_options())).result
     else:
-        machine = machine or default_machine()
-        generator = SLinGen(options or generator_options(), machine=machine)
+        generator = SLinGen(options or generator_options(),
+                            machine=machine or default_machine())
         generated = generator.generate_result(
             case.program, nominal_flops=case.nominal_flops)
-    performance, kernel = _performance_and_kernel(
-        generated, case, executor, cache_key, machine)
-    correct = check_case(case, generated, kernel=kernel) if validate \
-        else None
-    return generated, performance, correct
+    correct = check_case(case, generated) if validate else None
+    return generated, generated.performance.flops_per_cycle, correct
 
 
 def _check_tuner_machine(tuner, service, machine) -> None:
@@ -226,24 +137,16 @@ def _check_tuner_machine(tuner, service, machine) -> None:
             "construct the Autotuner with machine=service.machine")
 
 
-def check_case(case: BenchmarkCase, generated,
-               executor: Optional[str] = None, kernel=None) -> bool:
+def check_case(case: BenchmarkCase, generated, kernel=None) -> bool:
     """Run the generated kernel against the case's oracle.
 
-    ``executor`` picks the execution backend (default: the C-IR
-    interpreter, the reference semantics; ``"numpy"`` is an order of
-    magnitude faster and what the figure scripts use when validating
-    whole sweeps).  ``kernel`` (an already-built executor kernel) wins
-    over ``executor`` so a timing pass and a validation pass can share
-    one build.
+    The kernel runs on the C-IR interpreter, the reference semantics,
+    unless ``kernel`` (an already-built executor kernel) is given, so a
+    timing pass and a validation pass can share one build.
     """
     inputs = case.make_inputs(seed=17)
-    if kernel is not None:
-        outputs = kernel.run(inputs)
-    elif executor is None or executor in ("model", "interpreter"):
-        outputs = generated.run(inputs)
-    else:
-        outputs = generated.kernel(executor).run(inputs)
+    outputs = kernel.run(inputs) if kernel is not None \
+        else generated.run(inputs)
     expected = case.reference_outputs(inputs)
     correct = True
     for key, mode in case.checked_outputs.items():
@@ -260,65 +163,31 @@ def run_series(case_name: str, sizes: Sequence[int],
                case_factory: Optional[Callable[[int], BenchmarkCase]] = None,
                options: Optional[Options] = None,
                machine: Optional[MicroArchitecture] = None,
-               baselines: Optional[List[str]] = None,
-               validate: bool = False, service=None,
-               tuner=None, executor: Optional[str] = None) -> Series:
-    """Run one figure: SLinGen + all baselines over a size sweep.
+               validate: bool = False, service=None) -> Series:
+    """Run one figure: the modeled SLinGen series over a size sweep.
 
     ``service`` (a :class:`~repro.service.service.KernelService`) routes
     all generation through the kernel cache; misses for the whole sweep are
-    generated in parallel up front via :meth:`generate_many`.  ``tuner``
-    (an :class:`~repro.tuning.tuner.Autotuner`) swaps the model-picked
-    options for each case's empirically tuned ones first.  Note that on a
-    cold tuning database this runs one full (serial) tuning search per
-    case before the batch generation -- empirical measurements cannot
-    safely run concurrently on one machine anyway; pre-tune with
-    ``python -m repro.tuning tune`` to make this step a database lookup.
-    ``executor`` (an execution backend name, e.g. ``"numpy"``) reports
-    measured instead of modeled performance for the SLinGen series, as in
-    :func:`measure_slingen`.
+    generated in parallel up front via :meth:`generate_many`.
     """
-    machine = service.machine if service is not None \
-        else (machine or default_machine())
-    if tuner is not None:
-        _check_tuner_machine(tuner, service, machine)
-    series = Series(name=case_name)
     cases = [case_factory(size) if case_factory else make_case(case_name,
                                                                size)
              for size in sizes]
-    base_options = options or generator_options()
     if service is not None:
         # One batch request for the sweep: hits come from the store, every
         # miss generates on the service's worker pool.
         from ..service.service import GenerationRequest
-        responses = service.generate_many([
-            GenerationRequest.from_case(
-                c, options=(tuner.tuned_options_for_case(c, base_options)
-                            if tuner is not None else base_options))
-            for c in cases])
-        results = [(r.result, r.key) for r in responses]
+        options = options or generator_options()
+        results = [response.result for response in service.generate_many([
+            GenerationRequest.from_case(case, options=options)
+            for case in cases])]
     else:
-        results = [None] * len(cases)
-    for case, pregenerated in zip(cases, results):
-        if pregenerated is not None:
-            generated, cache_key = pregenerated
-            ours, kernel = _performance_and_kernel(
-                generated, case, executor, cache_key, machine)
-            correct = check_case(case, generated, kernel=kernel) \
-                if validate else None
-        else:
-            generated, ours, correct = measure_slingen(
-                case, options, machine, validate, tuner=tuner,
-                executor=executor)
-        performance = {"slingen": ours}
-        cycles = {"slingen": generated.performance.cycles}
-        for baseline in (baselines if baselines is not None
-                         else baseline_names(case.name)):
-            result = evaluate_baseline(baseline, case, machine)
-            performance[baseline] = result.flops_per_cycle
-            cycles[baseline] = result.cycles
+        results = [measure_slingen(case, options, machine)[0]
+                   for case in cases]
+    series = Series(name=case_name)
+    for case, generated in zip(cases, results):
         series.points.append(SeriesPoint(
-            size=case.size, flops=case.nominal_flops, performance=performance,
-            cycles=cycles, bottleneck=generated.performance.bottleneck,
-            variant=generated.variant_label, correct=correct))
+            size=case.size,
+            flops_per_cycle=generated.performance.flops_per_cycle,
+            correct=check_case(case, generated) if validate else None))
     return series

@@ -1,8 +1,8 @@
 """Reference (numpy/scipy) implementations of every computation we generate.
 
-These are the ground truth against which generated kernels and baselines are
-validated, and they double as the "algorithm specification" for the flop
-counts used in the performance plots (paper's cost formulas, Figs. 14/15).
+These are the ground truth against which generated kernels are validated,
+and they double as the "algorithm specification" for the flop counts used
+in the performance plots (paper's cost formulas, Figs. 14/15).
 """
 
 from __future__ import annotations

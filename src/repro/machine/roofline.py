@@ -8,13 +8,10 @@ the paper does with ERM on its generated code, and it is also the
 "performance measurement" used by the autotuner and the benchmark harness
 (see DESIGN.md, substitution table).
 
-On top of the pure throughput bounds, two latency effects that dominate
-small sizes are modeled:
-
-* divisions/square roots are unpipelined and essentially sequential in the
-  triangular algorithms, so they contribute ``div_issue_cycles`` each;
-* each (library) call contributes a fixed overhead, used by the
-  library-based baselines.
+On top of the pure throughput bounds, one latency effect that dominates
+small sizes is modeled: divisions/square roots are unpipelined and
+essentially sequential in the triangular algorithms, so they contribute
+``div_issue_cycles`` each.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ class PerformanceEstimate:
     resource_cycles: Dict[str, float]
     mix: InstructionMix
     machine: MicroArchitecture
-    call_overhead_cycles: float = 0.0
     nominal_flops: Optional[float] = None
 
     @property
@@ -93,25 +89,18 @@ class PerformanceEstimate:
 
 def analyze_mix(mix: InstructionMix,
                 machine: Optional[MicroArchitecture] = None,
-                nominal_flops: Optional[float] = None,
-                call_count: int = 0,
-                sequential_divisions: bool = True) -> PerformanceEstimate:
+                nominal_flops: Optional[float] = None) -> PerformanceEstimate:
     """Run the generalized roofline analysis on an instruction mix.
 
     Parameters
     ----------
     mix:
-        The instruction mix (from :func:`repro.machine.mix.instruction_mix`
-        or from a baseline model).
+        The instruction mix (from :func:`repro.machine.mix.instruction_mix`).
     nominal_flops:
         The mathematical operation count used for f/c reporting.
-    call_count:
-        Number of opaque (library) calls; each adds the machine's
-        per-call overhead.  Zero for generated single-source code.
-    sequential_divisions:
-        When true (the default, matching the dependence structure of
-        factorizations/substitutions), every division/square root contributes
-        its full issue latency.
+
+    Every division/square root contributes its full issue latency, matching
+    the dependence structure of factorizations and substitutions.
     """
     machine = machine or default_machine()
 
@@ -122,18 +111,11 @@ def analyze_mix(mix: InstructionMix,
         / machine.shuffle_per_cycle,
         "L1 loads": mix.load_issues / machine.loads_per_cycle,
         "L1 stores": mix.store_issues / machine.stores_per_cycle,
+        "divs/sqrt": mix.div_sqrt_issues * machine.div_issue_cycles,
     }
-    if sequential_divisions:
-        resource_cycles["divs/sqrt"] = (mix.div_sqrt_issues
-                                        * machine.div_issue_cycles)
-    else:
-        resource_cycles["divs/sqrt"] = (mix.div_sqrt_issues
-                                        * machine.div_issue_cycles / 4.0)
-
-    call_overhead = call_count * machine.call_overhead_cycles
 
     bottleneck = max(resource_cycles, key=lambda name: resource_cycles[name])
-    cycles = resource_cycles[bottleneck] + call_overhead
+    cycles = resource_cycles[bottleneck]
     # A kernel can never be faster than issuing one instruction.
     cycles = max(cycles, 1.0)
 
@@ -153,7 +135,6 @@ def analyze_mix(mix: InstructionMix,
         resource_cycles=resource_cycles,
         mix=mix,
         machine=machine,
-        call_overhead_cycles=call_overhead,
         nominal_flops=nominal_flops,
     )
 

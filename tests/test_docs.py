@@ -1,7 +1,9 @@
 """Tests for the documentation tooling: the generated CLI reference stays
 in sync with the argparse parsers, and every relative link resolves."""
 
+import glob
 import os
+import re
 
 from repro.docs import check_links, default_doc_paths, render_cli_reference
 from repro.docs.__main__ import main as docs_main
@@ -112,3 +114,19 @@ class TestLinkCheck:
         md.write_text("all good\n")
         assert docs_main(["linkcheck", str(md), "--root",
                           str(tmp_path)]) == 0
+
+
+class TestFigureTables:
+    def test_every_figure_column_is_labelled_as_the_model(self):
+        """No committed Fig. 14/15 table presents an estimate as a
+        measurement: each column is the size or a ``(model)`` series."""
+        paths = sorted(glob.glob(os.path.join(REPO_ROOT, "results",
+                                              "fig1[45]_*.txt")))
+        assert len(paths) == 8
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as handle:
+                header = handle.read().splitlines()[1]
+            columns = re.split(r"\s{2,}", header.strip())
+            assert columns[0] == "n", path
+            for column in columns[1:]:
+                assert column.endswith("(model)"), (path, column)

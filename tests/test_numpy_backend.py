@@ -467,28 +467,6 @@ class TestExecutorIntegration:
         assert len(samples) == 2 and all(s > 0 for s in samples)
 
 
-class TestHarnessExecutor:
-    def test_measure_slingen_numpy_executor(self):
-        from repro.bench.harness import measure_slingen
-
-        case = make_case("potrf", 4)
-        generated, performance, correct = measure_slingen(
-            case, validate=True, executor="numpy")
-        assert correct is True
-        assert np.isfinite(performance) and performance > 0
-        # empirically measured, so distinct from the model estimate
-        assert performance != generated.performance.flops_per_cycle
-
-    def test_run_series_numpy_executor(self):
-        from repro.bench.harness import run_series
-
-        series = run_series("gemm", [4], validate=True, executor="numpy",
-                            baselines=[])
-        point = series.points[0]
-        assert point.correct is True
-        assert np.isfinite(point.performance["slingen"])
-
-
 class TestNumPyMeasurer:
     def test_measure_returns_seconds(self):
         from repro.tuning.measure import NumPyMeasurer

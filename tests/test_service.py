@@ -350,16 +350,14 @@ class TestHarnessIntegration:
         service = KernelService(store=MemoryKernelStore())
         sizes = [4, 8]
         with_service = run_series("potrf", sizes, service=service,
-                                  options=generator_options(),
-                                  baselines=[])
-        direct = run_series("potrf", sizes, options=generator_options(),
-                            baselines=[])
-        assert [p.performance["slingen"] for p in with_service.points] \
-            == [p.performance["slingen"] for p in direct.points]
+                                  options=generator_options())
+        direct = run_series("potrf", sizes, options=generator_options())
+        assert [p.flops_per_cycle for p in with_service.points] \
+            == [p.flops_per_cycle for p in direct.points]
         # Rerunning the series is now pure cache hits.
         before = service.stats.hits
         run_series("potrf", sizes, service=service,
-                   options=generator_options(), baselines=[])
+                   options=generator_options())
         assert service.stats.hits >= before + len(sizes)
 
 
