@@ -32,8 +32,6 @@ class MicroArchitecture:
     loads_per_cycle: float          # L1 loads per cycle
     stores_per_cycle: float         # L1 stores per cycle
     div_issue_cycles: float         # cycles between dependent div/sqrt issues
-    call_overhead_cycles: float     # cost of a (library) function call
-    frequency_ghz: float = 3.3
 
     @property
     def peak_flops_per_cycle(self) -> float:
@@ -55,7 +53,6 @@ SANDY_BRIDGE = MicroArchitecture(
     loads_per_cycle=2.0,
     stores_per_cycle=1.0,
     div_issue_cycles=44.0,
-    call_overhead_cycles=120.0,
 )
 
 #: A Haswell-like core with FMA, used to check that the model's conclusions
@@ -70,7 +67,6 @@ HASWELL = MicroArchitecture(
     loads_per_cycle=2.0,
     stores_per_cycle=1.0,
     div_issue_cycles=28.0,
-    call_overhead_cycles=120.0,
 )
 
 #: A narrow embedded-style core (SSE2-like, 2-wide) for the scalar/embedded
@@ -85,7 +81,6 @@ EMBEDDED_SSE = MicroArchitecture(
     loads_per_cycle=1.0,
     stores_per_cycle=1.0,
     div_issue_cycles=30.0,
-    call_overhead_cycles=80.0,
 )
 
 

@@ -7,7 +7,11 @@ candidate's ``(label, score)`` in search order.  Generation reads nothing
 from the host (fixed machine model, no compiler probe), so the fixture
 holds on any runner.  A change that is meant to leave generation alone
 -- a performance or simplicity refactor -- must keep this test green
-without touching the fixture.
+without touching the fixture.  A change to the machine model's
+parameters (a field added to or removed from ``MicroArchitecture``)
+moves every ``service_key`` and nothing else: the fixture update then
+changes only the keys, and every ``c_sha256`` and candidate list must
+stay as it was.
 
 Regenerate the fixture (only for a deliberate change to generated code)::
 
