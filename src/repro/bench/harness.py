@@ -7,14 +7,14 @@ machine model's roofline estimate, in a table labelled as the model.  The
 paper's library columns (MKL, Eigen, icc, ...) were measured on its
 platform; none of those libraries is modeled here.
 
-Sizes default to a reduced grid so the full suite runs in minutes; set the
-environment variable ``REPRO_FULL_SIZES=1`` to use the paper's grid
-(4..124 for HLACs, 4..52 for applications).
+The size grids live in :mod:`repro.service.registry`, which also expands
+bare workload names with them.  They default to a reduced grid so the full
+suite runs in minutes; set the environment variable ``REPRO_FULL_SIZES=1``
+to use the paper's grid (4..124 for HLACs, 4..52 for applications).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -22,26 +22,9 @@ import numpy as np
 
 from ..applications.cases import BenchmarkCase, make_case
 from ..machine.microarch import MicroArchitecture, default_machine
+from ..service.registry import full_sizes_requested
 from ..slingen.generator import SLinGen
 from ..slingen.options import Options
-
-
-def full_sizes_requested() -> bool:
-    return os.environ.get("REPRO_FULL_SIZES", "0") not in ("", "0", "false")
-
-
-def hlac_sizes() -> List[int]:
-    """Sizes of the x-axis of Fig. 14 (reduced grid by default)."""
-    if full_sizes_requested():
-        return [4, 28, 52, 76, 100, 124]
-    return [4, 12, 24, 36]
-
-
-def application_sizes() -> List[int]:
-    """Sizes of the x-axis of Fig. 15 (reduced grid by default)."""
-    if full_sizes_requested():
-        return [4, 12, 20, 28, 36, 44, 52]
-    return [4, 12, 20, 28]
 
 
 def kf28_observation_sizes() -> List[int]:

@@ -9,12 +9,12 @@ warmed, queried, and purged without writing any LA source.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..applications.cases import (APPLICATION_CASES, HLAC_CASES,
                                   BenchmarkCase, all_case_names, make_case)
-from ..bench.harness import application_sizes, hlac_sizes
 from ..errors import ServiceError
 from ..slingen.options import Options
 from .service import GenerationRequest
@@ -64,6 +64,24 @@ def parse_spec(text: str) -> WorkloadSpec:
 def build_case(spec: WorkloadSpec) -> BenchmarkCase:
     """Instantiate the benchmark case a spec names."""
     return make_case(spec.name, spec.size, spec.k)
+
+
+def full_sizes_requested() -> bool:
+    return os.environ.get("REPRO_FULL_SIZES", "0") not in ("", "0", "false")
+
+
+def hlac_sizes() -> List[int]:
+    """Sizes of the x-axis of Fig. 14 (reduced grid by default)."""
+    if full_sizes_requested():
+        return [4, 28, 52, 76, 100, 124]
+    return [4, 12, 24, 36]
+
+
+def application_sizes() -> List[int]:
+    """Sizes of the x-axis of Fig. 15 (reduced grid by default)."""
+    if full_sizes_requested():
+        return [4, 12, 20, 28, 36, 44, 52]
+    return [4, 12, 20, 28]
 
 
 def default_sizes(name: str) -> List[int]:
