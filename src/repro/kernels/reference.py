@@ -3,6 +3,10 @@
 These are the ground truth against which generated kernels are validated,
 and they double as the "algorithm specification" for the flop counts used
 in the performance plots (paper's cost formulas, Figs. 14/15).
+
+The oracles that need scipy import it on first call, so a process that
+only builds cases and serves kernels never loads LAPACK's bindings
+(``tests/test_import_footprint.py`` pins that).
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-import scipy.linalg
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +34,14 @@ def potrf_lower(matrix: np.ndarray) -> np.ndarray:
 def trsm(coefficient: np.ndarray, rhs: np.ndarray, lower: bool,
          transposed: bool = False) -> np.ndarray:
     """Solve ``op(T) X = B`` for X with T triangular."""
+    import scipy.linalg
     return scipy.linalg.solve_triangular(coefficient, rhs, lower=lower,
                                          trans="T" if transposed else "N")
 
 
 def trtri(coefficient: np.ndarray, lower: bool = True) -> np.ndarray:
     """Inverse of a triangular matrix (same triangle as the input)."""
+    import scipy.linalg
     identity = np.eye(coefficient.shape[0])
     return scipy.linalg.solve_triangular(coefficient, identity, lower=lower)
 
@@ -44,12 +49,14 @@ def trtri(coefficient: np.ndarray, lower: bool = True) -> np.ndarray:
 def trsyl(lower_coeff: np.ndarray, upper_coeff: np.ndarray,
           rhs: np.ndarray) -> np.ndarray:
     """Solve the triangular Sylvester equation ``L X + X U = C``."""
+    import scipy.linalg
     return scipy.linalg.solve_sylvester(lower_coeff, upper_coeff, rhs)
 
 
 def trlya(lower_coeff: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the triangular continuous-time Lyapunov equation
     ``L X + X L^T = S`` (X symmetric when S is)."""
+    import scipy.linalg
     return scipy.linalg.solve_sylvester(lower_coeff, lower_coeff.T, rhs)
 
 
@@ -83,6 +90,7 @@ def random_upper_triangular(n: int, rng: np.random.Generator) -> np.ndarray:
 def kalman_filter_step(inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """One Kalman-filter iteration in the form of the paper's LA program
     (Fig. 13a): prediction followed by update, inversion via Cholesky."""
+    import scipy.linalg
     F, B, Q, H, R = (inputs[k] for k in ("F", "B", "Q", "H", "R"))
     P, u, x, z = (inputs[k] for k in ("P", "u", "x", "z"))
 
@@ -107,6 +115,7 @@ def gaussian_process_regression(inputs: Dict[str, np.ndarray]
     """Gaussian-process regression for one noise-free test point
     (paper Fig. 13b): predictive mean phi, variance psi, log-likelihood term
     lambda."""
+    import scipy.linalg
     K, X, x, y = (inputs[k] for k in ("K", "X", "x", "y"))
     L = potrf_lower(K)
     t0 = scipy.linalg.solve_triangular(L, y, lower=True)
