@@ -25,9 +25,13 @@ from repro.service import KernelServer, ServiceClient
 
 
 def main() -> None:
-    # A throwaway cache root for the demo; a real daemon persists under
-    # ~/.cache/repro-slingen/kernels (or $REPRO_KERNEL_CACHE).
-    store = DiskKernelStore(root=tempfile.mkdtemp(prefix="repro_http_"))
+    # A throwaway cache root for the demo, removed on exit; a real daemon
+    # persists under ~/.cache/repro-slingen/kernels (or $REPRO_KERNEL_CACHE).
+    with tempfile.TemporaryDirectory(prefix="repro_http_") as root:
+        serve_demo(DiskKernelStore(root=root))
+
+
+def serve_demo(store: DiskKernelStore) -> None:
     service = KernelService(store=store)
 
     # max_inflight must cover the 12-client stampede below: coalesced

@@ -21,11 +21,14 @@ from repro.service import sweep_requests
 
 
 def main() -> None:
-    # A throwaway cache root for the demo; by default the service persists
-    # under ~/.cache/repro-slingen/kernels (or $REPRO_KERNEL_CACHE).
-    root = tempfile.mkdtemp(prefix="repro_kernels_")
-    service = KernelService(store=DiskKernelStore(root=root))
+    # A throwaway cache root for the demo, removed on exit; by default the
+    # service persists under ~/.cache/repro-slingen/kernels (or
+    # $REPRO_KERNEL_CACHE).
+    with tempfile.TemporaryDirectory(prefix="repro_kernels_") as root:
+        walkthrough(KernelService(store=DiskKernelStore(root=root)))
 
+
+def walkthrough(service: KernelService) -> None:
     # -- single request: miss, then hit -----------------------------------
     request = make_request("potrf:12")
     t0 = time.perf_counter()
