@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the design choices docs/pipeline.md walks through.
 
 Not part of the paper's tables, but they quantify the individual
 contributions of the optimizations the paper describes: vectorization,

@@ -38,7 +38,8 @@ class PassOptions:
 
 @dataclass
 class PassReport:
-    """What the pipeline did (consumed by tests, EXPERIMENTS.md and ablations)."""
+    """What the pipeline did (consumed by tests and the ablation benches;
+    docs/pipeline.md, Stage 3, walks through the passes)."""
 
     load_store: LoadStoreStats = field(default_factory=LoadStoreStats)
     statements_before: int = 0

@@ -6,7 +6,7 @@ need to retire the instruction stream; the largest of those is the
 bottleneck and determines the modeled execution time.  This mirrors what
 the paper does with ERM on its generated code, and it is also the
 "performance measurement" used by the autotuner and the benchmark harness
-(see DESIGN.md, substitution table).
+(see docs/architecture.md, "The model proposes, measurement disposes").
 
 On top of the pure throughput bounds, one latency effect that dominates
 small sizes is modeled: divisions/square roots are unpipelined and

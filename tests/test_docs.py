@@ -1,6 +1,8 @@
 """Tests for the documentation tooling: the generated CLI reference stays
-in sync with the argparse parsers, and every relative link resolves."""
+in sync with the argparse parsers, every relative link resolves, and every
+Markdown file a docstring cites exists."""
 
+import ast
 import glob
 import os
 import re
@@ -130,3 +132,37 @@ class TestFigureTables:
             assert columns[0] == "n", path
             for column in columns[1:]:
                 assert column.endswith("(model)"), (path, column)
+
+
+def _docstrings(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node)
+            if docstring:
+                yield docstring
+
+
+class TestDocstringCitations:
+    def test_every_cited_markdown_file_exists(self):
+        """A docstring that names ``docs/x.md`` (or a bare ``x.md``, found
+        at the repository root or under ``docs/``) names a file that is
+        there."""
+        paths = sorted(glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"),
+                                 recursive=True)
+                       + glob.glob(os.path.join(REPO_ROOT, "benchmarks",
+                                                "*.py")))
+        assert paths
+        missing = []
+        for path in paths:
+            for docstring in _docstrings(path):
+                for cited in re.findall(r"[\w./-]+\.md\b", docstring):
+                    roots = ([REPO_ROOT] if "/" in cited
+                             else [REPO_ROOT, os.path.join(REPO_ROOT, "docs")])
+                    if not any(os.path.isfile(os.path.join(root, cited))
+                               for root in roots):
+                        missing.append(
+                            (os.path.relpath(path, REPO_ROOT), cited))
+        assert missing == []
