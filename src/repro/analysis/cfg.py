@@ -54,17 +54,6 @@ class CFG:
     entry_id: int
     exit_id: int
 
-    @property
-    def entry(self) -> Block:
-        return self.blocks[self.entry_id]
-
-    @property
-    def exit(self) -> Block:
-        return self.blocks[self.exit_id]
-
-    def block(self, block_id: int) -> Block:
-        return self.blocks[block_id]
-
     def reachable_ids(self) -> Set[int]:
         """Block ids reachable from the entry (zero-trip bodies are not)."""
         seen: Set[int] = set()

@@ -25,10 +25,7 @@ from .numpy_backend import (NumPyKernel, NumPyTranslator, compile_numpy_kernel,
                             default_numpy_cache_dir, translate_function)
 
 #: Executable-backend names accepted by :func:`make_executor`.
-#: ``numpy`` is the (fast) unrolled emission mode; ``numpy-vectorized``
-#: is the ndarray-slice emission mode -- a distinct execution tier the
-#: differential fuzzer and crosscheck exercise separately.
-EXECUTORS = ("compiled", "numpy", "numpy-vectorized", "interpreter")
+EXECUTORS = ("compiled", "numpy", "interpreter")
 
 
 def resolve_backends(spec: str = "auto"):
@@ -41,7 +38,7 @@ def resolve_backends(spec: str = "auto"):
     so a new tier joins every differential surface at once.
     """
     if spec == "auto":
-        backends = ["interpreter", "numpy", "numpy-vectorized"]
+        backends = ["interpreter", "numpy"]
         if compiler_available():
             backends.append("compiled")
         return backends
@@ -68,9 +65,6 @@ def make_executor(function: Function, backend: str = "auto",
                               function, cache_key=cache_key)
     if backend == "numpy":
         return compile_numpy_kernel(function, cache_key=cache_key)
-    if backend == "numpy-vectorized":
-        return compile_numpy_kernel(function, cache_key=cache_key,
-                                    mode="vectorized")
     if backend == "interpreter":
         return InterpreterKernel(function)
     raise BackendError(

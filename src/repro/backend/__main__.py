@@ -5,14 +5,13 @@ Usage (``PYTHONPATH=src python -m repro.backend <command>``)::
     crosscheck SPEC ... [--backends B[,B...]] [--tol T] [--scalar]
         [--seed S] [--seeds N]
         Generate each workload and execute it on every requested backend
-        (interpreter / numpy / numpy-vectorized / compiled), asserting
-        that all backends agree element-wise within the tolerance, for
-        ``N`` input draws starting at seed ``S`` (so agreement claims do
-        not hinge on one lucky input).  Exits non-zero on any
-        disagreement -- this is the cross-backend differential job CI
-        runs on every push.
+        (interpreter / numpy / compiled), asserting that all backends
+        agree element-wise within the tolerance, for ``N`` input draws
+        starting at seed ``S`` (so agreement claims do not hinge on one
+        lucky input).  Exits non-zero on any disagreement -- this is the
+        cross-backend differential job CI runs on every push.
 
-    emit SPEC [--format c|numpy|numpy-vectorized] [--scalar]
+    emit SPEC [--format c|numpy] [--scalar]
         Print the generated artifact for one workload: the emitted C or
         the NumPy-backend Python translation.
 
@@ -57,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="workloads to check, e.g. potrf:4 gemm:8 kf:4x4")
     cross.add_argument("--backends", default="auto",
                        help="comma-separated backend list, or 'auto' "
-                            "(interpreter,numpy,numpy-vectorized + "
-                            "compiled when $CC resolves)")
+                            "(interpreter,numpy + compiled when $CC "
+                            "resolves)")
     cross.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                        help=f"max |a - b| between any two backends "
                             f"(default {DEFAULT_TOLERANCE:g})")
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.set_defaults(handler=_cmd_emit)
     emit.add_argument("spec", metavar="SPEC")
     emit.add_argument("--format", default="numpy",
-                      choices=("c", "numpy", "numpy-vectorized"))
+                      choices=("c", "numpy"))
     emit.add_argument("--scalar", action="store_true")
     add_json_flag(emit, help="wrap the artifact in a JSON document "
                              "instead of printing it raw")
@@ -160,12 +159,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     _, result = _generate(args.spec, args.scalar)
-    if args.format == "c":
-        artifact = result.c_code
-    else:
-        mode = "vectorized" if args.format == "numpy-vectorized" \
-            else "unrolled"
-        artifact = translate_function(result.function, mode=mode)
+    artifact = result.c_code if args.format == "c" \
+        else translate_function(result.function)
     if args.as_json:
         print_json({"spec": args.spec, "format": args.format,
                     "code": artifact})

@@ -12,32 +12,22 @@ executes the kernel on flat ``float64`` arrays, compiled once with
 sibling of :class:`~repro.backend.compile.CompiledKernel` (same
 ``run``/``time`` contract), no C compiler required.
 
-The C-IR is already nu-vector-shaped, so vector nodes map 1:1; the
-translator supports two emission modes:
+The translation is *unrolled*: every width-``nu`` vector value is
+lane-decomposed into ``nu`` scalar expressions at translation time --
+loads become per-lane indexing, lane-wise arithmetic becomes scalar
+arithmetic, and the data-reorganization ops (blend/permute/unpack) and
+mask constants resolve into pure lane selection, i.e. they cost nothing
+at run time.  Buffers live as Python lists inside the kernel (converted
+from/to the caller's ndarrays at entry/exit).  For the paper's kernel
+sizes (nu = 4) this is the fastest portable execution: one NumPy
+micro-op costs ~0.5-1 us of dispatch overhead, more than the *whole*
+4-lane computation it performs.
 
-* ``"unrolled"`` (default): every width-``nu`` vector value is
-  lane-decomposed into ``nu`` scalar expressions at *translation* time --
-  loads become per-lane indexing, lane-wise arithmetic becomes scalar
-  arithmetic, and the data-reorganization ops (blend/permute/unpack)
-  and mask constants resolve into pure lane selection, i.e. they
-  cost nothing at run time.  Buffers live as Python lists inside the
-  kernel (converted from/to the caller's ndarrays at entry/exit).  For
-  the paper's kernel sizes (nu = 4) this is by far the fastest portable
-  execution: one NumPy micro-op costs ~0.5-1 us of dispatch overhead,
-  more than the *whole* 4-lane computation it performs.
-* ``"vectorized"``: the direct ndarray mapping -- contiguous
-  ``VLoad``/``VStore`` become slices, masked variants use precomputed
-  lane-index gathers (AVX ``maskload``/``maskstore`` semantics, including
-  partial vectors at buffer edges), lane-wise arithmetic becomes ndarray
-  arithmetic, ``VReduceAdd`` becomes ``.sum()``, and blends become
-  ``np.where``.  Slower at nu = 4 (see above), but the emitted code reads
-  exactly like the AVX intrinsics it mirrors and scales to wide vectors.
-
-Both modes implement the exact semantics of the AVX instructions the C
-unparser emits, so interpreter, NumPy, and compiled-C runs of the same
-kernel agree to rounding error (the cross-backend differential CI job
-asserts 1e-12).  Like the compiled ``.so`` cache, generated sources are
-cached content-addressed on disk (``REPRO_NUMPY_CACHE``, next to the
+The emitted code implements the exact semantics of the AVX instructions
+the C unparser emits, so interpreter, NumPy, and compiled-C runs of the
+same kernel agree to rounding error (the cross-backend differential CI
+job asserts 1e-12).  Like the compiled ``.so`` cache, generated sources
+are cached content-addressed on disk (``REPRO_NUMPY_CACHE``, next to the
 object cache) and compiled code objects are memoized in-process.
 """
 
@@ -64,10 +54,7 @@ from ..errors import BackendError
 #: inf/NaN (fuzzer-found divergences from the compiled backend).
 NUMPY_BACKEND_VERSION = 2
 
-#: Supported emission modes (see module docstring).
-MODES = ("unrolled", "vectorized")
-
-_PRELUDE_UNROLLED = """\
+_PRELUDE = """\
 from math import copysign as _copysign, isnan as _isnan
 from math import sqrt as _math_sqrt
 
@@ -87,57 +74,6 @@ def _div(a, b):
         return _copysign(float("inf"), a) * _copysign(1.0, b)
     return a / b
 """
-
-_PRELUDE_VECTORIZED = '''\
-import numpy as np
-from math import sqrt as _math_sqrt
-
-
-def sqrt(x):
-    # C sqrt() semantics: negative arguments give NaN, not an exception.
-    x = float(x)
-    return _math_sqrt(x) if x >= 0.0 else float("nan")
-
-
-def _div(a, b):
-    # C division semantics: x/0 is a signed infinity, 0/0 is NaN.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(a, b)
-
-
-def _maskload(buf, base, lanes, width):
-    """AVX maskload: active lanes read, inactive lanes are 0.0."""
-    out = np.zeros(width, dtype=np.float64)
-    out[lanes] = buf[base + lanes]
-    return out
-
-
-def _maskstore(buf, base, lanes, value):
-    """AVX maskstore: only active lanes are written."""
-    value = np.asarray(value, dtype=np.float64)
-    buf[base + lanes] = value[lanes] if value.ndim else value
-
-
-def _perm2f128(a, b, imm):
-    """AVX permute2f128_pd: select/zero 128-bit halves of two sources."""
-    out = np.zeros(4, dtype=np.float64)
-    for half in range(2):
-        control = (imm >> (4 * half)) & 0xF
-        if not control & 0x8:
-            source = a if (control & 2) == 0 else b
-            offset = 2 if (control & 1) else 0
-            out[2 * half:2 * half + 2] = source[offset:offset + 2]
-    return out
-
-
-def _unpack(a, b, off):
-    """AVX unpacklo_pd (off=0) / unpackhi_pd (off=1)."""
-    out = np.empty(4, dtype=np.float64)
-    out[0::2] = a[off::2]
-    out[1::2] = b[off::2]
-    return out
-'''
-
 
 def _mangle(name: str) -> str:
     """A collision-free Python identifier for a C-IR name.
@@ -161,21 +97,11 @@ _ATOMIC_SCALARS = (FloatConst, ScalarVar, Load)
 class NumPyTranslator:
     """Emits the Python source module for one C-IR function."""
 
-    def __init__(self, function: Function, mode: str = "unrolled",
-                 indent: str = "    "):
-        if mode not in MODES:
-            raise BackendError(
-                f"unknown NumPy backend mode {mode!r}; known: "
-                f"{', '.join(MODES)}")
+    def __init__(self, function: Function, indent: str = "    "):
         self.function = function
-        self.mode = mode
         self.indent = indent
-        #: (constant-name, python-literal) pairs discovered while emitting
-        #: (vectorized mode: mask lane gathers, blend selectors, ...).
-        self._constants: Dict[str, str] = {}
-        self._const_keys: Dict[Tuple[str, object], str] = {}
         #: auxiliary assignments to flush before the current statement
-        #: (unrolled mode: temporaries for broadcast of a compound scalar).
+        #: (temporaries for the broadcast of a compound scalar).
         self._pending: List[str] = []
         self._temp_count = 0
 
@@ -186,64 +112,25 @@ class NumPyTranslator:
         body = self._stmts(self.function.body, 1)
         pad = self.indent
         lines: List[str] = []
-        lines.append(f'"""{self.mode.capitalize()} NumPy-backend execution '
-                     f'of C-IR kernel {self.function.name!r} '
-                     f'(generated; do not edit)."""')
-        lines.append(_PRELUDE_UNROLLED if self.mode == "unrolled"
-                     else _PRELUDE_VECTORIZED)
-        for name, literal in self._constants.items():
-            lines.append(f"{name} = {literal}")
-        if self._constants:
-            lines.append("")
+        lines.append(f'"""Unrolled NumPy-backend execution of C-IR kernel '
+                     f'{self.function.name!r} (generated; do not edit)."""')
+        lines.append(_PRELUDE)
         lines.append("")
         params = ", ".join(f"_p_{buf.name}" for buf in self.function.params)
         lines.append(f"def {self.function.name}({params}):")
         for buf in self.function.params:
-            if self.mode == "unrolled":
-                lines.append(f"{pad}{_mangle(buf.name)} = "
-                             f"_p_{buf.name}.tolist()")
-            else:
-                lines.append(f"{pad}{_mangle(buf.name)} = _p_{buf.name}")
+            lines.append(f"{pad}{_mangle(buf.name)} = _p_{buf.name}.tolist()")
         for buf in self.function.temps:
-            if self.mode == "unrolled":
-                lines.append(f"{pad}{_mangle(buf.name)} = "
-                             f"[0.0] * {buf.size}")
-            else:
-                lines.append(f"{pad}{_mangle(buf.name)} = "
-                             f"np.zeros({buf.size}, dtype=np.float64)")
+            lines.append(f"{pad}{_mangle(buf.name)} = [0.0] * {buf.size}")
         lines.extend(body)
-        if self.mode == "unrolled":
-            # Publish list contents back into the caller's flat arrays.
-            for buf in self.function.params:
-                if buf.writable:
-                    lines.append(f"{pad}_p_{buf.name}[:] = "
-                                 f"{_mangle(buf.name)}")
+        # Publish list contents back into the caller's flat arrays.
+        for buf in self.function.params:
+            if buf.writable:
+                lines.append(f"{pad}_p_{buf.name}[:] = {_mangle(buf.name)}")
         if len(lines) == lines.index(f"def {self.function.name}({params}):") \
                 + 1:  # pragma: no cover - a Function always has params/body
             lines.append(f"{pad}pass")
         return "\n".join(lines) + "\n"
-
-    # -- precomputed constants (vectorized mode) -----------------------------
-
-    def _constant(self, kind: str, key: object, literal: str) -> str:
-        dedupe = (kind, key)
-        found = self._const_keys.get(dedupe)
-        if found is not None:
-            return found
-        name = f"_{kind}{len(self._constants)}"
-        self._constants[name] = literal
-        self._const_keys[dedupe] = name
-        return name
-
-    def _lanes_constant(self, mask: Tuple[bool, ...]) -> str:
-        lanes = [lane for lane, keep in enumerate(mask) if keep]
-        return self._constant(
-            "LANES", mask, f"np.array({lanes!r}, dtype=np.intp)")
-
-    def _blend_constant(self, imm: int, width: int) -> str:
-        sel = [bool(imm >> lane & 1) for lane in range(width)]
-        return self._constant(
-            "BLEND", (imm, width), f"np.array({sel!r}, dtype=bool)")
 
     # -- affine index expressions --------------------------------------------
 
@@ -276,7 +163,7 @@ class NumPyTranslator:
         if isinstance(stmt, Comment):
             lines.append(f"{pad}# {stmt.text}")
         elif isinstance(stmt, Assign):
-            if self.mode == "unrolled" and isinstance(stmt.dest, VecVar):
+            if isinstance(stmt.dest, VecVar):
                 width = stmt.dest.width
                 dests = ", ".join(f"{_mangle(stmt.dest.name)}_{lane}"
                                   for lane in range(width))
@@ -284,13 +171,11 @@ class NumPyTranslator:
                 self._flush(pad, lines)
                 lines.append(f"{pad}{dests} = {values}")
             else:
-                value = self._scalar(stmt.value) \
-                    if self.mode == "unrolled" else self._expr(stmt.value)
+                value = self._scalar(stmt.value)
                 self._flush(pad, lines)
                 lines.append(f"{pad}{_mangle(stmt.dest.name)} = {value}")
         elif isinstance(stmt, Store):
-            value = self._scalar(stmt.value) if self.mode == "unrolled" \
-                else self._expr(stmt.value)
+            value = self._scalar(stmt.value)
             self._flush(pad, lines)
             lines.append(f"{pad}{_mangle(stmt.buffer.name)}"
                          f"[{self._affine(stmt.index)}] = {value}")
@@ -324,43 +209,33 @@ class NumPyTranslator:
         buffer = _mangle(stmt.buffer.name)
         base = self._affine(stmt.index)
         lines: List[str] = []
-        if self.mode == "unrolled":
-            lanes = self._lanes(stmt.value, stmt.width)
-            if stmt.mask is None:
-                self._flush(pad, lines)
-                values = ", ".join(lanes)
-                lines.append(f"{pad}{buffer}[({base}):({base}) + "
-                             f"{stmt.width}] = ({values})")
-                return lines
-            active = [lane for lane, keep in enumerate(stmt.mask) if keep]
-            if len(active) > 1:
-                # AVX maskstore evaluates the whole source vector before
-                # writing any lane; bind the active lanes first so an
-                # aliasing value expression (a masked load from the same
-                # buffer) cannot observe this store's earlier lanes.
-                names = [self._fresh_temp() for _ in active]
-                self._pending.append(
-                    ", ".join(names) + " = "
-                    + ", ".join(lanes[lane] for lane in active))
-                stores = dict(zip(active, names))
-            else:
-                stores = {lane: lanes[lane] for lane in active}
-            self._flush(pad, lines)
-            for lane in active:
-                index = self._affine(stmt.index + lane)
-                lines.append(f"{pad}{buffer}[{index}] = {stores[lane]}")
-            return lines
-        value = self._expr(stmt.value)
+        lanes = self._lanes(stmt.value, stmt.width)
         if stmt.mask is None:
+            self._flush(pad, lines)
+            values = ", ".join(lanes)
             lines.append(f"{pad}{buffer}[({base}):({base}) + "
-                         f"{stmt.width}] = {value}")
+                         f"{stmt.width}] = ({values})")
+            return lines
+        active = [lane for lane, keep in enumerate(stmt.mask) if keep]
+        if len(active) > 1:
+            # AVX maskstore evaluates the whole source vector before
+            # writing any lane; bind the active lanes first so an
+            # aliasing value expression (a masked load from the same
+            # buffer) cannot observe this store's earlier lanes.
+            names = [self._fresh_temp() for _ in active]
+            self._pending.append(
+                ", ".join(names) + " = "
+                + ", ".join(lanes[lane] for lane in active))
+            stores = dict(zip(active, names))
         else:
-            gather = self._lanes_constant(stmt.mask)
-            lines.append(f"{pad}_maskstore({buffer}, {base}, {gather}, "
-                         f"{value})")
+            stores = {lane: lanes[lane] for lane in active}
+        self._flush(pad, lines)
+        for lane in active:
+            index = self._affine(stmt.index + lane)
+            lines.append(f"{pad}{buffer}[{index}] = {stores[lane]}")
         return lines
 
-    # -- unrolled mode: lane decomposition -----------------------------------
+    # -- lane decomposition --------------------------------------------------
 
     def _fresh_temp(self) -> str:
         self._temp_count += 1
@@ -374,7 +249,7 @@ class NumPyTranslator:
         return name
 
     def _scalar(self, expr: CExpr) -> str:
-        """Emit a scalar-valued expression (unrolled mode)."""
+        """Emit a scalar-valued expression."""
         if isinstance(expr, FloatConst):
             return repr(float(expr.value))
         if isinstance(expr, (ScalarVar, VecVar)):
@@ -409,9 +284,9 @@ class NumPyTranslator:
         raise BackendError(f"cannot translate scalar expression {expr!r}")
 
     def _lanes(self, expr: CExpr, width: Optional[int]) -> Tuple[str, ...]:
-        """Emit a vector-valued expression as one string per lane
-        (unrolled mode).  Scalar-valued expressions broadcast, matching
-        the interpreter's promotion rules."""
+        """Emit a vector-valued expression as one string per lane.
+        Scalar-valued expressions broadcast, matching the interpreter's
+        promotion rules."""
         if isinstance(expr, VecVar):
             name = _mangle(expr.name)
             return tuple(f"{name}_{lane}" for lane in range(expr.width))
@@ -470,71 +345,9 @@ class NumPyTranslator:
             value = self._temp(value)
         return (value,) * (width if width is not None else 1)
 
-    # -- vectorized mode: ndarray expressions --------------------------------
-
-    def _expr(self, expr: CExpr) -> str:
-        if isinstance(expr, FloatConst):
-            return repr(float(expr.value))
-        if isinstance(expr, (ScalarVar, VecVar)):
-            return _mangle(expr.name)
-        if isinstance(expr, Load):
-            return (f"{_mangle(expr.buffer.name)}"
-                    f"[{self._affine(expr.index)}]")
-        if isinstance(expr, VLoad):
-            buffer = _mangle(expr.buffer.name)
-            base = self._affine(expr.index)
-            if expr.mask is None:
-                # .copy() so a later store through the same buffer cannot
-                # alias a register still holding this load.
-                return (f"{buffer}[({base}):({base}) + {expr.width}]"
-                        f".copy()")
-            lanes = self._lanes_constant(expr.mask)
-            return f"_maskload({buffer}, {base}, {lanes}, {expr.width})"
-        if isinstance(expr, VBroadcast):
-            return (f"np.full({expr.width}, {self._expr(expr.value)}, "
-                    f"dtype=np.float64)")
-        if isinstance(expr, VSet):
-            elements = ", ".join(self._expr(e) for e in expr.elements)
-            return f"np.array([{elements}], dtype=np.float64)"
-        if isinstance(expr, VZero):
-            return f"np.zeros({expr.width}, dtype=np.float64)"
-        if isinstance(expr, (BinOp, VBinOp)):
-            left, right = self._expr(expr.left), self._expr(expr.right)
-            if expr.op == "div":
-                return f"_div({left}, {right})"
-            symbol = {"add": "+", "sub": "-", "mul": "*"}
-            if expr.op in symbol:
-                return f"({left} {symbol[expr.op]} {right})"
-            if isinstance(expr, VBinOp):
-                func = {"max": "np.maximum", "min": "np.minimum"}[expr.op]
-            else:
-                func = expr.op          # max/min builtins
-            return f"{func}({left}, {right})"
-        if isinstance(expr, UnOp):
-            if expr.op == "neg":
-                return f"(-{self._expr(expr.operand)})"
-            return f"sqrt({self._expr(expr.operand)})"
-        if isinstance(expr, VReduceAdd):
-            return f"({self._expr(expr.vec)}).sum()"
-        if isinstance(expr, VExtract):
-            return f"({self._expr(expr.vec)})[{expr.lane}]"
-        if isinstance(expr, VBlend):
-            selector = self._blend_constant(expr.imm, expr.width)
-            return (f"np.where({selector}, {self._expr(expr.b)}, "
-                    f"{self._expr(expr.a)})")
-        if isinstance(expr, VPermute2f128):
-            return (f"_perm2f128({self._expr(expr.a)}, "
-                    f"{self._expr(expr.b)}, {expr.imm})")
-        if isinstance(expr, VUnpack):
-            off = 1 if expr.high else 0
-            return (f"_unpack({self._expr(expr.a)}, {self._expr(expr.b)}, "
-                    f"{off})")
-        raise BackendError(f"cannot translate expression {expr!r}")
-
-
-def translate_function(function: Function, mode: str = "unrolled") -> str:
+def translate_function(function: Function) -> str:
     """Translate a C-IR function to a self-contained Python/NumPy module."""
-    return NumPyTranslator(function, mode=mode).translate()
+    return NumPyTranslator(function).translate()
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +366,6 @@ class NumPyKernel:
 
     function: Function
     source: str
-    mode: str = "unrolled"
     source_path: Optional[str] = None
     _callable: Callable[..., None] = field(default=None, repr=False)
 
@@ -654,8 +466,7 @@ def _instantiate(source: str, function_name: str,
 
 def compile_numpy_kernel(function: Function,
                          cache_key: Optional[str] = None,
-                         cache_dir: Optional[str] = None,
-                         mode: str = "unrolled") -> NumPyKernel:
+                         cache_dir: Optional[str] = None) -> NumPyKernel:
     """Translate a C-IR function and compile it to a :class:`NumPyKernel`.
 
     When ``cache_key`` is given (the kernel service's content hash), the
@@ -668,15 +479,13 @@ def compile_numpy_kernel(function: Function,
     corrupt cached artifact (torn write, hand-edited garbage) is dropped
     and regenerated rather than raised.
     """
-    if mode not in MODES:
-        raise BackendError(
-            f"unknown NumPy backend mode {mode!r}; known: "
-            f"{', '.join(MODES)}")
     source: Optional[str] = None
     source_path: Optional[str] = None
     if cache_key is not None:
+        # "unrolled" stays in the digest so that sources cached by
+        # earlier versions keep their names.
         digest = hashlib.sha256(
-            "\x00".join([cache_key, function.name, mode,
+            "\x00".join([cache_key, function.name, "unrolled",
                          str(NUMPY_BACKEND_VERSION)]).encode()
         ).hexdigest()[:32]
         root = cache_dir or default_numpy_cache_dir()
@@ -688,7 +497,7 @@ def compile_numpy_kernel(function: Function,
             except OSError:
                 source = None
         if source is None:
-            source = translate_function(function, mode=mode)
+            source = translate_function(function)
             try:
                 from ..ioutil import atomic_write_bytes
                 os.makedirs(root, exist_ok=True)
@@ -696,13 +505,13 @@ def compile_numpy_kernel(function: Function,
             except OSError:
                 source_path = None  # cache dir unwritable: run uncached
     else:
-        source = translate_function(function, mode=mode)
+        source = translate_function(function)
 
     origin = source_path or f"<numpy-kernel {function.name}>"
     try:
         fn = _instantiate(source, function.name, origin)
     except BackendError:
-        fresh = translate_function(function, mode=mode)
+        fresh = translate_function(function)
         if source_path is None or fresh == source:
             raise              # the translator itself produced bad source
         # Corrupt cached source: drop it, regenerate, re-publish.
@@ -717,5 +526,5 @@ def compile_numpy_kernel(function: Function,
             atomic_write_bytes(source_path, source.encode("utf-8"))
         except OSError:
             source_path = None
-    return NumPyKernel(function=function, source=source, mode=mode,
+    return NumPyKernel(function=function, source=source,
                        source_path=source_path, _callable=fn)

@@ -1,7 +1,7 @@
 """Verified aggressive optimization (CEGIS tier).
 
-The paper's generator is deliberately conservative: the Stage-2 rules
-R0/R1 (:mod:`repro.slingen.rewrite`) are restricted to transformations
+The paper's generator is deliberately conservative: the Stage-2 rule
+R1 (:mod:`repro.slingen.rewrite`) is restricted to transformations
 that are provably safe for *every* program.  This package recovers the
 performance that conservatism leaves on the table with a
 counterexample-guided inductive synthesis (CEGIS) loop:

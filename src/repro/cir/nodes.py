@@ -577,12 +577,6 @@ class Function:
     def buffers(self) -> List[Buffer]:
         return list(self.params) + list(self.temps)
 
-    def buffer(self, name: str) -> Buffer:
-        for buf in self.buffers():
-            if buf.name == name:
-                return buf
-        raise CIRError(f"no buffer named {name!r} in function {self.name!r}")
-
     def walk_statements(self) -> Iterator[CStmt]:
         """Iterate all statements in the body, descending into For/If."""
         def visit(stmts: Sequence[CStmt]) -> Iterator[CStmt]:

@@ -74,10 +74,6 @@ class AlgorithmDatabase:
         if entry is not None:
             entry.syntheses += 1
 
-    @property
-    def entries(self) -> List[DatabaseEntry]:
-        return list(self._entries.values())
-
     def stats(self) -> Dict[str, int]:
         return {
             "signatures": len(self._entries),

@@ -42,14 +42,6 @@ class OperationInstance:
     flags: Dict[str, object] = field(default_factory=dict)
     statement: Optional[Statement] = None
 
-    @property
-    def size(self) -> int:
-        """Problem size n (order of the triangular/SPD operand)."""
-        for role in ("factor", "coefficient", "unknown"):
-            if role in self.views:
-                return self.views[role].rows
-        raise UnsupportedHLACError(f"operation {self.kind} has no sized view")
-
     def signature(self) -> Tuple:
         """A hashable signature used by the algorithm database (Stage 1a).
 

@@ -10,10 +10,9 @@ that space:
   HLAC templates, loops) and of generator options (the joint Stage-1 x
   codegen space, including pinned ``stage1_variants``).
 * :mod:`.oracle` -- the differential oracle: run each (program, options)
-  through the pipeline, execute on every backend
-  (interpreter / NumPy-unrolled / NumPy-vectorized / compiled C), check
-  agreement, and check against an independent LA-level NumPy/SciPy
-  reference.
+  through the pipeline, execute on every backend (interpreter / NumPy /
+  compiled C), check agreement, and check against an independent
+  LA-level NumPy/SciPy reference.
 * :mod:`.shrink` -- greedy failure minimization preserving the failure
   signature.
 * :mod:`.corpus` -- the committed corpus of minimized repros

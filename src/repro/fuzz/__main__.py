@@ -72,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="base seed; case i uses seed+i (default 0)")
     run.add_argument("--backends", default="auto",
                      help="comma-separated backend list, or 'auto' "
-                          "(interpreter,numpy,numpy-vectorized + compiled "
-                          "when $CC resolves)")
+                          "(interpreter,numpy + compiled when $CC "
+                          "resolves)")
     run.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help=f"cross-backend tolerance "
                           f"(default {DEFAULT_TOL:g})")

@@ -2,9 +2,9 @@
 
 ``run_case`` parses the sampled LA program, generates code with the
 sampled options, executes the generated kernel on every available
-backend (C-IR interpreter, NumPy unrolled, NumPy vectorized, compiled C
-when ``$CC`` resolves) via :func:`repro.backend.make_executor`, and
-compares all outputs element-wise.  It also evaluates the *LA program
+backend (C-IR interpreter, NumPy, compiled C when ``$CC`` resolves) via
+:func:`repro.backend.make_executor`, and compares all outputs
+element-wise.  It also evaluates the *LA program
 itself* with NumPy/SciPy (an independent semantic reference that catches
 wrong-code bugs all backends would faithfully execute) and checks the
 kernels against it.

@@ -40,14 +40,6 @@ class Expr:
         return self.rows == 1 and self.cols == 1
 
     @property
-    def is_vector(self) -> bool:
-        return not self.is_scalar and (self.rows == 1 or self.cols == 1)
-
-    @property
-    def is_matrix(self) -> bool:
-        return self.rows > 1 and self.cols > 1
-
-    @property
     def structure(self) -> Structure:
         """Structure of the expression value (LGen structure propagation)."""
         raise NotImplementedError
@@ -380,10 +372,9 @@ class Mul(_Binary):
 class Div(_Binary):
     """Division by a scalar.
 
-    LA only allows ``/`` inside scalar expressions, but the Stage-2 rewrite
-    rule R0 (paper Table 2) packs neighboring scalar divisions into an
-    element-wise division of a small vector by a scalar, so the left operand
-    may be a vector.
+    The left operand may be a vector or a matrix: an element-wise division
+    by a scalar, which the Stage-2 rewrite rule R1 (paper Table 2) turns
+    into a reciprocal and a scaling.
     """
 
     def __init__(self, left: Expr, right: Expr):

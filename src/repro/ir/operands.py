@@ -189,10 +189,6 @@ class View:
         return self.rows == 1 and self.cols == 1
 
     @property
-    def is_vector(self) -> bool:
-        return not self.is_scalar and (self.rows == 1 or self.cols == 1)
-
-    @property
     def is_full(self) -> bool:
         """True when the view covers its whole operand."""
         return (self.row_off == 0 and self.col_off == 0

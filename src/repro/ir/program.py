@@ -95,16 +95,6 @@ class Equation(Statement):
     def is_hlac(self) -> bool:
         return True
 
-    def unknowns(self) -> List[Operand]:
-        """Output operands appearing in the equation (the unknowns)."""
-        outs = [op for op in self.lhs.operands() + self.rhs.operands()
-                if op.is_output]
-        unique: List[Operand] = []
-        for op in outs:
-            if op not in unique:
-                unique.append(op)
-        return unique
-
     def reads(self) -> List[View]:
         return [v for v in self.lhs.views() + self.rhs.views()
                 if not v.operand.is_output]

@@ -26,26 +26,24 @@ Four layers, one per module:
 * :mod:`.analyze` -- per-entry baseline statistics over the trajectory
   and the noise-aware regression **gate** / trend report.
 
-``python -m repro.perf run / report / gate / baseline / migrate-seed``
+``python -m repro.perf run / report / gate / baseline``
 (:mod:`.__main__`) is the operational surface; CI runs the ``smoke``
 suite and gates every push on it.
 """
 
 from .analyze import (GateDecision, GateReport, gate_records, render_report,
                       trend_report)
-from .environment import (compatibility_issues, environment_fingerprint,
-                          unknown_environment)
+from .environment import compatibility_issues, environment_fingerprint
 from .manifest import (Manifest, ManifestEntry, load_manifest, suite,
                        suite_names)
 from .runner import RECORD_SCHEMA_VERSION, BenchRun, run_manifest
-from .trajectory import (TrajectoryStore, default_trajectory_path,
-                         migrate_seed_records)
+from .trajectory import TrajectoryStore, default_trajectory_path
 
 __all__ = [
     "Manifest", "ManifestEntry", "load_manifest", "suite", "suite_names",
-    "environment_fingerprint", "compatibility_issues", "unknown_environment",
+    "environment_fingerprint", "compatibility_issues",
     "RECORD_SCHEMA_VERSION", "BenchRun", "run_manifest",
-    "TrajectoryStore", "default_trajectory_path", "migrate_seed_records",
+    "TrajectoryStore", "default_trajectory_path",
     "GateDecision", "GateReport", "gate_records", "trend_report",
     "render_report",
 ]

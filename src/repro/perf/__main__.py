@@ -23,11 +23,6 @@ Usage (``PYTHONPATH=src python -m repro.perf <command>``)::
         The baseline statistics the gate would compare a run from *this*
         host against (per entry: compatible runs, median, spread).
 
-    migrate-seed [FILE] [--commit LABEL] [--no-append]
-        One-time shim: append the pre-trajectory ``BENCH_seed.json``
-        records (unknown environment, never compared against) to the
-        trajectory.
-
 The trajectory file defaults to ``BENCH_trajectory.jsonl`` in the
 current directory and can be moved with ``--trajectory`` or the
 ``REPRO_TRAJECTORY`` environment variable.
@@ -48,8 +43,7 @@ from .analyze import (DEFAULT_MIN_REL, DEFAULT_NOISE_MULT, gate_records,
 from .environment import environment_fingerprint
 from .manifest import resolve, suite_names
 from .runner import run_manifest
-from .trajectory import (TrajectoryStore, default_trajectory_path,
-                         migrate_seed_records, record_is_valid)
+from .trajectory import TrajectoryStore, default_trajectory_path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,20 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix_args(baseline)
     add_json_flag(baseline, help="emit machine-readable statistics")
 
-    migrate = sub.add_parser("migrate-seed",
-                             help="append pre-trajectory BENCH_seed.json "
-                                  "records to the trajectory")
-    migrate.set_defaults(handler=_cmd_migrate_seed)
-    migrate.add_argument("seed", nargs="?", default="BENCH_seed.json",
-                         metavar="FILE",
-                         help="seed record file (default: %(default)s)")
-    migrate.add_argument("--commit", default="seed", metavar="LABEL",
-                         help="commit label for the migrated records "
-                              "(default: %(default)s)")
-    migrate.add_argument("--no-append", action="store_true",
-                         help="print the migrated records instead of "
-                              "appending them")
-    add_json_flag(migrate)
     return parser
 
 
@@ -241,23 +221,6 @@ def _cmd_baseline(store: TrajectoryStore, args: argparse.Namespace) -> int:
             print(f"  {s.entry:34s} no compatible baseline "
                   f"({s.incompatible} incompatible record(s))")
     return 0
-
-
-def _cmd_migrate_seed(store: TrajectoryStore,
-                      args: argparse.Namespace) -> int:
-    records = migrate_seed_records(args.seed, commit=args.commit)
-    assert all(record_is_valid(r) for r in records)
-    if args.no_append:
-        print_json(records)
-        return EXIT_OK
-    appended = store.append(records)
-    if args.as_json:
-        print_json({"migrated": appended, "seed": args.seed,
-                    "trajectory": store.path})
-    else:
-        print(f"migrated {appended} seed record(s) from {args.seed} "
-              f"into {store.path}")
-    return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:

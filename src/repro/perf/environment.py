@@ -9,10 +9,11 @@ regression threshold.  Every record therefore carries
 incompatible pair is *refused* (reported as non-comparable), never
 scored, so a laptop run can never "regress" against a CI baseline.
 
-Records migrated from pre-trajectory artifacts (``BENCH_seed.json``
-carried no environment at all) get :func:`unknown_environment`, which is
-incompatible with everything by construction: the history is kept, but
-nothing is ever judged against it.
+The trajectory's oldest records (run id ``"seed"``, taken over from the
+pre-trajectory ``BENCH_seed.json``, which recorded no host) carry a
+fingerprint whose fields are all null plus a ``source`` naming that
+file.  Such a fingerprint is incompatible with everything: the history
+is kept, but nothing is ever judged against it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import os
 import platform
 import sys
 from typing import Dict, List, Optional
-
-#: Marker value of :func:`unknown_environment`'s ``source`` field.
-UNKNOWN_SOURCE = "unknown"
-
 
 def _compiler_label() -> Optional[str]:
     """The resolved C compiler's basename (``$CC`` wins), or None."""
@@ -65,22 +62,6 @@ def environment_fingerprint() -> Dict[str, object]:
         "cc": _compiler_label(),
         "vectorize": bool(defaults.vectorize),
         "vector_width": int(defaults.vector_width),
-    }
-
-
-def unknown_environment(source: str = UNKNOWN_SOURCE) -> Dict[str, object]:
-    """The fingerprint of a record whose measuring host is unknown
-    (e.g. migrated from ``BENCH_seed.json``).  Never comparable."""
-    return {
-        "python": None,
-        "numpy": None,
-        "platform": None,
-        "machine": None,
-        "cpu_count": None,
-        "cc": None,
-        "vectorize": None,
-        "vector_width": None,
-        "source": source,
     }
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..backend import EXECUTORS
 from ..errors import PerfError
@@ -120,18 +120,6 @@ class Manifest:
 
     def entry_ids(self) -> List[str]:
         return [entry.entry_id for entry in self.entries]
-
-    def subset(self, entry_ids: Sequence[str]) -> "Manifest":
-        """The manifest restricted to the given entry ids (order kept)."""
-        wanted = set(entry_ids)
-        unknown = wanted - set(self.entry_ids())
-        if unknown:
-            raise PerfError(
-                f"manifest {self.name!r} has no entries "
-                f"{', '.join(sorted(unknown))}")
-        return Manifest(name=self.name,
-                        entries=[e for e in self.entries
-                                 if e.entry_id in wanted])
 
     def to_json(self) -> Dict[str, object]:
         return {"name": self.name,

@@ -23,7 +23,6 @@ import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import PerfError
-from .environment import unknown_environment
 
 #: Bump on any incompatible record-shape change; the loader keeps
 #: unversioned/foreign lines out of analysis but reports them.
@@ -155,54 +154,3 @@ class TrajectoryStore:
             "dropped": self.dropped,
         }
 
-
-# ---------------------------------------------------------------------------
-# Seed migration
-# ---------------------------------------------------------------------------
-
-
-def migrate_seed_records(path: str, commit: str = "seed",
-                         suite: str = "smoke",
-                         timestamp: float = 0.0) -> List[Dict[str, object]]:
-    """``BENCH_seed.json`` records in trajectory form.
-
-    The seed file (the pre-trajectory perf-smoke artifact) is a flat list
-    of ``{kernel, size, backend, median_seconds}``; each becomes one
-    untuned trajectory record under run id ``"seed"`` with an *unknown*
-    environment -- kept as history, never compared against (see
-    :mod:`.environment`).
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise PerfError(f"cannot read seed records {path!r}: {exc}")
-    if not isinstance(doc, list):
-        raise PerfError(f"seed file {path!r} is not a record list")
-    env = unknown_environment(source=os.path.basename(path))
-    records: List[Dict[str, object]] = []
-    for row in doc:
-        if not isinstance(row, dict) or "kernel" not in row \
-                or "backend" not in row or "median_seconds" not in row:
-            raise PerfError(f"bad seed record: {row!r:.120}")
-        kernel = f"{row['kernel']}:{row['size']}"
-        records.append({
-            "schema": TRAJECTORY_SCHEMA_VERSION,
-            "run_id": "seed",
-            "commit": commit,
-            "ts": float(timestamp),
-            "suite": suite,
-            "entry": f"{kernel}/{row['backend']}/untuned",
-            "kernel": kernel,
-            "size": int(row["size"]),
-            "backend": str(row["backend"]),
-            "mode": "untuned",
-            "applied": True,
-            "repeats": int(row.get("repeats", 0)),
-            "median_seconds": float(row["median_seconds"]),
-            "mad_seconds": None,
-            "flops": None,
-            "correct": None,
-            "env": env,
-        })
-    return records

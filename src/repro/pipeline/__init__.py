@@ -7,7 +7,7 @@ This package makes each phase an explicitly keyed, cacheable step:
 
 ``stage1``  Cl1ck synthesis of the basic program
             (keyed by program, resolved block size, variant choices)
-``rewrite`` sound R0/R1 + CEGIS-verified rewrites
+``rewrite`` sound R1 + CEGIS-verified rewrites
             (+ rewrite_rules, verified_rewrites)
 ``lower``   lowering to C-IR
             (name-free rewritten-program digest, resolved vector

@@ -15,7 +15,7 @@ Artifacts are plain picklable dataclasses (the persistent
 immutable by contract: the :class:`~repro.pipeline.cache.PhaseCache`
 hands out the canonical shared object, and later phases share its IR
 rather than copy it.  The two in-place stages only rebind containers
-(``apply_rewrite_rules`` rebinds ``program.statements``,
+(``apply_rule_r1`` rebinds ``program.statements``,
 ``run_pipeline`` rebinds ``function.body``), so the drivers hand them a
 fresh program/function shell around the shared statements.
 """
@@ -48,7 +48,7 @@ class Stage1Artifact:
 
 @dataclass
 class RewrittenProgram:
-    """The basic program after sound R0/R1 and CEGIS-verified rewrites.
+    """The basic program after the sound R1 rule and CEGIS-verified rewrites.
 
     ``digest`` is :func:`~repro.pipeline.keys.program_digest` of
     ``program``, which keys lowering.

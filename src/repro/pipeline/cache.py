@@ -7,7 +7,7 @@ lowering it saves.  That makes immutability a hard contract: artifacts
 (and the functions/programs inside results derived from them) are
 read-only everywhere downstream, exactly like results shared out of the
 ``MemoryKernelStore``; the only two in-place stages in the pipeline
-(``apply_rewrite_rules``, ``run_pipeline``) merely rebind containers,
+(``apply_rule_r1``, ``run_pipeline``) merely rebind containers,
 and run inside phase drivers that give them a fresh program/function
 shell around the shared, never-mutated statements.  All map access is
 serialized by one lock, never held across disk I/O -- the cache is
@@ -95,10 +95,6 @@ class PhaseTimings:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """A plain JSON-able copy (what ``GenerationResult`` carries)."""
         return {phase: dict(entry) for phase, entry in self.phases.items()}
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(entry["seconds"] for entry in self.phases.values())
 
 
 class PersistentPhaseStore:

@@ -258,7 +258,7 @@ def stage1_key(program: Program, block_size: int,
 
 def rewrite_key(stage1: str, rewrite_rules: bool,
                 verified_rewrites: Sequence[str]) -> str:
-    """Key of the LA-level rewrite phase (sound R0/R1 + CEGIS-verified)."""
+    """Key of the LA-level rewrite phase (sound R1 + CEGIS-verified)."""
     return _digest({
         "schema": PHASE_SCHEMA_VERSION,
         "phase": "rewrite",

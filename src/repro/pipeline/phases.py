@@ -18,7 +18,7 @@ purity true:
   candidates in build order -- order-dependent output that a
   content-addressed cache cannot tolerate).
 * Later phases share their input's IR instead of copying it.  The only
-  in-place steps rebind containers -- ``apply_rewrite_rules`` rebinds
+  in-place steps rebind containers -- ``apply_rule_r1`` rebinds
   ``program.statements`` and declares new operands, ``run_pipeline``
   rebinds ``function.body`` -- so the rewrite and optimize drivers hand
   them a fresh shell (new containers around the cached statements,
@@ -54,7 +54,7 @@ from ..lgen.compiler import lower_program_with_shuffle_use
 from ..lgen.lowering import LoweringOptions
 from ..machine.microarch import MicroArchitecture
 from ..machine.roofline import PerformanceEstimate
-from ..slingen.rewrite import RewriteReport, apply_rewrite_rules
+from ..slingen.rewrite import RewriteReport, apply_rule_r1
 from ..slingen.stage1 import synthesize_basic_program
 from .artifacts import (LoweredFunction, OptimizedFunction,
                         RewrittenProgram, Stage1Artifact)
@@ -107,7 +107,7 @@ def rewrite(stage1_artifact: Stage1Artifact, rewrite_rules: bool,
             cache: Optional[PhaseCache] = None,
             timings: Optional[PhaseTimings] = None,
             analysis: str = "off") -> RewrittenProgram:
-    """Apply the sound R0/R1 tier and any CEGIS-verified rewrites."""
+    """Apply the sound R1 rule and any CEGIS-verified rewrites."""
     started = time.perf_counter()
     key = rewrite_key(stage1_artifact.key, rewrite_rules, verified_rewrites)
     artifact = cache.get("rewrite", key) if cache is not None else None
@@ -119,10 +119,10 @@ def rewrite(stage1_artifact: Stage1Artifact, rewrite_rules: bool,
                       list(basic.statements), dict(basic.constants))
     report = RewriteReport()
     if rewrite_rules:
-        report = apply_rewrite_rules(program)
+        report = apply_rule_r1(program)
     if verified_rewrites:
-        # CEGIS-verified unsound rewrites run after the sound R0/R1
-        # tier, on the same basic program every later stage consumes.
+        # CEGIS-verified unsound rewrites run after the sound R1
+        # rule, on the same basic program every later stage consumes.
         from ..cegis.rewrites import apply_sequence
         program = apply_sequence(verified_rewrites, program)
     artifact = RewrittenProgram(key=key, digest=program_digest(program),

@@ -3,15 +3,14 @@
 from .generator import (Candidate, GeneratedCode, GenerationResult, SLinGen,
                         generate)
 from .options import Options
-from .rewrite import (RewriteReport, apply_rewrite_rules, apply_rule_r0,
-                      apply_rule_r1)
+from .rewrite import RewriteReport, apply_rule_r1
 from .stage1 import (HlacSite, Stage1Result, enumerate_variant_choices,
                      find_hlac_sites, synthesize_basic_program)
 
 __all__ = [
     "Candidate", "GeneratedCode", "GenerationResult", "SLinGen", "generate",
     "Options",
-    "RewriteReport", "apply_rewrite_rules", "apply_rule_r0", "apply_rule_r1",
+    "RewriteReport", "apply_rule_r1",
     "HlacSite", "Stage1Result", "enumerate_variant_choices",
     "find_hlac_sites", "synthesize_basic_program",
 ]

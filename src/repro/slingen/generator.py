@@ -4,7 +4,7 @@
 
 1. **Stage 1** -- every HLAC is expanded into a loop-based algorithm over
    sBLACs/scalar ops (Cl1ck-style synthesis, algorithm database, variants).
-2. **Stage 2** -- rewrite rules R0/R1, statement normalization and tiling
+2. **Stage 2** -- rewrite rule R1, statement normalization and tiling
    into nu-BLAC-style vector code, producing C-IR.
 3. **Stage 3** -- code-level optimizations (unrolling, scalar replacement,
    the load/store analysis, DCE) and autotuning over algorithmic and

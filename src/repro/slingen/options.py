@@ -27,7 +27,8 @@ class Options:
     load_store_analysis / scalar_replacement / unroll:
         Individual Stage-3 optimizations (exposed for the ablation study).
     rewrite_rules:
-        Apply the R0/R1 scalar-packing rules of Table 2 during Stage 2.
+        Apply rewrite rule R1 of Table 2 (vector/scalar division to
+        reciprocal and scaling) during Stage 2.
     max_variants:
         Upper bound on the number of candidate implementations evaluated by
         the autotuner.
@@ -39,7 +40,7 @@ class Options:
         tuner uses this to replay a tuned algorithm deterministically.
     verified_rewrites:
         Ids of CEGIS-verified rewrites (:mod:`repro.cegis.rewrites`) to
-        apply to the basic program after the sound R0/R1 rules, in
+        apply to the basic program after the sound R1 rule, in
         catalog order.  These transformations are *unsound in general*;
         callers must only enable ids a verification run accepted for
         this concrete program (normally via a

@@ -1,7 +1,7 @@
 """Tests of the NumPy execution backend (C-IR -> Python/NumPy kernels).
 
 Covers the translator's node semantics against the interpreter (the
-reference), both emission modes, masked edge-of-buffer accesses, the
+reference), masked edge-of-buffer accesses, the
 content-addressed source cache, the executor resolution used by the
 service/bench layers, and the `numpy` tuning measurer.
 """
@@ -15,8 +15,7 @@ import pytest
 from repro.applications.cases import make_case
 from repro.backend import (EXECUTORS, compiler_available, make_executor,
                            compile_numpy_kernel, translate_function)
-from repro.backend.numpy_backend import (MODES, NumPyKernel, NumPyTranslator,
-                                         _mangle)
+from repro.backend.numpy_backend import NumPyKernel, NumPyTranslator, _mangle
 from repro.cir.interpreter import Interpreter, InterpreterKernel
 from repro.cir.nodes import (Affine, Assign, BinOp, Buffer, FloatConst, For,
                              Function, If, Load, ScalarVar, Store, UnOp,
@@ -36,16 +35,15 @@ def generate(name: str, size: int, vectorize: bool = True):
 
 def assert_backends_match(function, inputs, atol=1e-12):
     expected = Interpreter(function).run(inputs)
-    for mode in MODES:
-        got = compile_numpy_kernel(function, mode=mode).run(inputs)
-        assert set(got) == set(expected)
-        for key in expected:
-            np.testing.assert_allclose(got[key], expected[key], atol=atol,
-                                       rtol=0, err_msg=f"{mode}:{key}")
+    got = compile_numpy_kernel(function).run(inputs)
+    assert set(got) == set(expected)
+    for key in expected:
+        np.testing.assert_allclose(got[key], expected[key], atol=atol,
+                                   rtol=0, err_msg=key)
 
 
 # ---------------------------------------------------------------------------
-# Node-level semantics (synthetic functions, both modes vs. interpreter)
+# Node-level semantics (synthetic functions vs. the interpreter)
 # ---------------------------------------------------------------------------
 
 
@@ -57,10 +55,8 @@ class TestVectorNodeSemantics:
                       vector_width=4)
         inputs = {"x": np.array([x_vals], dtype=np.float64)}
         expected = Interpreter(fn).run(inputs)
-        for mode in MODES:
-            got = compile_numpy_kernel(fn, mode=mode).run(inputs)
-            np.testing.assert_allclose(got["y"], expected["y"], atol=0,
-                                       rtol=0, err_msg=mode)
+        got = compile_numpy_kernel(fn).run(inputs)
+        np.testing.assert_allclose(got["y"], expected["y"], atol=0, rtol=0)
         return expected["y"]
 
     def _xy(self):
@@ -156,10 +152,8 @@ class TestVectorNodeSemantics:
                       vector_width=4)
         inputs = {"x": np.arange(1.0, 7.0)}
         expected = Interpreter(fn).run(inputs)
-        for mode in MODES:
-            got = compile_numpy_kernel(fn, mode=mode).run(inputs)
-            np.testing.assert_allclose(got["y"], expected["y"], atol=0,
-                                       rtol=0)
+        got = compile_numpy_kernel(fn).run(inputs)
+        np.testing.assert_allclose(got["y"], expected["y"], atol=0, rtol=0)
 
     def test_masked_store_aliasing_value_reads_before_writes(self):
         """AVX maskstore evaluates its source vector before writing any
@@ -178,10 +172,8 @@ class TestVectorNodeSemantics:
         # the shifted lanes hold the *old* values 1, 2, 3 -- not a cascade
         np.testing.assert_array_equal(
             expected["b"][0], [1.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0])
-        for mode in MODES:
-            got = compile_numpy_kernel(fn, mode=mode).run(inputs)
-            np.testing.assert_array_equal(got["b"], expected["b"],
-                                          err_msg=mode)
+        got = compile_numpy_kernel(fn).run(inputs)
+        np.testing.assert_array_equal(got["b"], expected["b"])
 
     def test_scalar_ops_loops_and_conditionals(self):
         x = Buffer("x", 4, 4, "in")
@@ -240,20 +232,6 @@ class TestTranslation:
         assert ".tolist()" in source
         assert "_p_U[:] = v_U" in source        # writeback of the output
         assert "import numpy" not in source     # pure-Python inner loop
-
-    def test_vectorized_source_shape(self):
-        _, result = generate("gemm", 4)
-        source = translate_function(result.function, mode="vectorized")
-        assert "import numpy as np" in source
-        assert ".copy()" in source              # anti-aliasing vector loads
-        assert "_maskload(" in source           # masked edge accesses
-
-    def test_unknown_mode_rejected(self):
-        _, result = generate("potrf", 4)
-        with pytest.raises(BackendError):
-            translate_function(result.function, mode="simd")
-        with pytest.raises(BackendError):
-            compile_numpy_kernel(result.function, mode="simd")
 
     def test_sources_are_deterministic(self):
         _, result = generate("potrf", 4)
@@ -390,16 +368,6 @@ class TestSourceCache:
                                  cache_dir=str(tmp_path))
         assert a.source_path != b.source_path
 
-    def test_modes_do_not_collide_in_cache(self, tmp_path):
-        _, result = generate("potrf", 4)
-        a = compile_numpy_kernel(result.function, cache_key="k",
-                                 cache_dir=str(tmp_path))
-        b = compile_numpy_kernel(result.function, cache_key="k",
-                                 cache_dir=str(tmp_path),
-                                 mode="vectorized")
-        assert a.source_path != b.source_path
-        assert a.source != b.source
-
 
 # ---------------------------------------------------------------------------
 # Executor resolution + layer integration
@@ -425,8 +393,7 @@ class TestExecutorIntegration:
         assert type(kernel).__name__ == expected
 
     def test_executors_constant_lists_backends(self):
-        assert set(EXECUTORS) == {"compiled", "numpy", "numpy-vectorized",
-                                  "interpreter"}
+        assert set(EXECUTORS) == {"compiled", "numpy", "interpreter"}
 
     def test_generation_result_run_numpy(self):
         case, result = generate("potrf", 4)

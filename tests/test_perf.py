@@ -1,6 +1,6 @@
 """Tests for the continuous-performance subsystem (:mod:`repro.perf`):
 manifests/suites, the append-only trajectory store's corruption tolerance
-and append atomicity, the seed-migration shim, the noise-aware gate, the
+and append atomicity, the committed seed history, the noise-aware gate, the
 deterministic trend report, and the CLI — plus the acceptance check that
 the committed ``BENCH_trajectory.jsonl`` gates clean."""
 
@@ -20,12 +20,10 @@ from repro.perf import (
     environment_fingerprint,
     gate_records,
     load_manifest,
-    migrate_seed_records,
     run_manifest,
     suite,
     suite_names,
     trend_report,
-    unknown_environment,
 )
 from repro.perf.manifest import resolve
 from repro.perf.trajectory import TRAJECTORY_SCHEMA_VERSION, record_is_valid
@@ -126,9 +124,16 @@ class TestEnvironment:
         assert compatibility_issues(env, env) == []
 
     def test_unknown_environment_is_never_comparable(self):
+        """The trajectory's seed records (taken over from BENCH_seed.json,
+        which recorded no host) are refused as baselines both ways."""
+        store = TrajectoryStore(
+            path=os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl"))
+        seed_envs = [r["env"] for r in store.load() if r["run_id"] == "seed"]
+        assert seed_envs
         env = environment_fingerprint()
-        assert compatibility_issues(env, unknown_environment("seed"))
-        assert compatibility_issues(unknown_environment("seed"), env)
+        for seed_env in seed_envs:
+            assert compatibility_issues(env, seed_env)
+            assert compatibility_issues(seed_env, env)
 
     def test_field_mismatches_are_reported(self):
         a = dict(ENV)
@@ -211,25 +216,22 @@ class TestTrajectoryStore:
 
 class TestSeedMigration:
     def test_committed_seed_file_migrates(self):
-        records = migrate_seed_records(
-            os.path.join(REPO_ROOT, "BENCH_seed.json"))
-        assert len(records) == 12
+        """Every BENCH_seed.json row is in the committed trajectory as a
+        valid smoke-suite record of run ``seed``, with its median."""
+        with open(os.path.join(REPO_ROOT, "BENCH_seed.json"),
+                  encoding="utf-8") as handle:
+            rows = json.load(handle)
+        store = TrajectoryStore(
+            path=os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl"))
+        records = [r for r in store.load() if r["run_id"] == "seed"]
+        assert len(records) == len(rows) == 12
         assert all(record_is_valid(r) for r in records)
-        assert all(r["run_id"] == "seed" for r in records)
         ids = {r["entry"] for r in records}
         assert ids <= set(suite("smoke").entry_ids())
-        # unknown environment: migrated history is never a gate baseline
-        env = environment_fingerprint()
-        assert all(compatibility_issues(env, r["env"]) for r in records)
-
-    def test_bad_seed_rows_are_rejected(self, tmp_path):
-        path = tmp_path / "seed.json"
-        path.write_text(json.dumps([{"kernel": "potrf"}]))
-        with pytest.raises(PerfError):
-            migrate_seed_records(str(path))
-        path.write_text("{}")
-        with pytest.raises(PerfError):
-            migrate_seed_records(str(path))
+        medians = {r["entry"]: r["median_seconds"] for r in records}
+        for row in rows:
+            entry = f"{row['kernel']}:{row['size']}/{row['backend']}/untuned"
+            assert medians[entry] == row["median_seconds"]
 
 
 class TestGate:
@@ -428,20 +430,6 @@ class TestCli:
         assert self.run_cli("--trajectory", str(tmp_path / "no.jsonl"),
                             "gate") == 1
         capsys.readouterr()
-
-    def test_migrate_seed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        trajectory = str(tmp_path / "t.jsonl")
-        assert self.run_cli("--trajectory", trajectory,
-                            "migrate-seed") == 0
-        capsys.readouterr()
-        store = TrajectoryStore(path=trajectory)
-        assert store.stats()["records"] == 12
-        # migrated history alone can never satisfy the gate's baselines
-        assert self.run_cli("--trajectory", trajectory, "baseline",
-                            "--json") == 0
-        base = json.loads(capsys.readouterr().out)
-        assert all(b["runs"] == 0 for b in base["baselines"])
 
     def test_errors_exit_two(self, tmp_path, capsys):
         assert self.run_cli("--trajectory", str(tmp_path / "t.jsonl"),

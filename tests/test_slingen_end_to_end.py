@@ -6,9 +6,8 @@ import pytest
 from repro import Options, SLinGen
 from repro.applications import kf_case, make_case
 from repro.backend import compiler_available
-from repro.slingen import apply_rule_r0, apply_rule_r1
+from repro.slingen import apply_rule_r1
 from repro.la import parse_program
-from repro.ir import Assign, Div, Ref
 
 
 def _check(case, generated, seed=11, atol=1e-7):
@@ -135,37 +134,6 @@ class TestCompiledC:
 
 
 class TestRewriteRules:
-    def test_rule_r0_packs_adjacent_divisions(self):
-        source = """
-        Mat S(1, 2) <In>;
-        Sca lam <In>;
-        Mat X(1, 2) <Out>;
-        Sca x0 <Out>;
-        Sca x1 <Out>;
-        x0 = 1.0 / lam;
-        x1 = 1.0 / lam;
-        X = S / lam;
-        """
-        # Build the Table-2 scenario directly on a program: two scalar
-        # divisions with adjacent destinations.
-        program = parse_program("""
-        Mat B(1, 4) <In>;
-        Sca lam <In>;
-        Mat X(1, 4) <Out>;
-        """, {})
-        B = program.operand("B")
-        lam = program.operand("lam")
-        X = program.operand("X")
-        for j in range(4):
-            program.statements.append(
-                Assign(X.full_view().element(0, j),
-                       Div(Ref(B.full_view().element(0, j)),
-                           Ref(lam.full_view()))))
-        report = apply_rule_r0(program)
-        assert report.r0_applications == 1
-        assert len(program.statements) == 1
-        assert program.statements[0].lhs.shape == (1, 4)
-
     def test_rule_r1_introduces_reciprocal(self):
         program = parse_program("""
         Vec b(6) <In>;
