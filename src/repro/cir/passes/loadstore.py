@@ -37,7 +37,8 @@ from ..transform import map_statement_expressions
 
 @dataclass
 class LoadStoreStats:
-    """Statistics reported by the analysis (used by tests and EXPERIMENTS)."""
+    """Statistics reported by the analysis (used by tests and the
+    load/store ablation in ``benchmarks/bench_ablation.py``)."""
 
     forwarded_full: int = 0       # loads replaced by a single register
     forwarded_blend: int = 0      # loads replaced by a blend of two registers
