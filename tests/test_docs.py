@@ -1,6 +1,7 @@
 """Tests for the documentation tooling: the generated CLI reference stays
-in sync with the argparse parsers, every relative link resolves, and every
-Markdown file a docstring cites exists."""
+in sync with the argparse parsers, every relative link resolves, every
+Markdown file a docstring cites exists, and docs/pipeline.md's C listing
+is real output."""
 
 import ast
 import glob
@@ -132,6 +133,26 @@ class TestFigureTables:
             assert columns[0] == "n", path
             for column in columns[1:]:
                 assert column.endswith("(model)"), (path, column)
+
+
+class TestPipelineListing:
+    def test_c_listing_is_emitted_by_the_generator(self, capsys):
+        """Every line of docs/pipeline.md's C listing, bar the ``...``
+        elisions, is a line of ``python -m repro.backend emit potrf:4
+        --format c``."""
+        from repro.backend.__main__ import main as backend_main
+
+        with open(os.path.join(REPO_ROOT, "docs", "pipeline.md"),
+                  encoding="utf-8") as handle:
+            (listing,) = re.findall(r"```c\n(.*?)```", handle.read(),
+                                    re.DOTALL)
+        assert backend_main(["emit", "potrf:4", "--format", "c"]) == 0
+        emitted = {line.strip()
+                   for line in capsys.readouterr().out.splitlines()}
+        shown = [line.strip() for line in listing.splitlines()
+                 if line.strip() and line.strip() != "..."]
+        assert len(shown) > 5
+        assert [line for line in shown if line not in emitted] == []
 
 
 def _docstrings(path):
