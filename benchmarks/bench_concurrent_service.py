@@ -39,11 +39,18 @@ WORKLOADS = ["potrf:4", "potrf:8", "trtri:8", "gemm:4"]
 def stampede(workload: str, single_flight: bool, clients: int):
     """``clients`` threads request one workload against a cold store;
     returns ``(generations, wall_s, responses)``."""
-    from repro.service import DiskKernelStore, KernelService, make_request
+    from repro.service import DiskKernelStore, KernelService
 
-    root = tempfile.mkdtemp(prefix="repro_concurrency_bench_")
-    service = KernelService(store=DiskKernelStore(root=root),
-                            single_flight=single_flight)
+    with tempfile.TemporaryDirectory(
+            prefix="repro_concurrency_bench_") as root:
+        service = KernelService(store=DiskKernelStore(root=root),
+                                single_flight=single_flight)
+        return _stampede(service, workload, clients)
+
+
+def _stampede(service, workload: str, clients: int):
+    from repro.service import make_request
+
     barrier = threading.Barrier(clients)
     responses = [None] * clients
     failures = []

@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 import threading
@@ -109,7 +110,10 @@ class PoolHarness:
         return self
 
     def __exit__(self, *exc_info):
-        self.pool.shutdown()
+        try:
+            self.pool.shutdown()
+        finally:
+            shutil.rmtree(self.root, ignore_errors=True)
 
 
 def drive(url: str, specs, clients: int):

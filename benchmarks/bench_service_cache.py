@@ -25,16 +25,15 @@ WORKLOADS = ["potrf:4", "potrf:12", "trtri:8", "trsyl:4", "gpr:8"]
 def run(workloads=WORKLOADS) -> int:
     from repro.service import DiskKernelStore, KernelService, make_request
 
-    root = tempfile.mkdtemp(prefix="repro_cache_bench_")
-    service = KernelService(store=DiskKernelStore(root=root))
     requests = [make_request(spec) for spec in workloads]
-
-    t0 = time.perf_counter()
-    cold = service.generate_many(requests)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm = service.generate_many(requests)
-    warm_s = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory(prefix="repro_cache_bench_") as root:
+        service = KernelService(store=DiskKernelStore(root=root))
+        t0 = time.perf_counter()
+        cold = service.generate_many(requests)
+        cold_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm = service.generate_many(requests)
+        warm_s = time.perf_counter() - t0
 
     print(f"{'workload':10s} {'cold (ms)':>10s} {'warm (ms)':>10s} "
           f"{'hit':>4s}")
