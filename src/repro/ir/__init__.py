@@ -5,17 +5,15 @@ algorithm synthesis (Stage 1), and the LGen-style sBLAC lowering (Stage 2).
 """
 
 from .expr import (Add, Const, Div, Expr, Inverse, Mul, Neg, Ref, Sqrt, Sub,
-                   Transpose, flatten_add, flatten_mul, ref)
+                   Transpose, flatten_add, ref)
 from .operands import IOType, Matrix, Operand, Scalar, Vector, View
 from .program import Assign, Equation, ForLoop, Program, Statement
-from .properties import (Properties, StorageHalf, Structure, add_structure,
-                         mul_structure, transpose_structure)
+from .properties import Properties, StorageHalf, Structure
 
 __all__ = [
     "Add", "Const", "Div", "Expr", "Inverse", "Mul", "Neg", "Ref", "Sqrt",
-    "Sub", "Transpose", "flatten_add", "flatten_mul", "ref",
+    "Sub", "Transpose", "flatten_add", "ref",
     "IOType", "Matrix", "Operand", "Scalar", "Vector", "View",
     "Assign", "Equation", "ForLoop", "Program", "Statement",
-    "Properties", "StorageHalf", "Structure", "add_structure",
-    "mul_structure", "transpose_structure",
+    "Properties", "StorageHalf", "Structure",
 ]

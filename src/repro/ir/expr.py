@@ -18,8 +18,6 @@ from typing import Iterator, List, Tuple, Union
 
 from ..errors import DimensionError
 from .operands import Operand, View
-from .properties import (Structure, add_structure, mul_structure,
-                         neg_structure, scale_structure, transpose_structure)
 
 
 class Expr:
@@ -38,11 +36,6 @@ class Expr:
     @property
     def is_scalar(self) -> bool:
         return self.rows == 1 and self.cols == 1
-
-    @property
-    def structure(self) -> Structure:
-        """Structure of the expression value (LGen structure propagation)."""
-        raise NotImplementedError
 
     # -- traversal ----------------------------------------------------------
 
@@ -126,10 +119,6 @@ class Ref(Expr):
     def cols(self) -> int:
         return self.view.cols
 
-    @property
-    def structure(self) -> Structure:
-        return self.view.structure
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self.view)
 
@@ -141,10 +130,6 @@ class Const(Expr):
     value: float
     rows: int = 1
     cols: int = 1
-
-    @property
-    def structure(self) -> Structure:
-        return Structure.GENERAL
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.value:g}"
@@ -195,10 +180,6 @@ class Transpose(_Unary):
     def cols(self) -> int:
         return self.child.rows
 
-    @property
-    def structure(self) -> Structure:
-        return transpose_structure(self.child.structure)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.child!r}^T"
 
@@ -214,10 +195,6 @@ class Neg(_Unary):
     def cols(self) -> int:
         return self.child.cols
 
-    @property
-    def structure(self) -> Structure:
-        return neg_structure(self.child.structure)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"-({self.child!r})"
 
@@ -232,10 +209,6 @@ class Sqrt(_Unary):
 
     rows = 1
     cols = 1
-
-    @property
-    def structure(self) -> Structure:
-        return Structure.GENERAL
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"sqrt({self.child!r})"
@@ -258,16 +231,6 @@ class Inverse(_Unary):
     def cols(self) -> int:
         return self.child.cols
 
-    @property
-    def structure(self) -> Structure:
-        # The inverse of a triangular matrix is triangular with the same
-        # orientation; other structures are not propagated here.
-        child = self.child.structure
-        if child in (Structure.LOWER_TRIANGULAR, Structure.UPPER_TRIANGULAR,
-                     Structure.DIAGONAL, Structure.IDENTITY):
-            return child
-        return Structure.GENERAL
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.child!r})^-1"
 
@@ -289,10 +252,6 @@ class Add(_Binary):
     def cols(self) -> int:
         return self.left.cols
 
-    @property
-    def structure(self) -> Structure:
-        return add_structure(self.left.structure, self.right.structure)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left!r} + {self.right!r})"
 
@@ -313,11 +272,6 @@ class Sub(_Binary):
     @property
     def cols(self) -> int:
         return self.left.cols
-
-    @property
-    def structure(self) -> Structure:
-        return add_structure(self.left.structure,
-                             neg_structure(self.right.structure))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left!r} - {self.right!r})"
@@ -357,14 +311,6 @@ class Mul(_Binary):
             return self.right.cols
         return self.right.cols
 
-    @property
-    def structure(self) -> Structure:
-        if self.left.is_scalar:
-            return scale_structure(self.right.structure)
-        if self.right.is_scalar:
-            return scale_structure(self.left.structure)
-        return mul_structure(self.left.structure, self.right.structure)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left!r} * {self.right!r})"
 
@@ -389,10 +335,6 @@ class Div(_Binary):
     @property
     def cols(self) -> int:
         return self.left.cols
-
-    @property
-    def structure(self) -> Structure:
-        return scale_structure(self.left.structure)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left!r} / {self.right!r})"
@@ -420,18 +362,3 @@ def flatten_add(expr: Expr) -> List[Tuple[int, Expr]]:
 
     visit(expr, +1)
     return terms
-
-
-def flatten_mul(expr: Expr) -> List[Expr]:
-    """Flatten nested Mul into an ordered factor list (non-commutative)."""
-    factors: List[Expr] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, Mul):
-            visit(node.left)
-            visit(node.right)
-        else:
-            factors.append(node)
-
-    visit(expr)
-    return factors

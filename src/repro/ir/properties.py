@@ -1,4 +1,4 @@
-"""Matrix structure properties and their algebra.
+"""Matrix structure properties.
 
 The LA language (paper Fig. 4) lets the user annotate matrices with
 structural and mathematical properties:
@@ -13,16 +13,12 @@ Internally we work with a slightly richer *structure lattice* that also
 contains ``ZERO``, ``IDENTITY`` and ``DIAGONAL`` because those show up when
 partitioned matrix expressions are simplified (e.g. the bottom-left block of
 an upper-triangular matrix is ZERO).
-
-The functions at the bottom of the module implement the structure algebra
-used by LGen-style structure propagation: the structure of ``A + B``,
-``A * B`` and ``A^T`` as a function of the structures of the inputs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 
@@ -39,10 +35,6 @@ class Structure(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-    @property
-    def is_triangular(self) -> bool:
-        return self in (Structure.LOWER_TRIANGULAR, Structure.UPPER_TRIANGULAR)
 
     @property
     def is_symmetric(self) -> bool:
@@ -149,20 +141,6 @@ class Properties:
     def is_symmetric(self) -> bool:
         return self.structure.is_symmetric
 
-    def transposed(self) -> "Properties":
-        """Properties of the transpose of a matrix with these properties."""
-        mapping = {
-            Structure.LOWER_TRIANGULAR: Structure.UPPER_TRIANGULAR,
-            Structure.UPPER_TRIANGULAR: Structure.LOWER_TRIANGULAR,
-        }
-        new_structure = mapping.get(self.structure, self.structure)
-        new_storage = {
-            StorageHalf.UPPER: StorageHalf.LOWER,
-            StorageHalf.LOWER: StorageHalf.UPPER,
-            StorageHalf.FULL: StorageHalf.FULL,
-        }[self.storage]
-        return replace(self, structure=new_structure, storage=new_storage)
-
     # -- LA-language annotation names --------------------------------------
 
     def annotation_names(self) -> FrozenSet[str]:
@@ -217,73 +195,3 @@ class Properties:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         names = sorted(self.annotation_names())
         return ",".join(names) if names else "General"
-
-
-# ---------------------------------------------------------------------------
-# Structure algebra (LGen-style structure propagation rules)
-# ---------------------------------------------------------------------------
-
-def add_structure(a: Structure, b: Structure) -> Structure:
-    """Structure of ``A + B`` given structures of ``A`` and ``B``."""
-    if a is Structure.ZERO:
-        return b
-    if b is Structure.ZERO:
-        return a
-    if a is b:
-        if a is Structure.IDENTITY:
-            return Structure.DIAGONAL
-        return a
-    pair = {a, b}
-    if pair <= {Structure.DIAGONAL, Structure.IDENTITY}:
-        return Structure.DIAGONAL
-    if pair <= {Structure.LOWER_TRIANGULAR, Structure.DIAGONAL,
-                Structure.IDENTITY}:
-        return Structure.LOWER_TRIANGULAR
-    if pair <= {Structure.UPPER_TRIANGULAR, Structure.DIAGONAL,
-                Structure.IDENTITY}:
-        return Structure.UPPER_TRIANGULAR
-    if pair <= {Structure.SYMMETRIC, Structure.DIAGONAL, Structure.IDENTITY}:
-        return Structure.SYMMETRIC
-    return Structure.GENERAL
-
-
-def mul_structure(a: Structure, b: Structure) -> Structure:
-    """Structure of ``A * B`` given structures of ``A`` and ``B``."""
-    if a is Structure.ZERO or b is Structure.ZERO:
-        return Structure.ZERO
-    if a is Structure.IDENTITY:
-        return b
-    if b is Structure.IDENTITY:
-        return a
-    if a is Structure.DIAGONAL and b is Structure.DIAGONAL:
-        return Structure.DIAGONAL
-    if a is Structure.DIAGONAL:
-        return b if b.is_triangular else Structure.GENERAL
-    if b is Structure.DIAGONAL:
-        return a if a.is_triangular else Structure.GENERAL
-    if a is Structure.LOWER_TRIANGULAR and b is Structure.LOWER_TRIANGULAR:
-        return Structure.LOWER_TRIANGULAR
-    if a is Structure.UPPER_TRIANGULAR and b is Structure.UPPER_TRIANGULAR:
-        return Structure.UPPER_TRIANGULAR
-    return Structure.GENERAL
-
-
-def transpose_structure(a: Structure) -> Structure:
-    """Structure of ``A^T`` given the structure of ``A``."""
-    if a is Structure.LOWER_TRIANGULAR:
-        return Structure.UPPER_TRIANGULAR
-    if a is Structure.UPPER_TRIANGULAR:
-        return Structure.LOWER_TRIANGULAR
-    return a
-
-
-def scale_structure(a: Structure) -> Structure:
-    """Structure of ``alpha * A`` for a scalar ``alpha``."""
-    if a is Structure.IDENTITY:
-        return Structure.DIAGONAL
-    return a
-
-
-def neg_structure(a: Structure) -> Structure:
-    """Structure of ``-A``."""
-    return scale_structure(a)

@@ -5,8 +5,7 @@ import pytest
 from repro.errors import DimensionError, LASemanticError
 from repro.ir import (Add, Assign, Const, Div, Equation, ForLoop, IOType,
                       Inverse, Matrix, Mul, Neg, Program, Ref, Sqrt,
-                      Structure, Sub, Transpose, Vector, flatten_add,
-                      flatten_mul, ref)
+                      Sub, Transpose, Vector, flatten_add, ref)
 from repro.ir.properties import Properties
 
 
@@ -65,12 +64,6 @@ class TestExpressions:
         with pytest.raises(DimensionError):
             Inverse(ref(A))
 
-    def test_structure_propagation_triangular_product(self):
-        L1 = Matrix("L1", 4, 4, properties=Properties.lower_triangular())
-        L2 = Matrix("L2", 4, 4, properties=Properties.lower_triangular())
-        assert Mul(ref(L1), ref(L2)).structure is Structure.LOWER_TRIANGULAR
-        assert Transpose(ref(L1)).structure is Structure.UPPER_TRIANGULAR
-
     def test_flatten_add_signs(self, operands):
         A, *_ = operands
         A2 = Matrix("A2", 4, 6)
@@ -78,12 +71,6 @@ class TestExpressions:
         expr = Sub(Add(ref(A), ref(A2)), Neg(ref(A3)))
         terms = flatten_add(expr)
         assert [sign for sign, _ in terms] == [1, 1, 1]
-
-    def test_flatten_mul_preserves_order(self, operands):
-        A, B, *_ = operands
-        D = Matrix("D", 5, 3)
-        factors = flatten_mul(Mul(Mul(ref(A), ref(B)), ref(D)))
-        assert [f.view.operand.name for f in factors] == ["A", "B", "D"]
 
     def test_walk_and_operands(self, operands):
         A, B, C, _ = operands

@@ -1,11 +1,9 @@
-"""Unit tests for matrix properties, the structure algebra, and views."""
+"""Unit tests for matrix properties and views."""
 
 import pytest
 
 from repro.errors import DimensionError
-from repro.ir import (IOType, Matrix, Operand, Properties, Structure, Vector,
-                      add_structure, mul_structure, transpose_structure)
-from repro.ir.properties import StorageHalf, scale_structure
+from repro.ir import IOType, Matrix, Operand, Properties, Structure, Vector
 
 
 class TestProperties:
@@ -29,58 +27,6 @@ class TestProperties:
         names = {"UpTri", "NS", "UnitDiag"}
         props = Properties.from_annotations(names)
         assert props.annotation_names() == frozenset(names)
-
-    def test_transposed_swaps_triangles(self):
-        lower = Properties.lower_triangular()
-        assert lower.transposed().structure is Structure.UPPER_TRIANGULAR
-        assert lower.transposed().storage is StorageHalf.UPPER
-
-    def test_transposed_preserves_symmetry(self):
-        sym = Properties.symmetric()
-        assert sym.transposed().structure is Structure.SYMMETRIC
-
-
-class TestStructureAlgebra:
-    def test_add_identity_rules(self):
-        assert add_structure(Structure.ZERO,
-                             Structure.LOWER_TRIANGULAR) is \
-            Structure.LOWER_TRIANGULAR
-        assert add_structure(Structure.LOWER_TRIANGULAR,
-                             Structure.LOWER_TRIANGULAR) is \
-            Structure.LOWER_TRIANGULAR
-        assert add_structure(Structure.LOWER_TRIANGULAR,
-                             Structure.UPPER_TRIANGULAR) is Structure.GENERAL
-
-    def test_add_symmetric(self):
-        assert add_structure(Structure.SYMMETRIC,
-                             Structure.DIAGONAL) is Structure.SYMMETRIC
-        assert add_structure(Structure.IDENTITY,
-                             Structure.IDENTITY) is Structure.DIAGONAL
-
-    def test_mul_triangular(self):
-        assert mul_structure(Structure.LOWER_TRIANGULAR,
-                             Structure.LOWER_TRIANGULAR) is \
-            Structure.LOWER_TRIANGULAR
-        assert mul_structure(Structure.LOWER_TRIANGULAR,
-                             Structure.UPPER_TRIANGULAR) is Structure.GENERAL
-
-    def test_mul_zero_annihilates(self):
-        assert mul_structure(Structure.ZERO,
-                             Structure.SYMMETRIC) is Structure.ZERO
-
-    def test_mul_identity_neutral(self):
-        assert mul_structure(Structure.IDENTITY,
-                             Structure.UPPER_TRIANGULAR) is \
-            Structure.UPPER_TRIANGULAR
-
-    def test_transpose(self):
-        assert transpose_structure(Structure.LOWER_TRIANGULAR) is \
-            Structure.UPPER_TRIANGULAR
-        assert transpose_structure(Structure.SYMMETRIC) is Structure.SYMMETRIC
-
-    def test_scale_keeps_shape(self):
-        assert scale_structure(Structure.IDENTITY) is Structure.DIAGONAL
-        assert scale_structure(Structure.SYMMETRIC) is Structure.SYMMETRIC
 
 
 class TestOperandsAndViews:

@@ -9,12 +9,8 @@ from repro.applications import make_case
 from repro.cir import Affine, run_function
 from repro.cir.passes import PassOptions, run_pipeline
 from repro.ir import IOType, Matrix, Mul, Program, Assign, Transpose, ref
-from repro.ir.properties import (Properties, Structure, add_structure,
-                                 mul_structure, transpose_structure)
 from repro.lgen import LoweringOptions, lower_program
 from repro.slingen import Options, SLinGen
-
-structures = st.sampled_from(list(Structure))
 
 
 class TestAffineProperties:
@@ -35,32 +31,6 @@ class TestAffineProperties:
         expr = Affine.var("i") * 2 + Affine.var("j") * 3 + 1
         assert expr.substitute({"i": a, "j": b}).value() == \
             expr.evaluate({"i": a, "j": b})
-
-
-class TestStructureAlgebraProperties:
-    @given(structures, structures)
-    def test_add_is_commutative(self, a, b):
-        assert add_structure(a, b) is add_structure(b, a)
-
-    @given(structures)
-    def test_zero_is_additive_identity(self, a):
-        assert add_structure(Structure.ZERO, a) is a
-
-    @given(structures)
-    def test_identity_is_multiplicative_identity(self, a):
-        assert mul_structure(Structure.IDENTITY, a) is a
-        assert mul_structure(a, Structure.IDENTITY) is a
-
-    @given(structures)
-    def test_transpose_is_involutive(self, a):
-        assert transpose_structure(transpose_structure(a)) is a
-
-    @given(structures, structures)
-    def test_transpose_of_product_rule(self, a, b):
-        # (A*B)^T has the structure of B^T * A^T
-        lhs = transpose_structure(mul_structure(a, b))
-        rhs = mul_structure(transpose_structure(b), transpose_structure(a))
-        assert lhs is rhs
 
 
 class TestLoweringInvariants:
