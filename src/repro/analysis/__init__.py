@@ -1,15 +1,13 @@
-"""Static analysis: an IR well-formedness verifier and dataflow framework.
+"""Static analysis: an IR well-formedness verifier.
 
 The subsystem proves well-formedness of pipeline artifacts at
 generation time -- on *all* paths, with zero execution cost -- where
 the differential fuzzer and the CEGIS verifier can only sample:
 
-* :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` -- the
-  reusable framework: structured CFGs over C-IR bodies and a generic
-  forward/backward worklist solver.
 * :mod:`repro.analysis.widths`, :mod:`repro.analysis.bounds`,
   :mod:`repro.analysis.defuse`, :mod:`repro.analysis.liveness` -- the
-  C-IR function passes.
+  C-IR function passes.  C-IR control flow is counted loops with
+  constant bounds, so each pass is one structured walk of the body.
 * :mod:`repro.analysis.structure` -- the mathematical-level passes over
   LA/Stage-1 programs (structurally-zero reads/writes, ``ow()`` overlay
   aliasing).

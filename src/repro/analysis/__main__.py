@@ -12,8 +12,8 @@ Usage (``PYTHONPATH=src python -m repro.analysis <command>``)::
 
     lint [TARGET ...] [--const NAME=VALUE] [--json]
         Same sweep, but the report also lists warning diagnostics
-        (dead stores, double writes, implicit-zero reads, unprovable
-        bounds).  The exit code is still driven by errors only.
+        (dead stores, double writes, implicit-zero reads).  The exit
+        code is still driven by errors only.
 
 A TARGET is one of:
 

@@ -2,9 +2,10 @@
 
 Two cooperating analyses:
 
-* **Registers** (``ScalarVar``/``VecVar``): a forward must-defined
-  dataflow over the CFG (intersection meet).  A register read that is
-  not definitely assigned on every path to it is an *error* -- the
+* **Registers** (``ScalarVar``/``VecVar``): a forward scan of the
+  registers assigned so far.  A loop that runs at least once passes its
+  body's assignments on to what follows it; a zero-trip loop is skipped.
+  A register read before any assignment reaches it is an *error* -- the
   interpreter raises ``use of undefined register`` and the C backends
   read an uninitialized stack slot.
 
@@ -28,9 +29,8 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
 from ..cir.nodes import (Affine, Assign, CExpr, Comment, CStmt, For,
-                         Function, If, Load, Store, VLoad, VStore)
-from .cfg import build_cfg
-from .dataflow import MustDefined, expr_registers, solve, stmt_def
+                         Function, Load, ScalarVar, Store, VecVar, VLoad,
+                         VStore)
 from .diagnostics import Diagnostic
 
 PASS = "defuse"
@@ -39,34 +39,37 @@ PASS = "defuse"
 ELEMENT_WALK_LIMIT = 200_000
 
 
+def expr_registers(expr: CExpr) -> FrozenSet[str]:
+    """Names of all registers read by ``expr``."""
+    return frozenset(node.name for node in expr.walk()
+                     if isinstance(node, (ScalarVar, VecVar)))
+
+
 def check_register_defuse(fn: Function) -> List[Diagnostic]:
     """Registers that may be read before any assignment reaches them."""
-    cfg = build_cfg(fn.body)
-    universe: Set[str] = set()
-    for stmt in fn.walk_statements():
-        universe |= stmt_def(stmt)
-        if isinstance(stmt, (Assign, Store, VStore)):
-            universe |= expr_registers(stmt.value)
-    states = solve(cfg, MustDefined(frozenset(universe)))
-
     diags: List[Diagnostic] = []
     reported: Set[str] = set()
-    reachable = cfg.reachable_ids()
-    for block in cfg.blocks:
-        if block.block_id not in reachable:
-            continue
-        defined: FrozenSet[str] = states[block.block_id][0]
-        current = set(defined)
-        for stmt in block.stmts:
-            if isinstance(stmt, (Assign, Store, VStore)):
+
+    def scan(stmts: Sequence[CStmt], defined: Set[str]) -> None:
+        # ``defined`` grows in place.  Every iteration of a loop starts
+        # with at least what was defined before it, and the first starts
+        # with exactly that, so one scan of the body decides its reads.
+        for stmt in stmts:
+            if isinstance(stmt, For):
+                if stmt.trip_count:
+                    scan(stmt.body, defined)
+            elif isinstance(stmt, (Assign, Store, VStore)):
                 for name in sorted(expr_registers(stmt.value)):
-                    if name not in current and name not in reported:
+                    if name not in defined and name not in reported:
                         reported.add(name)
                         diags.append(Diagnostic(
                             PASS, "error",
                             f"register {name!r} may be read before it is "
                             f"assigned", _location(stmt)))
-            current |= stmt_def(stmt)
+                if isinstance(stmt, Assign):
+                    defined.add(stmt.dest.name)
+
+    scan(fn.body, set())
     return diags
 
 
@@ -127,12 +130,12 @@ def element_events(fn: Function,
     """Iterate ``(kind, buffer, element, stmt)`` access events in order.
 
     ``kind`` is ``"read"`` or ``"write"``.  Loops are concretely
-    unrolled (all bounds are constants) and ``If`` conditions evaluated
-    exactly, so the event stream is the precise dynamic access trace --
-    independent of data values, which indices never depend on.  The
-    returned :class:`WalkStatus` reports (once the stream is fully
-    drained) whether the walk stayed within ``limit`` simple statements;
-    callers must treat a truncated stream as inconclusive, not clean.
+    unrolled (all bounds are constants), so the event stream is the
+    precise dynamic access trace -- independent of data values, which
+    indices never depend on.  The returned :class:`WalkStatus` reports
+    (once the stream is fully drained) whether the walk stayed within
+    ``limit`` simple statements; callers must treat a truncated stream
+    as inconclusive, not clean.
 
     ``only`` restricts the stream to the named buffers: statements and
     whole loops that access none of them are skipped, and do not count
@@ -156,8 +159,6 @@ def element_events(fn: Function,
             if hit is None:
                 hit = loops[id(stmt)] = any(map(touches, stmt.body))
             return hit
-        if isinstance(stmt, If):
-            return any(map(touches, [*stmt.then_body, *stmt.else_body]))
         return not isinstance(stmt, Comment) and bool(plan(stmt))
 
     def events(stmts: Sequence[CStmt], bindings: Dict[str, int],
@@ -176,10 +177,6 @@ def element_events(fn: Function,
                     if budget[0] <= 0:
                         status.complete = False
                         return
-            elif isinstance(stmt, If):
-                taken = stmt.evaluate(bindings)
-                yield from events(stmt.then_body if taken else
-                                  stmt.else_body, bindings, budget)
             elif not isinstance(stmt, Comment):
                 accesses = plan(stmt)
                 if only is not None and not accesses:

@@ -24,7 +24,7 @@ import re
 from typing import Dict, List, Set, Tuple
 
 from ..cir.nodes import (Affine, Assign, BinOp, CExpr, Comment, CStmt,
-                         FloatConst, For, Function, If, Load, ScalarVar,
+                         FloatConst, For, Function, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
                          VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,
                          VStore, VUnpack, VZero)
@@ -311,23 +311,12 @@ class CUnparser:
     def _register_declarations(self) -> List[str]:
         scalars: Set[str] = set()
         vectors: Set[str] = set()
-
-        def scan(stmts: List[CStmt]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, For):
-                    scan(stmt.body)
-                    continue
-                if isinstance(stmt, If):
-                    scan(stmt.then_body)
-                    scan(stmt.else_body)
-                    continue
-                if isinstance(stmt, Assign):
-                    if isinstance(stmt.dest, VecVar):
-                        vectors.add(stmt.dest.name)
-                    else:
-                        scalars.add(stmt.dest.name)
-
-        scan(self.function.body)
+        for stmt in self.function.walk_statements():
+            if isinstance(stmt, Assign):
+                if isinstance(stmt.dest, VecVar):
+                    vectors.add(stmt.dest.name)
+                else:
+                    scalars.add(stmt.dest.name)
         decls = []
         if scalars:
             decls.append("double " + ", ".join(sorted(scalars)) + ";")
@@ -381,14 +370,6 @@ class CUnparser:
                              f"{stmt.var} < {stmt.stop}; "
                              f"{stmt.var} += {stmt.step}) {{")
                 lines.extend(self._stmts(stmt.body, depth + 1))
-                lines.append(f"{pad}}}")
-            elif isinstance(stmt, If):
-                lines.append(f"{pad}if ({self._affine(stmt.lhs)} {stmt.op} "
-                             f"{self._affine(stmt.rhs)}) {{")
-                lines.extend(self._stmts(stmt.then_body, depth + 1))
-                if stmt.else_body:
-                    lines.append(f"{pad}}} else {{")
-                    lines.extend(self._stmts(stmt.else_body, depth + 1))
                 lines.append(f"{pad}}}")
             else:  # pragma: no cover - defensive
                 raise BackendError(f"cannot unparse statement {stmt!r}")

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cir.nodes import (Affine, Assign, BinOp, CExpr, Comment, CStmt,
-                         FloatConst, For, Function, If, Load, ScalarVar,
+                         FloatConst, For, Function, Load, ScalarVar,
                          Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar,
                          VExtract, VLoad, VPermute2f128, VReduceAdd, VSet,
                          VStore, VUnpack, VZero)
@@ -185,13 +185,6 @@ class NumPyTranslator:
             lines.append(f"{pad}for {_mangle(stmt.var)} in "
                          f"range({stmt.start}, {stmt.stop}, {stmt.step}):")
             lines.extend(self._block(stmt.body, pad + self.indent))
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}if {self._affine(stmt.lhs)} {stmt.op} "
-                         f"{self._affine(stmt.rhs)}:")
-            lines.extend(self._block(stmt.then_body, pad + self.indent))
-            if stmt.else_body:
-                lines.append(f"{pad}else:")
-                lines.extend(self._block(stmt.else_body, pad + self.indent))
         else:
             raise BackendError(f"cannot translate statement {stmt!r}")
         return lines

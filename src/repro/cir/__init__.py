@@ -3,8 +3,8 @@
 from .builder import CIRBuilder, NameAllocator
 from .interpreter import Interpreter, InterpreterKernel, run_function
 from .nodes import (Affine, Assign, BinOp, Buffer, CExpr, Comment, CStmt,
-                    FloatConst, For, Function, If, Load, ScalarVar, Store,
-                    UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
+                    FloatConst, For, Function, Load, ScalarVar, Store, UnOp,
+                    VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
                     VPermute2f128, VReduceAdd, VSet, VStore, VUnpack, VZero,
                     walk_expressions)
 from .passes import PassOptions, PassReport, run_pipeline
@@ -13,7 +13,7 @@ __all__ = [
     "CIRBuilder", "NameAllocator", "Interpreter", "InterpreterKernel",
     "run_function",
     "Affine", "Assign", "BinOp", "Buffer", "CExpr", "Comment", "CStmt",
-    "FloatConst", "For", "Function", "If", "Load", "ScalarVar", "Store",
+    "FloatConst", "For", "Function", "Load", "ScalarVar", "Store",
     "UnOp", "VBinOp", "VBlend", "VBroadcast", "VecVar", "VExtract", "VLoad",
     "VPermute2f128", "VReduceAdd", "VSet", "VStore", "VUnpack", "VZero",
     "walk_expressions",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import InterpreterError
 from .nodes import (Assign, BinOp, Buffer, CExpr, Comment, CStmt,
-                    FloatConst, For, Function, If, Load, ScalarVar, Store,
+                    FloatConst, For, Function, Load, ScalarVar, Store,
                     UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract, VLoad,
                     VPermute2f128, VReduceAdd, VSet, VStore, VUnpack, VZero)
 
@@ -151,10 +151,6 @@ class Interpreter:
                 inner = dict(indices)
                 inner[stmt.var] = value
                 self._exec_block(stmt.body, env, inner)
-            return
-        if isinstance(stmt, If):
-            branch = stmt.then_body if stmt.evaluate(indices) else stmt.else_body
-            self._exec_block(branch, env, indices)
             return
         raise InterpreterError(f"unknown statement {stmt!r}")
 

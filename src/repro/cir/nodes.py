@@ -9,11 +9,11 @@ code.  It provides
 2. scalar and vector arithmetic on SSA-like register variables, including
    the data-reorganization operations (blend/shuffle/permute/unpack) needed
    by the vectorized codelets and by the load/store analysis,
-3. ``For`` and ``If`` statements with affine bounds/conditions on induction
-   variables.
+3. counted ``For`` loops, the only control flow: operand sizes are fixed,
+   so every loop bound is an integer constant and no kernel branches.
 
-All loop bounds are integer constants (operand sizes are fixed), which keeps
-both the interpreter and the static instruction-mix analysis exact.
+Constant trip counts keep the interpreter, the static instruction-mix
+analysis and the static verifier exact.
 """
 
 from __future__ import annotations
@@ -529,28 +529,6 @@ class For(CStmt):
 
 
 @dataclass(frozen=True)
-class If(CStmt):
-    """Conditional with an affine condition ``lhs <op> rhs``."""
-    lhs: Affine
-    op: str  # one of <, <=, ==, >=, >
-    rhs: Affine
-    then_body: List[CStmt] = field(default_factory=list)
-    else_body: List[CStmt] = field(default_factory=list)
-
-    VALID_OPS = ("<", "<=", "==", ">=", ">")
-
-    def __post_init__(self) -> None:
-        if self.op not in self.VALID_OPS:
-            raise CIRError(f"invalid comparison {self.op!r}")
-
-    def evaluate(self, bindings: Dict[str, int]) -> bool:
-        lhs = self.lhs.evaluate(bindings)
-        rhs = self.rhs.evaluate(bindings)
-        return {"<": lhs < rhs, "<=": lhs <= rhs, "==": lhs == rhs,
-                ">=": lhs >= rhs, ">": lhs > rhs}[self.op]
-
-
-@dataclass(frozen=True)
 class Comment(CStmt):
     """A comment carried through to the emitted C code."""
     text: str
@@ -578,15 +556,12 @@ class Function:
         return list(self.params) + list(self.temps)
 
     def walk_statements(self) -> Iterator[CStmt]:
-        """Iterate all statements in the body, descending into For/If."""
+        """Iterate all statements in the body, descending into loops."""
         def visit(stmts: Sequence[CStmt]) -> Iterator[CStmt]:
             for stmt in stmts:
                 yield stmt
                 if isinstance(stmt, For):
                     yield from visit(stmt.body)
-                elif isinstance(stmt, If):
-                    yield from visit(stmt.then_body)
-                    yield from visit(stmt.else_body)
         return visit(self.body)
 
     def statement_count(self) -> int:
@@ -599,20 +574,20 @@ class Function:
 
 def walk_expressions(stmt: CStmt) -> Iterator[CExpr]:
     """Iterate every expression appearing in a statement (not recursing into
-    nested statements of For/If)."""
+    the body of a For)."""
     if isinstance(stmt, Assign):
         yield from stmt.value.walk()
     elif isinstance(stmt, Store):
         yield from stmt.value.walk()
     elif isinstance(stmt, VStore):
         yield from stmt.value.walk()
-    # For/If/Comment carry no value expressions of their own
+    # For/Comment carry no value expressions of their own
 
 
 __all__ = [
     "Affine", "Buffer", "CExpr", "FloatConst", "ScalarVar", "VecVar", "Load",
     "VLoad", "VBroadcast", "VSet", "VZero", "BinOp", "UnOp", "VBinOp",
     "VReduceAdd", "VExtract", "VBlend", "VPermute2f128", "VUnpack", "CStmt",
-    "Assign", "Store", "VStore", "For", "If", "Comment", "Function",
+    "Assign", "Store", "VStore", "For", "Comment", "Function",
     "walk_expressions",
 ]

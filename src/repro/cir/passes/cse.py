@@ -4,7 +4,7 @@ Within every straight-line region, loads (scalar or vector) of the same
 address that are executed more than once are replaced by a register that is
 loaded once -- the "scalar replacement" of LGen/SLinGen's code-level
 optimizations.  A store to a buffer conservatively invalidates all cached
-loads from that buffer; loop and branch boundaries invalidate everything.
+loads from that buffer; loop boundaries invalidate everything.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from ..nodes import (Assign, CExpr, CStmt, For, If, Load, ScalarVar, Store,
-                     VecVar, VLoad, VStore)
+from ..nodes import (Assign, CExpr, CStmt, For, Load, ScalarVar, Store, VecVar,
+                     VLoad, VStore)
 from ..transform import map_statement_expressions
 
 
@@ -44,9 +44,6 @@ def _highest_register(stmts: List[CStmt]) -> int:
     for stmt in stmts:
         if isinstance(stmt, For):
             highest = max(highest, _highest_register(stmt.body))
-        elif isinstance(stmt, If):
-            highest = max(highest, _highest_register(stmt.then_body),
-                          _highest_register(stmt.else_body))
         elif isinstance(stmt, Assign):
             match = _REGISTER.match(stmt.dest.name)
             if match:
@@ -103,17 +100,11 @@ def eliminate_redundant_loads(stmts: List[CStmt],
             del available[key]
 
     for stmt in stmts:
-        if isinstance(stmt, (For, If)):
+        if isinstance(stmt, For):
             available.clear()
             by_buffer.clear()
-        if isinstance(stmt, For):
             result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
                               eliminate_redundant_loads(stmt.body, counter)))
-            continue
-        if isinstance(stmt, If):
-            result.append(If(stmt.lhs, stmt.op, stmt.rhs,
-                             eliminate_redundant_loads(stmt.then_body, counter),
-                             eliminate_redundant_loads(stmt.else_body, counter)))
             continue
 
         pending: List[CStmt] = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..nodes import (Assign, CExpr, CStmt, For, If, ScalarVar, Store, VecVar,
+from ..nodes import (Assign, CExpr, CStmt, For, ScalarVar, Store, VecVar,
                      VStore)
 
 
@@ -27,9 +27,6 @@ def _collect_used_registers(stmts: List[CStmt], used: Set[str]) -> None:
         kind = type(stmt)
         if kind is For:
             _collect_used_registers(stmt.body, used)
-        elif kind is If:
-            _collect_used_registers(stmt.then_body, used)
-            _collect_used_registers(stmt.else_body, used)
         elif kind is Assign or kind is Store or kind is VStore:
             _collect_expression_registers(stmt.value, used)
 
@@ -48,13 +45,6 @@ def _remove_dead(stmts: List[CStmt], used: Set[str]) -> List[CStmt]:
             if body is not stmt.body:
                 changed = True
                 stmt = For(stmt.var, stmt.start, stmt.stop, stmt.step, body)
-        elif isinstance(stmt, If):
-            then_body = _remove_dead(stmt.then_body, used)
-            else_body = _remove_dead(stmt.else_body, used)
-            if then_body is not stmt.then_body \
-                    or else_body is not stmt.else_body:
-                changed = True
-                stmt = If(stmt.lhs, stmt.op, stmt.rhs, then_body, else_body)
         result.append(stmt)
     return result if changed else stmts
 

@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..nodes import (Assign, CExpr, CStmt, FloatConst, For, If, Load,
-                     ScalarVar, Store, VBlend, VecVar, VExtract, VLoad, VSet,
-                     VStore)
+from ..nodes import (Assign, CExpr, CStmt, FloatConst, For, Load, ScalarVar,
+                     Store, VBlend, VecVar, VExtract, VLoad, VSet, VStore)
 from ..transform import map_statement_expressions
 
 
@@ -182,12 +181,6 @@ def forward_stores_to_loads(stmts: List[CStmt],
             body, _ = forward_stores_to_loads(stmt.body, stats)
             model = _MemoryModel()   # conservative across the loop
             result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step, body))
-            continue
-        if isinstance(stmt, If):
-            then_body, _ = forward_stores_to_loads(stmt.then_body, stats)
-            else_body, _ = forward_stores_to_loads(stmt.else_body, stats)
-            model = _MemoryModel()
-            result.append(If(stmt.lhs, stmt.op, stmt.rhs, then_body, else_body))
             continue
 
         def replace(expr: CExpr) -> CExpr:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..nodes import (BinOp, CExpr, CStmt, FloatConst, For, If, UnOp, VBinOp,
+from ..nodes import (BinOp, CExpr, CStmt, FloatConst, For, UnOp, VBinOp,
                      VBlend, VZero)
 from ..transform import map_statement_expressions
 
@@ -83,10 +83,10 @@ def simplify_expression(expr: CExpr) -> CExpr:
 
 
 def simplify(stmts: List[CStmt]) -> List[CStmt]:
-    """Simplify expressions everywhere and drop empty loops/branches.
+    """Simplify expressions everywhere and drop empty loops.
 
     One walk: each leaf statement's expressions are simplified once, and
-    each ``For``/``If`` body is recursed into once.
+    each loop body is recursed into once.
     """
     result: List[CStmt] = []
     for stmt in stmts:
@@ -97,12 +97,6 @@ def simplify(stmts: List[CStmt]) -> List[CStmt]:
             if body:
                 result.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
                                   body))
-        elif isinstance(stmt, If):
-            then_body = simplify(stmt.then_body)
-            else_body = simplify(stmt.else_body)
-            if then_body or else_body:
-                result.append(If(stmt.lhs, stmt.op, stmt.rhs, then_body,
-                                 else_body))
         else:
             result.append(map_statement_expressions(stmt,
                                                     simplify_expression))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ...errors import CIRError
-from ..nodes import CStmt, For, If
+from ..nodes import CStmt, For
 from ..transform import substitute_indices
 
 
@@ -34,11 +34,10 @@ def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
     inner loops before the loop around them.
 
     The walk drops what :func:`~repro.cir.passes.simplify.simplify`
-    drops -- a ``For`` with no iterations or an empty body, an ``If``
-    with both bodies empty -- so the plan of a lowered body equals the
-    plan of its simplified body.  An unrolled loop counts ``trip *
-    len(body)`` statements toward the loop around it; a kept loop and an
-    ``If`` count one.
+    drops -- a ``For`` with no iterations or an empty body -- so the plan
+    of a lowered body equals the plan of its simplified body.  An
+    unrolled loop counts ``trip * len(body)`` statements toward the loop
+    around it; a kept loop counts one.
 
     Parameters
     ----------
@@ -67,9 +66,6 @@ def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
                             and trip * body <= max_body_statements)
                 plan.append(unrolled)
                 count += trip * body if unrolled else 1
-            elif isinstance(stmt, If):
-                if size(stmt.then_body) + size(stmt.else_body):
-                    count += 1
             else:
                 count += 1
         return count
@@ -81,7 +77,7 @@ def unroll_plan(stmts: List[CStmt], max_trip_count: int = 8,
 def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
     """Unroll the loops ``plan`` marks, keeping the others.
 
-    Loops and branches :func:`unroll_plan` drops are dropped here too, so
+    Loops :func:`unroll_plan` drops are dropped here too, so
     a plan lines up with the body it was made from and with that body
     simplified.  Raises :class:`~repro.errors.CIRError` when the plan has
     more or fewer decisions than the body has loops.
@@ -90,7 +86,7 @@ def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
 
     def decide(block: List[CStmt]) -> List[tuple]:
         # The statements of ``block`` that survive, each loop with its
-        # decision and each loop or branch with its decided bodies.
+        # decision and its decided body.
         kept: List[tuple] = []
         for stmt in block:
             if isinstance(stmt, For):
@@ -103,11 +99,6 @@ def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
                 if unrolled is None:
                     raise CIRError("unroll plan is shorter than the loops")
                 kept.append((stmt, unrolled, body))
-            elif isinstance(stmt, If):
-                then_body = decide(stmt.then_body)
-                else_body = decide(stmt.else_body)
-                if then_body or else_body:
-                    kept.append((stmt, then_body, else_body))
             else:
                 kept.append((stmt,))
         return kept
@@ -127,12 +118,6 @@ def apply_unroll_plan(stmts: List[CStmt], plan: Sequence[bool]) -> List[CStmt]:
                 else:
                     result.append(For(stmt.var, stmt.start, stmt.stop,
                                       stmt.step, emit(body, bindings)))
-            elif isinstance(stmt, If):
-                _, then_body, else_body = entry
-                result.append(If(stmt.lhs.substitute(bindings), stmt.op,
-                                 stmt.rhs.substitute(bindings),
-                                 emit(then_body, bindings),
-                                 emit(else_body, bindings)))
             else:
                 result.append(substitute_indices(stmt, bindings)
                               if bindings else stmt)

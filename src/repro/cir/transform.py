@@ -91,8 +91,7 @@ def map_expression(expr: CExpr, fn: ExprFn) -> CExpr:
 def map_statement_expressions(stmt: CStmt, fn: ExprFn) -> CStmt:
     """Apply ``fn`` (via :func:`map_expression`) to the value expression of a
     single statement.  Returns ``stmt`` itself when the value is unchanged,
-    else a new statement.  Does not recurse into the bodies of
-    ``For``/``If``."""
+    else a new statement.  Does not recurse into the body of a ``For``."""
     if type(stmt) in _VALUE_STATEMENTS:
         value = map_expression(stmt.value, fn)
         if value is not stmt.value:
@@ -105,8 +104,7 @@ def substitute_indices(stmt: CStmt, bindings: Dict[str, int]) -> CStmt:
     affine index of a leaf statement (loop unrolling uses this).
 
     Returns ``stmt`` itself when no index changes, and shares every
-    unchanged expression.  Does not recurse into the bodies of
-    ``For``/``If``.
+    unchanged expression.  Does not recurse into the body of a ``For``.
     """
     def fix_load(expr: CExpr) -> CExpr:
         if type(expr) is Load or type(expr) is VLoad:

@@ -13,8 +13,7 @@ the same ``div``/``sqrt`` expression node is free while nothing it reads
 has changed since its first occurrence.  An ``Assign`` to a register the
 expression reads, or a ``Store``/``VStore`` to a buffer it loads from,
 makes the next occurrence charged again, and the set of charged values
-starts empty at every ``For``/``If`` boundary (as in
-:mod:`repro.cir.passes.cse`).  Every other instruction is charged per
+starts empty at every loop boundary (as in :mod:`repro.cir.passes.cse`).  Every other instruction is charged per
 occurrence.
 """
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..cir.nodes import (Assign, BinOp, CExpr, Comment, CStmt, For, Function,
-                         If, Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
+                         Load, ScalarVar, Store, UnOp, VBinOp, VBlend,
                          VBroadcast, VecVar, VExtract, VLoad, VPermute2f128,
                          VReduceAdd, VSet, VStore, VUnpack)
 
@@ -196,13 +195,6 @@ def _count_statements(stmts: Iterable[CStmt], mix: InstructionMix,
         if isinstance(stmt, For):
             issued = _Issued()
             _count_statements(stmt.body, mix, weight * stmt.trip_count)
-            continue
-        if isinstance(stmt, If):
-            # Both branches weighted by half: conditions in generated code
-            # are leftovers guards that alternate.
-            issued = _Issued()
-            _count_statements(stmt.then_body, mix, weight * 0.5)
-            _count_statements(stmt.else_body, mix, weight * 0.5)
             continue
         _count_expression(stmt.value, mix, weight, issued)
         if isinstance(stmt, Store):

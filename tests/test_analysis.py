@@ -11,7 +11,6 @@ from repro.analysis import (gate_artifact, reset_stats, stats_snapshot,
                             verify_function, verify_program)
 from repro.analysis import verifier as verifier_mod
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.cfg import build_cfg
 from repro.analysis.defuse import (check_element_defuse,
                                    check_register_defuse, element_events)
 from repro.analysis.diagnostics import Diagnostic
@@ -56,26 +55,15 @@ def corrupting_pass(monkeypatch):
 
 
 class TestCfgAndDataflow:
-    def test_straight_line_is_one_block(self):
-        x = Buffer("x", 4, 1, "in")
-        y = Buffer("y", 4, 1, "out")
-        cfg = build_cfg([Store(y, Affine.constant(i),
-                               Load(x, Affine.constant(i)))
-                         for i in range(4)])
-        assert len(cfg.topological_order()) >= 1
-
     def test_deep_block_chain_does_not_recurse(self):
-        # A chain of thousands of single-iteration loops makes thousands
-        # of basic blocks in a line; the postorder DFS must be iterative.
+        # Thousands of loops in a row nest no deeper than one: the walks
+        # recurse per nesting level, not per loop.
         x = Buffer("x", 1, 1, "in")
         y = Buffer("y", 1, 1, "out")
         body = [For("i", 0, 1, 1,
                     [Store(y, Affine.constant(0),
                            Load(x, Affine.constant(0)))])
                 for _ in range(2500)]
-        cfg = build_cfg(body)
-        order = cfg.topological_order()
-        assert len(order) == len(set(order))
         assert check_register_defuse(make_fn(body, [x, y])) == []
 
     def test_register_use_before_def_is_error(self):
@@ -102,6 +90,39 @@ class TestCfgAndDataflow:
         ], [y])
         assert check_register_defuse(fn) == []
 
+    def test_loop_read_before_body_assignment_is_error(self):
+        # The first iteration reads t before anything assigned it; the
+        # assignment at the end of the body only reaches later ones.
+        y = Buffer("y", 4, 1, "out")
+        t = ScalarVar("t")
+        fn = make_fn([For("i", 0, 4, 1, [
+            Store(y, Affine.var("i"), t),
+            CAssign(t, FloatConst(1.0)),
+        ])], [y])
+        diags = check_register_defuse(fn)
+        assert [(d.severity, d.message) for d in diags] == [
+            ("error", "register 't' may be read before it is assigned")]
+
+    def test_assignment_in_a_loop_that_runs_reaches_past_it(self):
+        y = Buffer("y", 1, 1, "out")
+        t = ScalarVar("t")
+        fn = make_fn([For("i", 0, 2, 1, [CAssign(t, FloatConst(1.0))]),
+                      Store(y, Affine.constant(0), t)], [y])
+        assert check_register_defuse(fn) == []
+
+    def test_value_carried_to_the_next_iteration_is_live(self):
+        # t is assigned before the loop and again at the end of its body,
+        # and read at the body's start: the back edge keeps both live.
+        y = Buffer("y", 4, 1, "out")
+        t = ScalarVar("t")
+        fn = make_fn([CAssign(t, FloatConst(1.0)),
+                      For("i", 0, 4, 1, [
+                          Store(y, Affine.var("i"), t),
+                          CAssign(t, BinOp("add", t, FloatConst(1.0))),
+                      ])], [y])
+        assert check_dead_registers(fn) == []
+        assert check_register_defuse(fn) == []
+
 
 class TestFunctionPasses:
     def test_bounds_flags_the_oob_witness(self):
@@ -124,6 +145,20 @@ class TestFunctionPasses:
         errors = [d.message for d in check_bounds(fn)
                   if d.severity == "error"]
         assert len(errors) == 1 and errors[0].startswith("load x[9]"), errors
+
+    def test_overflow_on_a_large_grid_is_an_error_at_a_corner(self):
+        # 100 x 100 = 10000 index points; the interval is exact, so the
+        # overflow is an error naming the corner that reaches it.
+        from repro.analysis.bounds import check_bounds
+        x = Buffer("x", 100, 100, "in")
+        y = Buffer("y", 1, 1, "out")
+        index = Affine.var("i", 101) + Affine.var("j")
+        fn = make_fn([For("i", 0, 100, 1, [For("j", 0, 100, 1, [
+            Store(y, Affine.constant(0), Load(x, index))])])], [x, y])
+        diags = check_bounds(fn)
+        assert [d.severity for d in diags] == ["error"]
+        assert diags[0].message.endswith(
+            "out of bounds at {i=99, j=99} -> index 10098"), diags[0].message
 
     def test_in_bounds_version_is_clean(self):
         x = Buffer("x", 4, 1, "in")

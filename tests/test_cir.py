@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cir import (Affine, Assign, BinOp, Buffer, Comment, FloatConst,
-                       For, Function, If, Load, ScalarVar, Store,
-                       UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
+                       For, Function, Load, ScalarVar, Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
                        VLoad, VPermute2f128, VReduceAdd, VSet, VStore, VUnpack,
                        VZero, run_function)
 from repro.cir import nodes
@@ -166,11 +165,6 @@ def _nested_unroll(stmts, plan):
             if isinstance(stmt, For):
                 out.append(For(stmt.var, stmt.start, stmt.stop, stmt.step,
                                substitute(stmt.body, bindings)))
-            elif isinstance(stmt, If):
-                out.append(If(stmt.lhs.substitute(bindings), stmt.op,
-                              stmt.rhs.substitute(bindings),
-                              substitute(stmt.then_body, bindings),
-                              substitute(stmt.else_body, bindings)))
             else:
                 out.append(substitute_indices(stmt, bindings))
         return out
@@ -186,9 +180,6 @@ def _nested_unroll(stmts, plan):
                 else:
                     out.append(For(stmt.var, stmt.start, stmt.stop,
                                    stmt.step, body))
-            elif isinstance(stmt, If):
-                out.append(If(stmt.lhs, stmt.op, stmt.rhs,
-                              walk(stmt.then_body), walk(stmt.else_body)))
             else:
                 out.append(stmt)
         return out
@@ -223,18 +214,16 @@ class TestPasses:
 
     def test_unroll_plan_follows_simplify(self):
         # The plan of a lowered body must be the plan of its simplified
-        # body: simplify drops an empty loop, a zero-trip loop and an If
-        # with both bodies empty, so none of them holds a decision or
-        # counts toward the size of the loop around it.
+        # body: simplify drops an empty loop and a zero-trip loop, so
+        # neither holds a decision or counts toward the size of the loop
+        # around it.
         buf = Buffer("y", 1, 8, "out")
         store = Store(buf, Affine.var("i"), FloatConst(1.0))
-        empty_if = If(Affine.var("i"), "<", Affine.constant(2), [], [])
         bodies = {
             "empty loop": [For("i", 0, 4, 1, [store,
                                               For("j", 0, 2, 1, [])])],
             "zero-trip loop": [For("i", 0, 4, 1, [
                 store, For("j", 3, 3, 1, [For("k", 0, 2, 1, [store])])])],
-            "empty If": [For("i", 0, 4, 1, [store, empty_if])],
         }
         for name, body in bodies.items():
             # A body limit of 4 unrolls the outer loop only if it holds
@@ -264,8 +253,8 @@ class TestPasses:
             apply_unroll_plan(body, (True, True, True))
 
     def test_unroll_substitutes_like_nested_unrolling(self):
-        # i and j unroll, k is kept (trip 4 > 2); the If and the kept
-        # loop sit inside both unrolled loops.
+        # i and j unroll, k is kept (trip 4 > 2); the kept loop and two
+        # stores sit inside both unrolled loops.
         x = Buffer("x", 1, 8, "in")
         y = Buffer("y", 8, 8, "out")
         i, j, k = Affine.var("i"), Affine.var("j"), Affine.var("k")
@@ -275,15 +264,15 @@ class TestPasses:
             For("k", 0, 4, 1, [
                 Store(y, i * 16 + j * 4 + k,
                       BinOp("add", acc, Load(x, k + i)))]),
-            If(j, "<", i, [Store(y, i * 8 + j + 40, Load(x, i + 4))],
-               [VStore(y, i * 8 + j * 4 + 48, VLoad(x, j * 4))]),
+            Store(y, i * 8 + j + 40, Load(x, i + 4)),
+            VStore(y, i * 8 + j * 4 + 48, VLoad(x, j * 4)),
         ])])]
         plan = unroll_plan(body, 2, 64)
         assert plan == (False, True, True)
         unrolled = apply_unroll_plan(body, plan)
         assert unrolled == _nested_unroll(body, plan)
         assert [type(s).__name__ for s in unrolled] == \
-            ["Assign", "For", "If"] * 4
+            ["Assign", "For", "Store", "VStore"] * 4
         data = {"x": np.arange(1.0, 9.0).reshape(1, 8)}
         np.testing.assert_array_equal(
             run_function(_make_function(body, [x, y]), data)["y"],
@@ -398,15 +387,13 @@ class TestImmutableSharing:
             VStore(buf, Affine.constant(0), VecVar("v"),
                    mask=(True, False, False, False)),
             For("i", 0, 4, 1, [Assign(ScalarVar("t"), FloatConst(0.0))]),
-            If(Affine.var("i"), "<", Affine.constant(2),
-               [Comment("then")], [Comment("else")]),
             Comment("note"),
         ]
 
     def test_rebinding_any_statement_field_raises(self):
         statements = self._statements()
         assert {type(s).__name__ for s in statements} == {
-            "Assign", "Store", "VStore", "For", "If", "Comment"}
+            "Assign", "Store", "VStore", "For", "Comment"}
         for stmt in statements:
             for field in dataclasses.fields(stmt):
                 with pytest.raises(dataclasses.FrozenInstanceError):
@@ -454,7 +441,7 @@ class TestImmutableSharing:
         assert list(vars(fast)) == list(vars(built))
         try:
             expected = hash(built)
-        except TypeError:       # a For or If holds lists
+        except TypeError:       # a For holds a list
             with pytest.raises(TypeError):
                 hash(fast)
         else:

@@ -10,8 +10,8 @@ from repro.bench import hlac_sizes, run_series
 from repro.machine import SANDY_BRIDGE, instruction_mix
 from repro.slingen import Options, SLinGen
 from repro.cir import (Affine, Assign, BinOp, Buffer, FloatConst, For,
-                       Function, If, Load, ScalarVar, Store, UnOp, VBinOp,
-                       VecVar, VLoad, VStore)
+                       Function, Load, ScalarVar, Store, UnOp, VBinOp, VecVar,
+                       VLoad, VStore)
 
 
 class TestInstructionMix:
@@ -73,16 +73,12 @@ class TestDivisionsChargedOnce:
         assert mix.scalar_div == expected
         assert mix.scalar_loads == 3  # loads are still charged per occurrence
 
-    def test_loop_and_branch_bodies_are_blocks_of_their_own(self):
+    def test_loop_bodies_are_blocks_of_their_own(self):
         mix = _mix_of([Assign(_Y, _RECIP),
                        For("i", 0, 8, 2, [Assign(_Z, _RECIP),
                                           Assign(_Y, _RECIP)]),
                        Assign(_Z, _RECIP)])
         assert mix.scalar_div == 1 + 4 + 1
-        mix = _mix_of([If(Affine.constant(0), "<", Affine.constant(1),
-                          [Assign(_Y, _RECIP), Assign(_Z, _RECIP)],
-                          [Assign(_Z, _RECIP)])])
-        assert mix.scalar_div == 0.5 + 0.5
 
     def test_sqrt_and_vector_division_follow_the_same_rule(self):
         root = UnOp("sqrt", _X)

@@ -18,8 +18,7 @@ from repro.backend import (EXECUTORS, compiler_available, make_executor,
 from repro.backend.numpy_backend import NumPyKernel, NumPyTranslator, _mangle
 from repro.cir.interpreter import Interpreter, InterpreterKernel
 from repro.cir.nodes import (Affine, Assign, BinOp, Buffer, FloatConst, For,
-                             Function, If, Load, ScalarVar, Store, UnOp,
-                             VBinOp, VBlend, VBroadcast, VecVar, VExtract,
+                             Function, Load, ScalarVar, Store, UnOp, VBinOp, VBlend, VBroadcast, VecVar, VExtract,
                              VLoad, VPermute2f128, VReduceAdd, VSet, VStore,
                              VUnpack, VZero)
 from repro.errors import BackendError
@@ -175,32 +174,30 @@ class TestVectorNodeSemantics:
         got = compile_numpy_kernel(fn).run(inputs)
         np.testing.assert_array_equal(got["b"], expected["b"])
 
-    def test_scalar_ops_loops_and_conditionals(self):
+    def test_scalar_ops_and_loops(self):
         x = Buffer("x", 4, 4, "in")
         y = Buffer("y", 4, 4, "out")
+        z = Buffer("z", 4, 4, "out")
         i, j = "i", "j"
         body = [
             For(i, 0, 4, 1, body=[
                 For(j, 0, 4, 1, body=[
-                    If(Affine.var(i), "<=", Affine.var(j), then_body=[
-                        Store(y, Affine.var(i) * 4 + Affine.var(j),
-                              UnOp("sqrt",
-                                   BinOp("max",
-                                         Load(x, Affine.var(i) * 4
-                                              + Affine.var(j)),
-                                         FloatConst(0.5)))),
-                    ], else_body=[
-                        Store(y, Affine.var(i) * 4 + Affine.var(j),
-                              UnOp("neg",
-                                   BinOp("div",
-                                         Load(x, Affine.var(j) * 4
-                                              + Affine.var(i)),
-                                         FloatConst(2.0)))),
-                    ]),
+                    Store(y, Affine.var(i) * 4 + Affine.var(j),
+                          UnOp("sqrt",
+                               BinOp("max",
+                                     Load(x, Affine.var(i) * 4
+                                          + Affine.var(j)),
+                                     FloatConst(0.5)))),
+                    Store(z, Affine.var(i) * 4 + Affine.var(j),
+                          UnOp("neg",
+                               BinOp("div",
+                                     Load(x, Affine.var(j) * 4
+                                          + Affine.var(i)),
+                                     FloatConst(2.0)))),
                 ]),
             ]),
         ]
-        fn = Function("node_kernel", params=[x, y], body=body)
+        fn = Function("node_kernel", params=[x, y, z], body=body)
         rng = np.random.default_rng(3)
         assert_backends_match(fn, {"x": rng.standard_normal((4, 4))})
 
