@@ -13,9 +13,17 @@ Two phases per workload, each against a cold store:
   generates independently (the pre-PR-4 behavior).
 * ``coalesced``   -- the default service: the stampede is collapsed.
 
+The store each phase uses holds back every ``put`` until every client
+thread has finished its first lookup, so all N clients miss even when a
+warm phase cache makes one generation faster than the threads start:
+every follower then either joins the leader's flight or hits on the
+leader's re-probe, and both count as coalesced.  A put that waits longer
+than :data:`GATE_TIMEOUT_S` goes ahead and the run reports FAIL.
+
 Asserts the coalesced run performs **exactly one** generation per workload
-under 16-way duplicate load and at least 5x fewer generations than the
-uncoalesced run in aggregate.  Run with::
+under 16-way duplicate load, that the other N-1 responses are coalesced,
+and at least 5x fewer generations than the uncoalesced run in aggregate.
+Run with::
 
     python benchmarks/bench_concurrent_service.py
     python benchmarks/bench_concurrent_service.py \
@@ -34,18 +42,50 @@ ensure_repro_importable()
 
 CLIENTS = 16
 WORKLOADS = ["potrf:4", "potrf:8", "trtri:8", "gemm:4"]
+#: longest a put waits for the clients' first lookups
+GATE_TIMEOUT_S = 60.0
+
+
+class FirstLookupGate:
+    """A kernel store whose ``put`` waits until ``clients`` threads have
+    each finished a lookup, so no client can hit on a committed result
+    before it has missed once."""
+
+    def __init__(self, store, clients: int) -> None:
+        self._store = store
+        self._clients = clients
+        self._looked_up = set()
+        self._lock = threading.Lock()
+        self._all_looked_up = threading.Event()
+        self.timed_out = False
+
+    def get(self, key):
+        result = self._store.get(key)
+        with self._lock:
+            self._looked_up.add(threading.get_ident())
+            if len(self._looked_up) >= self._clients:
+                self._all_looked_up.set()
+        return result
+
+    def put(self, key, result, **kwargs):
+        if not self._all_looked_up.wait(GATE_TIMEOUT_S):
+            self.timed_out = True
+        return self._store.put(key, result, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
 
 
 def stampede(workload: str, single_flight: bool, clients: int):
     """``clients`` threads request one workload against a cold store;
-    returns ``(generations, wall_s, responses)``."""
+    returns ``(generations, wall_s, responses, gate_timed_out)``."""
     from repro.service import DiskKernelStore, KernelService
 
     with tempfile.TemporaryDirectory(
             prefix="repro_concurrency_bench_") as root:
-        service = KernelService(store=DiskKernelStore(root=root),
-                                single_flight=single_flight)
-        return _stampede(service, workload, clients)
+        store = FirstLookupGate(DiskKernelStore(root=root), clients)
+        service = KernelService(store=store, single_flight=single_flight)
+        return _stampede(service, workload, clients) + (store.timed_out,)
 
 
 def _stampede(service, workload: str, clients: int):
@@ -94,10 +134,10 @@ def run(output=None, clients: int = CLIENTS, workloads=WORKLOADS) -> int:
     total_un, total_co = 0, 0
     ok = True
     for workload in workloads:
-        gens_un, wall_un, _ = stampede(workload, single_flight=False,
-                                       clients=clients)
-        gens_co, wall_co, responses = stampede(workload, single_flight=True,
-                                               clients=clients)
+        gens_un, wall_un, _, late_un = stampede(
+            workload, single_flight=False, clients=clients)
+        gens_co, wall_co, responses, late_co = stampede(
+            workload, single_flight=True, clients=clients)
         coalesced = sum(1 for r in responses if r.coalesced)
         total_un += gens_un
         total_co += gens_co
@@ -105,6 +145,10 @@ def run(output=None, clients: int = CLIENTS, workloads=WORKLOADS) -> int:
              f"{'-':>9s} {wall_un * 1e3:>10.1f}")
         emit(f"{workload:10s} {'coalesced':12s} {gens_co:>5d} "
              f"{coalesced:>9d} {wall_co * 1e3:>10.1f}")
+        if late_un or late_co:
+            emit(f"FAIL: {workload} a put waited over {GATE_TIMEOUT_S:.0f} s "
+                 f"for the {clients} clients' first lookups")
+            ok = False
         if gens_co != 1:
             emit(f"FAIL: {workload} coalesced run generated {gens_co}x "
                  f"(expected exactly 1)")
