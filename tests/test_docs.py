@@ -1,7 +1,7 @@
 """Tests for the documentation tooling: the generated CLI reference stays
 in sync with the argparse parsers, every relative link resolves, every
-Markdown file a docstring cites exists, and docs/pipeline.md's C listing
-is real output."""
+Markdown file a docstring cites exists, and docs/pipeline.md's listings
+are real output."""
 
 import ast
 import glob
@@ -135,7 +135,67 @@ class TestFigureTables:
                 assert column.endswith("(model)"), (path, column)
 
 
+def _pipeline_md():
+    with open(os.path.join(REPO_ROOT, "docs", "pipeline.md"),
+              encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _listing_after(text, marker):
+    """The lines of the first fenced block after ``marker``, with
+    indented continuation lines joined to the line they continue."""
+    start = text.index(marker) + len(marker)
+    (block,) = re.findall(r"```\n(.*?)```", text[start:], re.DOTALL)[:1]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith(" ") and lines:
+            lines[-1] += " " + line.strip()
+        elif line.strip():
+            lines.append(line.strip())
+    return lines
+
+
 class TestPipelineListing:
+    @staticmethod
+    def _worked_example():
+        """Run the document's own snippets: ``program`` and ``basic``,
+        then generate the kernel the way the Stage-3 section describes."""
+        from repro.pipeline.cache import PhaseCache
+        from repro.slingen.generator import SLinGen
+
+        scope = {}
+        for snippet in re.findall(r"```python\n(.*?)```", _pipeline_md(),
+                                  re.DOTALL):
+            exec(snippet, scope)
+        result = SLinGen(phase_cache=PhaseCache()).generate_result(
+            scope["program"])
+        return scope["basic"], result
+
+    def test_stage1_listing_is_the_basic_program(self):
+        basic, _ = self._worked_example()
+        statements = [line.strip()
+                      for line in str(basic.program).splitlines()
+                      if line.strip().endswith(";")]
+        shown = _listing_after(_pipeline_md(), "block_size=2)\n```")
+        assert shown[-1] == "..."
+        assert shown[:-1] == statements[:len(shown) - 1]
+
+    def test_cir_listing_and_summary_are_the_generated_kernel(self):
+        _, result = self._worked_example()
+        text = _pipeline_md()
+        shown = _listing_after(text, "The first statements of the resulting")
+        assert len(shown) > 5
+        assert shown == [repr(stmt)
+                         for stmt in result.function.body[:len(shown)]]
+        summary = result.summary()
+        (count,) = re.findall(r"\((\d+)\s+statements for this kernel\)",
+                              text)
+        assert int(count) == summary["statements"]
+        assert f"variant: {summary['variant']} " in text
+        assert (f"perf:    {summary['cycles']:.0f} cycles, "
+                f"{summary['flops_per_cycle']:.3f} flops/cycle, "
+                f"bottleneck: {summary['bottleneck']}\n") in text
+
     def test_c_listing_is_emitted_by_the_generator(self, capsys):
         """Every line of docs/pipeline.md's C listing, bar the ``...``
         elisions, is a line of ``python -m repro.backend emit potrf:4
